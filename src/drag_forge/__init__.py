@@ -4,13 +4,11 @@ from .model import (Topology, SystemSpec, HamiltonianGenerators, build_sno,
                     build_intermediate_sno, build_star, generators,
                     hamiltonian_at, spec_to_json, spec_from_json)
 from .pulses import (GaussianParams, GaussianEnvelope, gaussian, DragVariant,
-                     Ansatz, ControlSet, build_controls,
-                     build_controls_intermediate, build_controls_star,
-                     controls_for, effective_lambda, phase_ramp,
-                     controls_to_csv)
+                     Ansatz, ControlSet, build_controls, controls_for,
+                     effective_lambda, phase_ramp, controls_to_csv)
 from .propagator import (TimeGrid, ConvergenceError, propagate, populations,
                          converge)
-from .fidelity import (axial_states, ideal_not, average_gate_fidelity,
-                       gate_error, phase_optimized_gate_error, FidelityReport)
+from .fidelity import (ideal_not, average_gate_fidelity, gate_error,
+                       phase_optimized_gate_error)
 
 __version__ = "0.1.0"

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemSpec, Topology, generators
-from .propagator import TimeGrid
+from .model import (HamiltonianGenerators, SystemSpec, Topology, generators,
+                    hamiltonian_at)
+from .propagator import TimeGrid, _sample_controls
 from .pulses import (Ansatz, ControlSet, DragVariant, GaussianEnvelope,
                      GaussianParams, _cubic_coefficient, controls_for,
                      first_order_coefficients)
@@ -71,9 +72,7 @@ class ExpansionReport:
 @dataclass(frozen=True)
 class _Dimless:
     h0: np.ndarray          # drift / delta2
-    hz: np.ndarray
-    hx: np.ndarray
-    hy: np.ndarray
+    ctl: HamiltonianGenerators  # control generators, zero drift
     qubit_rows: tuple       # (row of level 0, row of level 1)
     leak: tuple             # ((row, delta_j/delta2), ...) for leakage levels
     d: int
@@ -83,9 +82,10 @@ def _dimless(spec: SystemSpec) -> _Dimless:
     gen = generators(spec)
     d2 = spec.delta2
     leak = tuple((spec.row(j), spec.delta[j] / d2) for j in spec.leakage_levels)
-    return _Dimless(np.asarray(gen.h_drift) / d2, np.asarray(gen.h_z) + 0j,
-                    np.asarray(gen.h_x), np.asarray(gen.h_y),
-                    spec.qubit_rows, leak, spec.d)
+    ctl = HamiltonianGenerators(np.zeros_like(gen.h_drift), gen.h_z, gen.h_x,
+                                gen.h_y, gen.levels)
+    return _Dimless(np.asarray(gen.h_drift) / d2, ctl, spec.qubit_rows, leak,
+                    spec.d)
 
 
 def _tbar(grid: TimeGrid) -> np.ndarray:
@@ -158,9 +158,7 @@ def control_orders(spec: SystemSpec, variant, params: GaussianParams,
 
 def _h_of_order(ds: _Dimless, fields) -> np.ndarray:
     ox, oy, oz = fields
-    return (0.5 * ox[:, None, None] * ds.hx[None]
-            + 0.5 * oy[:, None, None] * ds.hy[None]
-            + oz[:, None, None] * ds.hz[None])
+    return hamiltonian_at(ds.ctl, oz, ox, oy)
 
 
 def _h_stacks(ds: _Dimless, orders: dict, upto: int, t: int) -> dict:
@@ -344,15 +342,8 @@ def h_eff_exact(spec: SystemSpec, cs: ControlSet, s_total: np.ndarray,
     the grid nodes; A = exp(-i S) per sample, with the derivative term
     computed by 4th-order finite differences of A itself.
     """
-    gen = generators(spec)
-    tn = grid.nodes()
-    ox = np.broadcast_to(np.asarray(cs.omega_x(tn), float), tn.shape)
-    oy = np.broadcast_to(np.asarray(cs.omega_y(tn), float), tn.shape)
-    dl = np.broadcast_to(np.asarray(cs.delta(tn), float), tn.shape)
-    hbar = grid.t_g * (gen.h_drift[None]
-                       + dl[:, None, None] * gen.h_z[None]
-                       + 0.5 * ox[:, None, None] * gen.h_x[None]
-                       + 0.5 * oy[:, None, None] * gen.h_y[None])
+    ox, oy, dl = _sample_controls(cs, grid.nodes())
+    hbar = grid.t_g * hamiltonian_at(generators(spec), dl, ox, oy)
     w, v = np.linalg.eigh(s_total)
     a = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
     da = _fd4(a, 1.0 / grid.n_steps)

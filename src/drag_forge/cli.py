@@ -5,8 +5,8 @@ writes a CSV plus a JSON manifest next to it; ``drag-forge run --config
 FILE`` executes the same sweep machinery from a user config.  Output is
 deterministic: identical configs give identical bytes.
 
-Exit codes: 0 success, 2 unknown preset or invalid config, 3 numerical
-convergence failure.
+Exit codes: 0 success, 2 unknown preset, invalid config or invalid option
+value, 3 numerical convergence failure.
 """
 from __future__ import annotations
 
@@ -37,65 +37,26 @@ _MULTI_SET = ["gaussian0", "z_only1", "y_only1", "optimal1"]
 _SIGMA_GRID = [round(0.2 * k, 10) for k in range(2, 11)]  # 0.4 .. 2.0
 
 
-def _system_config(kind: str, **kw) -> dict:
-    return {"kind": kind, **kw}
-
-
 def preset_config(name: str) -> dict:
     """Plain-dict sweep config of a named preset (sweep presets only)."""
+    sno = {"kind": "sno", "d": 5, "delta2": _DELTA2}
     sweeps = {
-        "gaussian-benchmark": {
-            "name": "gaussian-benchmark",
-            "system": _system_config("sno", d=5, delta2=_DELTA2),
-            "variants": ["gaussian0"],
-            "sigma": [1.0 / 3.0, 2.0 / 3.0, 1.5],
-            "area": math.pi,
-            "tg_factor": 4.0,
-            "n_steps": 4096,
-        },
-        "fig3": {
-            "name": "fig3",
-            "system": _system_config("sno", d=5, delta2=_DELTA2),
-            "variants": list(_FIRST_ORDER_SET),
-            "sigma": list(_SIGMA_GRID),
-            "area": math.pi,
-            "tg_factor": 4.0,
-            "n_steps": 4096,
-        },
-        "fig4": {
-            "name": "fig4",
-            "system": _system_config("sno", d=5, delta2=_DELTA2),
-            "variants": list(_SECOND_ORDER_SET),
-            "sigma": list(_SIGMA_GRID),
-            "area": math.pi,
-            "tg_factor": 4.0,
-            "n_steps": 4096,
-        },
-        "fig7": {
-            "name": "fig7",
-            "system": _system_config("intermediate_sno", d=5, delta2=_DELTA2),
-            "variants": list(_MULTI_SET),
-            "sigma": list(_SIGMA_GRID),
-            "area": math.pi,
-            "tg_factor": 4.0,
-            "n_steps": 4096,
-        },
-        "fig8": {
-            "name": "fig8",
-            "system": _system_config(
-                "star",
-                delta=[_DELTA2, 2 * _DELTA2, 3 * _DELTA2, 4 * _DELTA2],
-                **{"lambda": [1.0, 1.0, 1.0, 1.0]}),
-            "variants": list(_MULTI_SET),
-            "sigma": list(_SIGMA_GRID),
-            "area": math.pi,
-            "tg_factor": 4.0,
-            "n_steps": 4096,
-        },
+        "gaussian-benchmark": (sno, ["gaussian0"], [1.0 / 3.0, 2.0 / 3.0, 1.5]),
+        "fig3": (sno, _FIRST_ORDER_SET, _SIGMA_GRID),
+        "fig4": (sno, _SECOND_ORDER_SET, _SIGMA_GRID),
+        "fig7": ({"kind": "intermediate_sno", "d": 5, "delta2": _DELTA2},
+                 _MULTI_SET, _SIGMA_GRID),
+        "fig8": ({"kind": "star",
+                  "delta": [_DELTA2, 2 * _DELTA2, 3 * _DELTA2, 4 * _DELTA2],
+                  "lambda": [1.0, 1.0, 1.0, 1.0]},
+                 _MULTI_SET, _SIGMA_GRID),
     }
     if name not in sweeps:
         raise KeyError(name)
-    return sweeps[name]
+    system, variants, sigma = sweeps[name]
+    return {"name": name, "system": dict(system), "variants": list(variants),
+            "sigma": list(sigma), "area": math.pi, "tg_factor": 4.0,
+            "n_steps": 4096}
 
 
 def _build_system(doc: dict) -> SystemSpec:
@@ -116,7 +77,17 @@ class ConfigError(ValueError):
     pass
 
 
-def _validate_config(cfg: dict) -> dict:
+def _is_number(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
+def _validate_config(cfg: dict, n_steps=None) -> dict:
+    """Checked copy of a sweep config with defaults filled in.
+
+    ``n_steps``, when given, overrides the config's own step count before
+    the check, so an override is validated like any config value.
+    """
     def fail(path, msg):
         raise ConfigError(f"{path}: {msg}")
 
@@ -130,7 +101,7 @@ def _validate_config(cfg: dict) -> dict:
     if not isinstance(cfg["system"], dict):
         fail("system", "must be an object")
     try:
-        _build_system(cfg["system"])
+        spec = _build_system(cfg["system"])
     except (KeyError, TypeError) as exc:
         fail("system", f"invalid system: {exc}")
     except ValueError as exc:
@@ -140,18 +111,26 @@ def _validate_config(cfg: dict) -> dict:
         fail("variants", "must be a non-empty list")
     for i, v in enumerate(variants):
         try:
-            DragVariant(v)
+            variant = DragVariant(v)
         except ValueError:
             fail(f"variants[{i}]", f"unknown variant {v!r}")
+        try:  # some variants exist only for some topologies
+            controls_for(spec, variant, GaussianParams.for_not(1.0))
+        except ValueError as exc:
+            fail(f"variants[{i}]", str(exc))
     sig = cfg["sigma"]
     if not isinstance(sig, list) or not sig:
         fail("sigma", "must be a non-empty list")
-    vals = [float(s) for s in sig]
-    if any(b <= a for a, b in zip(vals, vals[1:])):
+    for i, s in enumerate(sig):
+        if not _is_number(s):
+            fail(f"sigma[{i}]", f"must be a finite number, got {s!r}")
+    if any(b <= a for a, b in zip(sig, sig[1:])):
         fail("sigma", "must be strictly increasing")
-    if any(s <= 0 for s in vals):
+    if any(s <= 0 for s in sig):
         fail("sigma", "values must be positive")
     out = dict(cfg)
+    if n_steps is not None:
+        out["n_steps"] = n_steps
     out.setdefault("area", math.pi)
     out.setdefault("tg_factor", 4.0)
     out.setdefault("n_steps", 4096)
@@ -159,7 +138,10 @@ def _validate_config(cfg: dict) -> dict:
         n = out["n_steps"]
         if not isinstance(n, int) or n < 16:
             fail("n_steps", "must be an integer >= 16 or \"auto\"")
-    if float(out["tg_factor"]) <= 0:
+    for key in ("area", "tg_factor"):
+        if not _is_number(out[key]):
+            fail(key, f"must be a finite number, got {out[key]!r}")
+    if out["tg_factor"] <= 0:
         fail("tg_factor", "must be positive")
     return out
 
@@ -178,6 +160,27 @@ def _sweep_point(args) -> tuple:
     return sigma, variant, gate_error(u, uid, spec.qubit_rows), used
 
 
+def _write_csv(path: Path, name: str, header: str, rows) -> Path:
+    """CSV whose first line names ``<name>.manifest.json``.
+
+    Floats are written with repr (round-trip exact), everything else with str.
+    """
+    with open(path, "w") as fh:
+        fh.write(f"# manifest: {name}.manifest.json\n{header}\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+    return path
+
+
+def _write_manifest(out_dir: Path, name: str, **fields) -> Path:
+    """``<name>.manifest.json`` with the run name, package version and fields."""
+    path = out_dir / f"{name}.manifest.json"
+    doc = {"name": name, "version": __version__, **fields}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    return path
+
+
 def _run_sweep(cfg: dict, out_dir: Path, jobs: int) -> Path:
     points = [(cfg["system"], v, s, cfg["area"], cfg["tg_factor"],
                cfg["n_steps"])
@@ -193,22 +196,12 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int) -> Path:
     rows.sort(key=lambda r: (r[0], cfg["variants"].index(r[1])))
 
     name = cfg["name"]
-    csv_path = out_dir / f"{name}.csv"
-    manifest_path = out_dir / f"{name}.manifest.json"
-    with open(csv_path, "w") as fh:
-        fh.write(f"# manifest: {manifest_path.name}\n")
-        fh.write("sigma,variant,gate_error,n_steps\n")
-        for sigma, variant, err, used in rows:
-            fh.write(f"{sigma!r},{variant},{err!r},{used}\n")
-    manifest = {
-        "name": name,
-        "version": __version__,
-        "config": {k: cfg[k] for k in sorted(cfg)},
-        "csv": csv_path.name,
-        "rows": [{"sigma": s, "variant": v, "n_steps": used}
-                 for s, v, _, used in rows],
-    }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    csv_path = _write_csv(out_dir / f"{name}.csv", name,
+                          "sigma,variant,gate_error,n_steps", rows)
+    _write_manifest(out_dir, name, config={k: cfg[k] for k in sorted(cfg)},
+                    csv=csv_path.name,
+                    rows=[{"sigma": s, "variant": v, "n_steps": used}
+                          for s, v, _, used in rows])
     return csv_path
 
 
@@ -226,87 +219,59 @@ def _run_fig5(name: str, out_dir: Path, delta0_free: bool,
     ]
     if delta0_free:
         masks = [(lbl + "+delta0", m[:3] + (True,)) for lbl, m in masks]
-    csv_path = out_dir / f"{name}.csv"
-    manifest_path = out_dir / f"{name}.manifest.json"
     rows = []
     for sigma in sigmas:
         params = GaussianParams.for_not(sigma)
         for label, mask in masks:
             task = OptimizeTask(spec, params, mask, max_evals=max_evals,
                                 prop_tol=prop_tol)
-            res = optimize(task)
-            rows.append((sigma, label, res))
-    with open(csv_path, "w") as fh:
-        fh.write(f"# manifest: {manifest_path.name}\n")
-        fh.write("sigma,mask,alpha,beta,gamma,delta0,gate_error,n_evals\n")
-        for sigma, label, res in rows:
-            a, b, g, d0 = res.x
-            fh.write(f"{sigma!r},{label},{a!r},{b!r},{g!r},{d0!r},"
-                     f"{res.gate_error!r},{res.n_evals}\n")
-    manifest = {
-        "name": name,
-        "version": __version__,
-        "config": {"system": {"kind": "sno", "d": 5, "delta2": _DELTA2},
-                   "sigma": list(sigmas), "masks": [lbl for lbl, _ in masks],
-                   "max_evals": max_evals},
-        "csv": csv_path.name,
-        "rows": [{"sigma": s, "mask": lbl, "n_steps": res.n_steps,
-                  "n_evals": res.n_evals} for s, lbl, res in rows],
-    }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+            rows.append((sigma, label, optimize(task)))
+    csv_path = _write_csv(
+        out_dir / f"{name}.csv", name,
+        "sigma,mask,alpha,beta,gamma,delta0,gate_error,n_evals",
+        [(s, lbl, *res.x, res.gate_error, res.n_evals) for s, lbl, res in rows])
+    _write_manifest(
+        out_dir, name,
+        config={"system": {"kind": "sno", "d": 5, "delta2": _DELTA2},
+                "sigma": list(sigmas), "masks": [lbl for lbl, _ in masks],
+                "max_evals": max_evals},
+        csv=csv_path.name,
+        rows=[{"sigma": s, "mask": lbl, "n_steps": res.n_steps,
+               "n_evals": res.n_evals} for s, lbl, res in rows])
     return csv_path
 
 
 def _run_fig9(out_dir: Path) -> Path:
-    csv_path = out_dir / "fig9.csv"
-    manifest_path = out_dir / "fig9.manifest.json"
     ratios = [round(-3.0 + 0.01 * k, 10) for k in range(601)]
     guard = 0.02
     rows = [(r, lambda_sno(2, r), math.sqrt(2.0))
             for r in ratios if abs(r + 1.0) > guard]
-    with open(csv_path, "w") as fh:
-        fh.write(f"# manifest: {manifest_path.name}\n")
-        fh.write("ratio,lambda1_cavity,lambda1_direct\n")
-        for r, lc, ld in rows:
-            fh.write(f"{r!r},{lc!r},{ld!r}\n")
-    manifest = {
-        "name": "fig9",
-        "version": __version__,
-        "config": {"ratio_range": [-3.0, 3.0], "step": 0.01,
-                   "pole_guard": guard, "transition": 2},
-        "csv": csv_path.name,
-        "rows": len(rows),
-    }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    csv_path = _write_csv(out_dir / "fig9.csv", "fig9",
+                          "ratio,lambda1_cavity,lambda1_direct", rows)
+    _write_manifest(out_dir, "fig9",
+                    config={"ratio_range": [-3.0, 3.0], "step": 0.01,
+                            "pole_guard": guard, "transition": 2},
+                    csv=csv_path.name, rows=len(rows))
     return csv_path
 
 
 def _run_pop_traces(out_dir: Path, n_steps) -> Path:
     spec = build_sno(5, _DELTA2)
     steps = 4096 if n_steps == "auto" else n_steps
-    manifest_path = out_dir / "pop-traces.manifest.json"
+    header = "t," + ",".join(f"p{j}" for j in range(spec.d))
     files = []
     for i, sigma in enumerate((1.0 / 3.0, 2.0 / 3.0, 1.5), start=1):
         params = GaussianParams.for_not(sigma)
         cs = controls_for(spec, DragVariant.GAUSSIAN0, params)
         times, probs = populations(spec, cs, TimeGrid(params.t_g, steps), 0)
-        path = out_dir / f"pop-traces-{i}.csv"
-        with open(path, "w") as fh:
-            fh.write(f"# manifest: {manifest_path.name}\n")
-            fh.write("t," + ",".join(f"p{j}" for j in range(spec.d)) + "\n")
-            for t, row in zip(times, probs):
-                fh.write(repr(float(t)) + ","
-                         + ",".join(repr(float(p)) for p in row) + "\n")
+        path = _write_csv(out_dir / f"pop-traces-{i}.csv", "pop-traces", header,
+                          ([t, *p] for t, p in zip(times, probs)))
         files.append({"sigma": sigma, "csv": path.name, "n_steps": steps})
-    manifest = {
-        "name": "pop-traces",
-        "version": __version__,
-        "config": {"system": {"kind": "sno", "d": 5, "delta2": _DELTA2},
-                   "variant": "gaussian0", "initial_level": 0},
-        "files": files,
-    }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return manifest_path
+    return _write_manifest(
+        out_dir, "pop-traces",
+        config={"system": {"kind": "sno", "d": 5, "delta2": _DELTA2},
+                "variant": "gaussian0", "initial_level": 0},
+        files=files)
 
 
 PRESETS = ("gaussian-benchmark", "fig3", "fig4", "fig5a", "fig5b",
@@ -325,22 +290,32 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
         return _run_fig9(out_dir)
     if name == "pop-traces":
         return _run_pop_traces(out_dir, n_steps or 4096)
-    cfg = preset_config(name)
-    if n_steps is not None:
-        cfg["n_steps"] = n_steps
-    return _run_sweep(_validate_config(cfg), out_dir, jobs)
+    return _run_sweep(_validate_config(preset_config(name), n_steps),
+                      out_dir, jobs)
 
 
 def run_config(path, out_dir, jobs: int = 1, n_steps=None) -> Path:
     """Execute a sweep described by a JSON config file."""
     with open(path) as fh:
         cfg = json.load(fh)
-    cfg = _validate_config(cfg)
-    if n_steps is not None:
-        cfg["n_steps"] = n_steps
+    cfg = _validate_config(cfg, n_steps)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return _run_sweep(cfg, out_dir, jobs)
+
+
+def _steps_arg(text: str):
+    """argparse type of --steps: an integer >= 16 or 'auto'."""
+    if text == "auto":
+        return text
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 16:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer >= 16 or 'auto'")
+    return n
 
 
 def main(argv=None) -> int:
@@ -354,23 +329,19 @@ def main(argv=None) -> int:
     run.add_argument("--config", help="path to a JSON sweep config")
     run.add_argument("--jobs", type=int, default=1, help="parallel workers")
     run.add_argument("--out", default="results", help="output directory")
-    run.add_argument("--steps", default=None,
-                     help="integrator steps per point (integer or 'auto')")
+    run.add_argument("--steps", type=_steps_arg, default=None,
+                     help="integrator steps per point (integer >= 16 or 'auto')")
     args = parser.parse_args(argv)
-
-    steps = None
-    if args.steps is not None:
-        steps = args.steps if args.steps == "auto" else int(args.steps)
 
     try:
         if args.config:
-            out = run_config(args.config, args.out, args.jobs, steps)
+            out = run_config(args.config, args.out, args.jobs, args.steps)
         elif args.preset:
             if args.preset not in PRESETS:
                 print(f"unknown preset {args.preset!r}; available: "
                       f"{', '.join(PRESETS)}", file=sys.stderr)
                 return 2
-            out = run_preset(args.preset, args.out, args.jobs, steps)
+            out = run_preset(args.preset, args.out, args.jobs, args.steps)
         else:
             print("nothing to run: give a preset name or --config",
                   file=sys.stderr)

@@ -1,36 +1,26 @@
-"""Average gate fidelity over the six axial qubit states.
+"""Average gate fidelity over the six axial qubit states, in closed form.
 
 The actual process is the full-space unitary channel, so population left in
 (or routed through) leakage levels counts as error; there is no qubit-block
 renormalization and no phase compensation in the headline number.  A
 separate diagnostic reports the error after optimizing a virtual-Z phase on
 the qubit block.
+
+The six axial states form a 2-design on the qubit block, so their average
+fidelity has the closed form (Pedersen, Moller & Molmer, Phys. Lett. A 367,
+47 (2007))
+
+    F = (Tr M M^dag + |Tr M|^2) / 6,   M = qubit block of U U_ideal^dag,
+
+valid whenever U_ideal maps the qubit block onto itself (as every target
+built here does).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import proj, sigma_x, sigma_y
-
-__all__ = ["axial_states", "ideal_not", "average_gate_fidelity",
-           "gate_error", "phase_optimized_gate_error", "FidelityReport"]
-
-
-def axial_states(d: int, qubit: tuple[int, int] = (0, 1)) -> list[np.ndarray]:
-    """The six axial Bloch states of the qubit block, embedded in d dimensions."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    q0, q1 = qubit
-    pp = proj(d, q0) + proj(d, q1)
-    sx = sigma_x(d, q0, q1)
-    sy = sigma_y(d, q0, q1)
-    return [
-        0.5 * (pp + sx), 0.5 * (pp - sx),
-        0.5 * (pp + sy), 0.5 * (pp - sy),
-        proj(d, q0), proj(d, q1),
-    ]
+__all__ = ["ideal_not", "average_gate_fidelity", "gate_error",
+           "phase_optimized_gate_error"]
 
 
 def ideal_not(d: int, qubit: tuple[int, int] = (0, 1)) -> np.ndarray:
@@ -44,23 +34,21 @@ def ideal_not(d: int, qubit: tuple[int, int] = (0, 1)) -> np.ndarray:
     return u
 
 
-def average_gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray,
-                          qubit: tuple[int, int] = (0, 1)) -> float:
-    """(1/6) sum_j Tr[U_ideal rho_j U_ideal^dag  U rho_j U^dag]."""
+def _qubit_block(u_actual, u_ideal, qubit) -> np.ndarray:
     u_actual = np.asarray(u_actual)
     u_ideal = np.asarray(u_ideal)
     if u_actual.shape != u_ideal.shape:
         raise ValueError(
             f"dimension mismatch: {u_actual.shape} vs {u_ideal.shape}")
-    d = u_actual.shape[0]
-    total = 0.0 + 0.0j
-    for rho in axial_states(d, qubit):
-        ideal = u_ideal @ rho @ u_ideal.conj().T
-        actual = u_actual @ rho @ u_actual.conj().T
-        total += np.trace(ideal @ actual)
-    f = total / 6.0
-    assert abs(f.imag) < 1e-12, f"fidelity picked up imaginary part {f.imag}"
-    return float(f.real)
+    rows = np.asarray(qubit)
+    return (u_actual @ u_ideal.conj().T)[np.ix_(rows, rows)]
+
+
+def average_gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray,
+                          qubit: tuple[int, int] = (0, 1)) -> float:
+    """(1/6) sum_j Tr[U_ideal rho_j U_ideal^dag  U rho_j U^dag]."""
+    m = _qubit_block(u_actual, u_ideal, qubit)
+    return float((np.vdot(m, m).real + abs(np.trace(m)) ** 2) / 6.0)
 
 
 def gate_error(u_actual: np.ndarray, u_ideal: np.ndarray,
@@ -71,49 +59,12 @@ def gate_error(u_actual: np.ndarray, u_ideal: np.ndarray,
 def phase_optimized_gate_error(u_actual: np.ndarray, u_ideal: np.ndarray,
                                qubit: tuple[int, int] = (0, 1)) -> float:
     """Diagnostic: gate error minimized over a virtual-Z rotation of the
-    qubit block.  Excluded from all benchmark numbers."""
-    u_actual = np.asarray(u_actual)
-    d = u_actual.shape[0]
-    q0, q1 = qubit
-    zgen = np.zeros(d)
-    zgen[q0], zgen[q1] = 0.5, -0.5
+    qubit block.  Excluded from all benchmark numbers.
 
-    def err(theta):
-        rz = np.diag(np.exp(-1j * theta * zgen))
-        return gate_error(rz @ u_actual, u_ideal, qubit)
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, 721, endpoint=False)
-    coarse = [err(th) for th in thetas]
-    k = int(np.argmin(coarse))
-    lo, hi = thetas[k] - 2 * np.pi / 720, thetas[k] + 2 * np.pi / 720
-    # golden-section refinement
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, dd = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = err(c), err(dd)
-    for _ in range(60):
-        if fc < fd:
-            b, dd, fd = dd, c, fc
-            c = b - gr * (b - a)
-            fc = err(c)
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + gr * (b - a)
-            fd = err(dd)
-    return min(fc, fd)
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """One scored gate: fidelity, error and the run metadata."""
-
-    f_gate: float
-    gate_error: float
-    variant: str
-    sigma: float
-    t_g: float
-    n_steps: int
-
-    def __post_init__(self):
-        if not (-1e-12 <= self.f_gate <= 1.0 + 1e-12):
-            raise ValueError(f"f_gate {self.f_gate} outside [0, 1]")
+    A virtual Z applied after the gate turns Tr M into
+    exp(-i theta/2) M_00 + exp(i theta/2) M_11, whose modulus peaks at
+    |M_00| + |M_11|; Tr M M^dag does not depend on theta.
+    """
+    m = _qubit_block(u_actual, u_ideal, qubit)
+    best = (abs(m[0, 0]) + abs(m[1, 1])) ** 2
+    return float(1.0 - (np.vdot(m, m).real + best) / 6.0)

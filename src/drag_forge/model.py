@@ -298,9 +298,15 @@ def generators(spec: SystemSpec) -> HamiltonianGenerators:
     return HamiltonianGenerators(h_drift, h_z, h_x, h_y, levels)
 
 
-def hamiltonian_at(gen: HamiltonianGenerators, delta: float,
-                   omega_x: float, omega_y: float) -> np.ndarray:
-    """Rotating-frame Hamiltonian for one set of control values."""
+def hamiltonian_at(gen: HamiltonianGenerators, delta, omega_x,
+                   omega_y) -> np.ndarray:
+    """Rotating-frame Hamiltonian for control values of a common shape S.
+
+    Scalars give one (d, d) matrix; arrays of shape S give a stack of
+    shape S + (d, d), each entry bit-identical to the scalar call.
+    """
+    delta, omega_x, omega_y = (np.asarray(v)[..., None, None]
+                               for v in (delta, omega_x, omega_y))
     return (gen.h_drift + delta * gen.h_z
             + 0.5 * omega_x * gen.h_x + 0.5 * omega_y * gen.h_y)
 

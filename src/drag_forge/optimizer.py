@@ -83,12 +83,17 @@ def _resolve_steps(task: OptimizeTask) -> int:
     return n
 
 
+class _BudgetSpent(Exception):
+    """The task's evaluation budget is used up."""
+
+
 def optimize(task: OptimizeTask) -> OptimizeResult:
     """Nelder-Mead descent over the free coefficients with fixed restarts.
 
     Returns the best point ever evaluated, so the result never exceeds the
-    objective at the initial point.  Restart perturbations draw from a
-    seeded generator; identical tasks give identical results.
+    objective at the initial point, and never evaluates more than
+    ``max_evals`` times.  Restart perturbations draw from a seeded
+    generator; identical tasks give identical results.
     """
     spec, params = task.spec, task.params
     uid = ideal_not(spec.d, spec.qubit_rows)
@@ -97,9 +102,12 @@ def optimize(task: OptimizeTask) -> OptimizeResult:
     free = [i for i in range(4) if task.mask[i]]
     x_fixed = np.asarray(task.x0, dtype=float)
     evals = 0
+    best_x, best_f = x_fixed[free].copy(), math.inf
 
     def objective(z: np.ndarray) -> float:
-        nonlocal evals
+        nonlocal evals, best_x, best_f
+        if evals >= task.max_evals:
+            raise _BudgetSpent
         evals += 1
         x = x_fixed.copy()
         x[free] = z
@@ -108,27 +116,27 @@ def optimize(task: OptimizeTask) -> OptimizeResult:
             u = propagate(spec, cs, grid)
             e = gate_error(u, uid, spec.qubit_rows)
         except (ValueError, FloatingPointError):
-            return math.inf
-        return e if math.isfinite(e) else math.inf
+            e = math.inf
+        if not math.isfinite(e):
+            e = math.inf
+        if e < best_f:
+            best_x, best_f = np.array(z, dtype=float), e
+        return e
 
     rng = np.random.default_rng(task.seed)
-    best_x = x_fixed[free].copy()
-    best_f = objective(best_x)
     converged = False
-
-    for restart in range(task.n_restarts + 1):
-        if restart == 0:
-            start = best_x.copy()
-        else:
-            scale = np.where(np.abs(best_x) > 0, 0.05 * np.abs(best_x), 0.05)
-            start = best_x + rng.normal(0.0, 1.0, len(free)) * scale
-        xs, fs, ok = _nelder_mead(objective, start, task.tol,
-                                  lambda: evals >= task.max_evals)
-        converged = converged or ok
-        if fs < best_f:
-            best_x, best_f = xs, fs
-        if evals >= task.max_evals:
-            break
+    try:
+        objective(best_x)
+        for restart in range(task.n_restarts + 1):
+            if restart == 0:
+                start = best_x.copy()
+            else:
+                scale = np.where(np.abs(best_x) > 0, 0.05 * np.abs(best_x), 0.05)
+                start = best_x + rng.normal(0.0, 1.0, len(free)) * scale
+            _nelder_mead(objective, start, task.tol)
+            converged = True
+    except _BudgetSpent:
+        pass
 
     x_out = x_fixed.copy()
     x_out[free] = best_x
@@ -136,9 +144,13 @@ def optimize(task: OptimizeTask) -> OptimizeResult:
                           evals, converged, n_steps)
 
 
-def _nelder_mead(f, x0: np.ndarray, tol: float, out_of_budget,
-                 alpha=1.0, gamma=2.0, rho=0.5, shrink=0.5):
-    """Standard reflect/expand/contract/shrink simplex descent."""
+def _nelder_mead(f, x0: np.ndarray, tol: float,
+                 alpha=1.0, gamma=2.0, rho=0.5, shrink=0.5) -> None:
+    """Standard reflect/expand/contract/shrink simplex descent.
+
+    Runs until the simplex diameter drops below tol; ``f`` ends the search
+    early by raising, and keeps track of the best point itself.
+    """
     m = len(x0)
     simplex = [np.asarray(x0, dtype=float)]
     for i in range(m):
@@ -147,13 +159,13 @@ def _nelder_mead(f, x0: np.ndarray, tol: float, out_of_budget,
         simplex.append(v)
     values = [f(v) for v in simplex]
 
-    while not out_of_budget():
+    while True:
         order = np.argsort(values)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         diam = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
         if diam < tol:
-            return simplex[0], values[0], True
+            return
 
         centroid = np.mean(simplex[:-1], axis=0)
         xr = centroid + alpha * (centroid - simplex[-1])
@@ -177,6 +189,3 @@ def _nelder_mead(f, x0: np.ndarray, tol: float, out_of_budget,
         for i in range(1, m + 1):
             simplex[i] = simplex[0] + shrink * (simplex[i] - simplex[0])
             values[i] = f(simplex[i])
-
-    k = int(np.argmin(values))
-    return simplex[k], values[k], False

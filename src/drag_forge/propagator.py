@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HamiltonianGenerators, SystemSpec, generators
+from .model import HamiltonianGenerators, SystemSpec, generators, hamiltonian_at
 from .pulses import ControlSet
 
 __all__ = ["TimeGrid", "ConvergenceError", "propagate", "populations",
-           "converge", "populations_to_csv"]
+           "converge"]
 
 
 class ConvergenceError(RuntimeError):
@@ -66,13 +66,8 @@ def _sample_controls(cs: ControlSet, ts: np.ndarray):
 
 def _step_unitaries(gen: HamiltonianGenerators, cs: ControlSet,
                     grid: TimeGrid) -> np.ndarray:
-    tm = grid.midpoints()
-    ox, oy, dl = _sample_controls(cs, tm)
-    h = (gen.h_drift[None, :, :]
-         + dl[:, None, None] * gen.h_z[None, :, :]
-         + 0.5 * ox[:, None, None] * gen.h_x[None, :, :]
-         + 0.5 * oy[:, None, None] * gen.h_y[None, :, :])
-    w, v = np.linalg.eigh(h)
+    ox, oy, dl = _sample_controls(cs, grid.midpoints())
+    w, v = np.linalg.eigh(hamiltonian_at(gen, dl, ox, oy))
     phases = np.exp(-1j * w * grid.dt)
     return (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
@@ -138,13 +133,3 @@ def converge(system, controls: ControlSet, t_g: float, tol: float,
         if np.max(np.abs(u2 - u)) < tol:
             return u2, n2
         u, n = u2, n2
-
-
-def populations_to_csv(times: np.ndarray, probs: np.ndarray, path) -> None:
-    """Write a population trace as CSV with columns t, p0, ..., p{d-1}."""
-    d = probs.shape[1]
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"p{j}" for j in range(d)) + "\n")
-        for t, row in zip(times, probs):
-            fh.write(repr(float(t)) + ","
-                     + ",".join(repr(float(p)) for p in row) + "\n")

@@ -29,8 +29,6 @@ __all__ = [
     "Ansatz",
     "ControlSet",
     "build_controls",
-    "build_controls_intermediate",
-    "build_controls_star",
     "controls_for",
     "effective_lambda",
     "phase_ramp",
@@ -174,7 +172,7 @@ class Ansatz:
 
 @dataclass(frozen=True)
 class ControlSet:
-    """Evaluable control waveforms on [0, t_g] with analytic derivatives.
+    """Evaluable control waveforms on [0, t_g].
 
     ``phi`` is the accumulated detuning angle int_0^t delta(s) ds, available
     in closed form for every set built by this module and consumed by
@@ -184,9 +182,6 @@ class ControlSet:
     omega_x: Callable
     omega_y: Callable
     delta: Callable
-    domega_x: Callable
-    domega_y: Callable
-    ddelta: Callable
     t_g: float
     variant: str
     params: dict = field(default_factory=dict)
@@ -202,22 +197,12 @@ def _assemble(env: GaussianEnvelope, *, a1: float, a3: float, b1: float,
         g = env.value(t)
         return a1 * g + (a3 / d2sq) * g ** 3
 
-    def domega_x(t):
-        g = env.value(t)
-        return (a1 + 3.0 * (a3 / d2sq) * g * g) * env.d1(t)
-
     def omega_y(t):
         return (b1 / delta2) * env.d1(t)
-
-    def domega_y(t):
-        return (b1 / delta2) * env.d2(t)
 
     def delta(t):
         g = env.value(t)
         return (c2 / delta2) * g * g + c0
-
-    def ddelta(t):
-        return 2.0 * (c2 / delta2) * env.value(t) * env.d1(t)
 
     def phi(t):
         return (c2 / delta2) * env.int_value_squared(t) + c0 * np.asarray(t, float)
@@ -229,8 +214,8 @@ def _assemble(env: GaussianEnvelope, *, a1: float, a3: float, b1: float,
     }
     if extra:
         record.update(extra)
-    return ControlSet(omega_x, omega_y, delta, domega_x, domega_y, ddelta,
-                      env.params.t_g, variant, record, phi)
+    return ControlSet(omega_x, omega_y, delta, env.params.t_g, variant,
+                      record, phi)
 
 
 def first_order_coefficients(spec: SystemSpec, variant: DragVariant
@@ -292,8 +277,18 @@ def _cubic_coefficient(variant: DragVariant, lam1: float) -> float:
     return 0.0
 
 
-def build_controls(spec: SystemSpec, variant, params: GaussianParams) -> ControlSet:
-    """Control set for a ladder system, or the free ansatz on any topology."""
+_MULTI_LEVEL_VARIANTS = (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
+                         DragVariant.OPTIMAL1, DragVariant.GAUSSIAN0)
+
+
+def controls_for(spec: SystemSpec, variant, params: GaussianParams) -> ControlSet:
+    """Control set of a named variant, or of the free ansatz, on any topology.
+
+    Ladder systems take every variant.  Star and intermediate systems take
+    the first-order family only; a star's waveforms are exactly the ladder
+    ones with lam1 -> lambda-tilde, since all its channels collapse onto one
+    effective transition of that weight.
+    """
     env = GaussianEnvelope(params)
     if isinstance(variant, Ansatz):
         return _assemble(env, a1=variant.alpha, a3=0.0, b1=-variant.beta,
@@ -302,66 +297,23 @@ def build_controls(spec: SystemSpec, variant, params: GaussianParams) -> Control
                          extra={"alpha": variant.alpha, "beta": variant.beta,
                                 "gamma": variant.gamma, "delta0": variant.delta0})
     variant = DragVariant(variant)
-    if spec.topology is not Topology.LADDER:
+    if spec.topology is Topology.LADDER:
+        extra = {"lambda1": spec.lam[1]}
+    elif variant not in _MULTI_LEVEL_VARIANTS:
         raise ValueError(
-            f"{variant.value} closed forms assume a ladder; use "
-            "build_controls_star or build_controls_intermediate for "
-            f"{spec.topology.value} systems")
+            f"{variant.value} is not available for {spec.topology.value} "
+            "systems (only gaussian0, z_only1, y_only1, optimal1)")
+    elif spec.topology is Topology.STAR:
+        extra = {"lambda_tilde": effective_lambda(spec)}
+    else:
+        extra = {"lambda1": spec.lam[1], "lambda_m1": spec.lam[-1]}
     b1, c2 = first_order_coefficients(spec, variant)
     a3 = _cubic_coefficient(variant, spec.lam[1])
     return _assemble(env, a1=1.0, a3=a3, b1=b1, c2=c2, c0=0.0,
-                     delta2=spec.delta2, variant=variant.value,
-                     extra={"lambda1": spec.lam[1]})
+                     delta2=spec.delta2, variant=variant.value, extra=extra)
 
 
-_MULTI_LEVEL_VARIANTS = (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
-                         DragVariant.OPTIMAL1, DragVariant.GAUSSIAN0)
-
-
-def build_controls_intermediate(spec: SystemSpec, variant,
-                                params: GaussianParams) -> ControlSet:
-    """First-order control sets for leakage above and below the qubit."""
-    if spec.topology is not Topology.INTERMEDIATE:
-        raise ValueError("spec is not an intermediate system")
-    variant = DragVariant(variant)
-    if variant not in _MULTI_LEVEL_VARIANTS:
-        raise ValueError(
-            f"{variant.value} is not available for intermediate systems "
-            "(only gaussian0, z_only1, y_only1, optimal1)")
-    b1, c2 = first_order_coefficients(spec, variant)
-    return _assemble(GaussianEnvelope(params), a1=1.0, a3=0.0, b1=b1, c2=c2,
-                     c0=0.0, delta2=spec.delta2, variant=variant.value,
-                     extra={"lambda1": spec.lam[1], "lambda_m1": spec.lam[-1]})
-
-
-def build_controls_star(spec: SystemSpec, variant,
-                        params: GaussianParams) -> ControlSet:
-    """First-order control sets for a star system.
-
-    All star channels collapse onto one effective transition of weight
-    lambda-tilde, so the waveforms are exactly the ladder ones with
-    lam1 -> lambda-tilde.
-    """
-    if spec.topology is not Topology.STAR:
-        raise ValueError("spec is not a star system")
-    variant = DragVariant(variant)
-    if variant not in _MULTI_LEVEL_VARIANTS:
-        raise ValueError(
-            f"{variant.value} is not available for star systems "
-            "(only gaussian0, z_only1, y_only1, optimal1)")
-    b1, c2 = first_order_coefficients(spec, variant)
-    return _assemble(GaussianEnvelope(params), a1=1.0, a3=0.0, b1=b1, c2=c2,
-                     c0=0.0, delta2=spec.delta2, variant=variant.value,
-                     extra={"lambda_tilde": effective_lambda(spec)})
-
-
-def controls_for(spec: SystemSpec, variant, params: GaussianParams) -> ControlSet:
-    """Topology-dispatching builder used by sweeps and the CLI."""
-    if isinstance(variant, Ansatz) or spec.topology is Topology.LADDER:
-        return build_controls(spec, variant, params)
-    if spec.topology is Topology.STAR:
-        return build_controls_star(spec, variant, params)
-    return build_controls_intermediate(spec, variant, params)
+build_controls = controls_for
 
 
 def effective_lambda(spec: SystemSpec) -> float:
@@ -401,19 +353,8 @@ def phase_ramp(cs: ControlSet) -> ControlSet:
         p = phi(t)
         return cs.omega_y(t) * np.cos(p) + cs.omega_x(t) * np.sin(p)
 
-    def domega_x(t):
-        p, dp = phi(t), cs.delta(t)
-        return (cs.domega_x(t) * np.cos(p) - cs.domega_y(t) * np.sin(p)
-                - (cs.omega_x(t) * np.sin(p) + cs.omega_y(t) * np.cos(p)) * dp)
-
-    def domega_y(t):
-        p, dp = phi(t), cs.delta(t)
-        return (cs.domega_y(t) * np.cos(p) + cs.domega_x(t) * np.sin(p)
-                + (cs.omega_x(t) * np.cos(p) - cs.omega_y(t) * np.sin(p)) * dp)
-
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    return ControlSet(omega_x, omega_y, zero, domega_x, domega_y, zero,
-                      cs.t_g, cs.variant + "+ramp",
+    return ControlSet(omega_x, omega_y, zero, cs.t_g, cs.variant + "+ramp",
                       dict(cs.params, total_phase=float(phi(cs.t_g))), zero)
 
 

@@ -221,7 +221,7 @@ class TestHEffExact:
         from drag_forge.pulses import ControlSet
         mk = lambda c: (lambda t: np.full_like(np.asarray(t, dtype=float), c))
         zero = mk(0.0)
-        cs = ControlSet(mk(0.8), zero, mk(0.1), zero, zero, zero, 1.0, "const")
+        cs = ControlSet(mk(0.8), zero, mk(0.1), 1.0, "const")
         grid = TimeGrid(1.0, 256)
         s_const = np.zeros((257, 3, 3), dtype=complex)
         s_const[:, 0, 2] = 0.3 - 0.1j
@@ -233,6 +233,15 @@ class TestHEffExact:
         h = 1.0 * hamiltonian_at(generators(sno3), 0.1, 0.8, 0.0)
         want = a.conj().T @ h @ a
         np.testing.assert_allclose(heff[128], want, atol=1e-10)
+
+    def test_rejects_non_finite_controls(self, sno3):
+        from drag_forge.pulses import ControlSet
+        mk = lambda c: (lambda t: np.full_like(np.asarray(t, dtype=float), c))
+        cs = ControlSet(mk(0.8), mk(np.nan), mk(0.1), 1.0, "bad")
+        grid = TimeGrid(1.0, 64)
+        s = np.zeros((65, 3, 3), dtype=complex)
+        with pytest.raises(ValueError, match="non-finite omega_y"):
+            h_eff_exact(sno3, cs, s, grid)
 
     def test_first_order_remainder_scales_quadratically(self, sno5):
         # Richardson-style check: halving epsilon (doubling t_g) divides the

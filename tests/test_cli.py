@@ -50,6 +50,41 @@ class TestExitCodes:
         assert rc == 2
         assert "variants" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,changes,expect", [
+        (["--config", "CFG", "--steps", "3"], {}, "--steps"),
+        (["fig3", "--steps", "abc"], {}, "--steps"),
+        (["pop-traces", "--steps", "3"], {}, "--steps"),
+        (["--config", "CFG"], {"sigma": [0.5, "x"]}, "sigma[1]"),
+        (["--config", "CFG"], {"area": "pi"}, "area"),
+        (["--config", "CFG"], {"tg_factor": None}, "tg_factor"),
+        (["--config", "CFG"],
+         {"system": {"kind": "star", "delta": [-2 * math.pi], "lambda": [1.0]},
+          "variants": ["gaussian0", "drag2"]}, "variants[1]"),
+    ], ids=["config-steps-3", "preset-steps-abc", "pop-traces-steps-3",
+            "sigma-string", "area-string", "tg_factor-null", "star-drag2"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, args, changes, expect):
+        cfg = dict(preset_config("gaussian-benchmark"), **changes)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["run"] + [str(path) if a == "CFG" else a for a in args]
+        try:
+            rc = main(argv + ["--out", str(tmp_path / "out")])
+        except SystemExit as exc:  # argparse rejects bad option values
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert expect in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_steps_override_is_validated(self, tmp_path):
+        from drag_forge.cli import ConfigError
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(preset_config("gaussian-benchmark")))
+        with pytest.raises(ConfigError, match="n_steps"):
+            run_config(path, tmp_path / "out", n_steps=3)
+        with pytest.raises(ConfigError, match="n_steps"):
+            run_preset("fig3", tmp_path / "out", n_steps=3)
+
     def test_convergence_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         import drag_forge.cli as cli
         from drag_forge import ConvergenceError
@@ -184,6 +219,16 @@ class TestPopTraces:
         leak_short = sum(float(v) for v in short.split(",")[3:])
         leak_long = sum(float(v) for v in long.split(",")[3:])
         assert leak_short > 0.05 > leak_long
+
+
+    def test_csv_export(self, tmp_path):
+        run_preset("pop-traces", tmp_path, n_steps=32)
+        lines = (tmp_path / "pop-traces-1.csv").read_text().splitlines()
+        assert lines[0] == "# manifest: pop-traces.manifest.json"
+        assert lines[1] == "t,p0,p1,p2,p3,p4"
+        assert len(lines) == 2 + 33  # every grid node, both ends included
+        first = [float(v) for v in lines[2].split(",")]
+        assert first == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 class TestFig5Preset:

@@ -3,14 +3,44 @@ import math
 import numpy as np
 import pytest
 
-from drag_forge import (DragVariant, FidelityReport, GaussianParams, TimeGrid,
-                        average_gate_fidelity, axial_states, build_controls,
-                        gate_error, ideal_not, phase_optimized_gate_error,
-                        propagate)
+from drag_forge import (DragVariant, GaussianParams, TimeGrid,
+                        average_gate_fidelity, build_controls, gate_error,
+                        ideal_not, phase_optimized_gate_error, propagate)
 from drag_forge.model import proj, sigma_x, sigma_y
 
 
+def axial_states(d: int, qubit: tuple[int, int] = (0, 1)) -> list[np.ndarray]:
+    """The six axial Bloch states of the qubit block, embedded in d dimensions."""
+    q0, q1 = qubit
+    pp = proj(d, q0) + proj(d, q1)
+    sx = sigma_x(d, q0, q1)
+    sy = sigma_y(d, q0, q1)
+    return [
+        0.5 * (pp + sx), 0.5 * (pp - sx),
+        0.5 * (pp + sy), 0.5 * (pp - sy),
+        proj(d, q0), proj(d, q1),
+    ]
+
+
+def six_state_fidelity(u_actual, u_ideal, qubit=(0, 1)) -> float:
+    """Reference: (1/6) sum_j Tr[U_ideal rho_j U_ideal^dag  U rho_j U^dag]."""
+    total = 0.0 + 0.0j
+    for rho in axial_states(u_actual.shape[0], qubit):
+        ideal = u_ideal @ rho @ u_ideal.conj().T
+        actual = u_actual @ rho @ u_actual.conj().T
+        total += np.trace(ideal @ actual)
+    assert abs(total.imag) < 1e-12
+    return total.real / 6.0
+
+
+def _random_unitary(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return np.linalg.qr(z)[0]
+
+
 class TestAxialStates:
+    """The six-state reference itself: a 2-design on the qubit block."""
+
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_unit_trace(self, d):
         for rho in axial_states(d):
@@ -111,11 +141,48 @@ class TestPhaseOptimizedDiagnostic:
         assert phase_optimized_gate_error(u, ideal_not(3)) < 1e-10
 
 
-class TestFidelityReport:
-    def test_fields(self):
-        r = FidelityReport(0.999, 0.001, "drag2", 1.0, 4.0, 4096)
-        assert r.gate_error == 0.001
+class TestClosedFormAgainstSixStates:
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_random_unitaries(self, rng, d):
+        target = ideal_not(d)
+        for _ in range(20):
+            u = _random_unitary(rng, d)
+            assert abs(average_gate_fidelity(u, target)
+                       - six_state_fidelity(u, target)) <= 1e-15
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            FidelityReport(1.5, -0.5, "x", 1.0, 4.0, 64)
+    def test_intermediate_qubit_rows(self, rng):
+        qubit = (2, 3)
+        target = ideal_not(5, qubit)
+        for _ in range(20):
+            u = _random_unitary(rng, 5)
+            assert abs(average_gate_fidelity(u, target, qubit)
+                       - six_state_fidelity(u, target, qubit)) <= 1e-15
+
+    def test_leakage_rotation(self):
+        d = 3
+        for theta in np.linspace(0.0, math.pi, 13):
+            leak = np.eye(d, dtype=complex)
+            leak[1, 1] = leak[2, 2] = math.cos(theta)
+            leak[1, 2], leak[2, 1] = -math.sin(theta), math.sin(theta)
+            u = leak @ ideal_not(d)
+            assert abs(average_gate_fidelity(u, ideal_not(d))
+                       - six_state_fidelity(u, ideal_not(d))) <= 1e-15
+
+
+class TestPhaseOptimizedClosedForm:
+    def test_matches_dense_scan(self, rng):
+        # the closed form is the exact optimum, so it sits at or just below
+        # the best point of a fine scan of the virtual-Z angle (period 2 pi:
+        # a 2 pi turn only flips the sign of the qubit block)
+        thetas = np.linspace(0.0, 2.0 * math.pi, 2001)
+        for qubit, d in (((0, 1), 3), ((0, 1), 5), ((2, 3), 5)):
+            target = ideal_not(d, qubit)
+            zgen = np.zeros(d)
+            zgen[qubit[0]], zgen[qubit[1]] = 0.5, -0.5
+            for _ in range(3):
+                u = _random_unitary(rng, d)
+                scan = min(gate_error(np.diag(np.exp(-1j * th * zgen)) @ u,
+                                      target, qubit) for th in thetas)
+                exact = phase_optimized_gate_error(u, target, qubit)
+                assert exact <= scan + 1e-15
+                assert scan - exact < 1e-5

@@ -154,6 +154,17 @@ class TestHamiltonianAt:
             h = hamiltonian_at(gen, d, x, y)
             np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
 
+    def test_arrays_match_scalar_calls_bitwise(self, sno5, rng):
+        gen = generators(sno5)
+        dl, ox, oy = rng.normal(size=(3, 4, 7))
+        stack = hamiltonian_at(gen, dl, ox, oy)
+        assert stack.shape == (4, 7, 5, 5)
+        for i in range(4):
+            for j in range(7):
+                one = hamiltonian_at(gen, float(dl[i, j]), float(ox[i, j]),
+                                     float(oy[i, j]))
+                assert np.array_equal(stack[i, j], one)
+
 
 class TestValidation:
     def test_rejects_zero_leakage_delta(self):

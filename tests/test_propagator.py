@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from drag_forge import (Ansatz, ConvergenceError, DragVariant, GaussianParams,
-                        TimeGrid, build_controls, build_sno, converge,
-                        populations, propagate)
+                        TimeGrid, build_controls, build_sno, controls_for,
+                        converge, populations, propagate)
 from drag_forge.model import HamiltonianGenerators, sigma_x, sigma_y
-from drag_forge.propagator import populations_to_csv
 from drag_forge.pulses import ControlSet
 
 TWO_PI = 2.0 * math.pi
@@ -15,8 +14,7 @@ TWO_PI = 2.0 * math.pi
 
 def _constant_controls(t_g, ox=0.0, oy=0.0, dl=0.0):
     mk = lambda c: (lambda t: np.full_like(np.asarray(t, dtype=float), c))
-    zero = mk(0.0)
-    return ControlSet(mk(ox), mk(oy), mk(dl), zero, zero, zero, t_g, "const")
+    return ControlSet(mk(ox), mk(oy), mk(dl), t_g, "const")
 
 
 def _two_level_generators():
@@ -71,14 +69,12 @@ class TestPropagate:
         cs = build_controls(sno5, DragVariant.Z_ONLY1, not_params)
         t_g = not_params.t_g
         full = propagate(sno5, cs, TimeGrid(t_g, 1024))
-        zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        first = ControlSet(cs.omega_x, cs.omega_y, cs.delta, zero, zero, zero,
-                           t_g / 2, "first")
+        first = ControlSet(cs.omega_x, cs.omega_y, cs.delta, t_g / 2, "first")
         second = ControlSet(
             lambda t: cs.omega_x(np.asarray(t) + t_g / 2),
             lambda t: cs.omega_y(np.asarray(t) + t_g / 2),
             lambda t: cs.delta(np.asarray(t) + t_g / 2),
-            zero, zero, zero, t_g / 2, "second")
+            t_g / 2, "second")
         u1 = propagate(sno5, first, TimeGrid(t_g / 2, 512))
         u2 = propagate(sno5, second, TimeGrid(t_g / 2, 512))
         np.testing.assert_allclose(u2 @ u1, full, atol=1e-12)
@@ -93,8 +89,7 @@ class TestPropagate:
             out[t > nan_at] = np.nan
             return out
 
-        cs = ControlSet(omega_x, bad.omega_y, bad.delta, bad.domega_x,
-                        bad.domega_y, bad.ddelta, 1.0, "bad")
+        cs = ControlSet(omega_x, bad.omega_y, bad.delta, 1.0, "bad")
         with pytest.raises(ValueError, match="non-finite omega_x"):
             propagate(sno3, cs, TimeGrid(1.0, 64))
 
@@ -123,19 +118,9 @@ class TestPopulations:
         assert leak > probs[-1, 0]
 
     def test_signed_initial_level(self, inter5, not_params):
-        from drag_forge.pulses import build_controls_intermediate
-        cs = build_controls_intermediate(inter5, DragVariant.OPTIMAL1, not_params)
+        cs = controls_for(inter5, DragVariant.OPTIMAL1, not_params)
         _, probs = populations(inter5, cs, TimeGrid(not_params.t_g, 256), 0)
         assert probs[0, inter5.row(0)] == 1.0
-
-    def test_csv_export(self, tmp_path, sno3):
-        times, probs = populations(sno3, _constant_controls(1.0),
-                                   TimeGrid(1.0, 32), 1)
-        path = tmp_path / "pops.csv"
-        populations_to_csv(times, probs, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,p0,p1,p2"
-        assert len(lines) == 34
 
 
 class TestConverge:

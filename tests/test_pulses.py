@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, build_controls,
-                        build_controls_intermediate, build_controls_star,
                         build_sno, controls_to_csv, effective_lambda,
                         gaussian, phase_ramp)
 from drag_forge.pulses import GaussianEnvelope, controls_for
@@ -154,7 +153,7 @@ class TestLadderVariants:
         assert float(d_scalar) == d_arr[0]
 
     def test_analytic_variant_rejects_non_ladder(self, star6, not_params):
-        with pytest.raises(ValueError, match="build_controls_star"):
+        with pytest.raises(ValueError, match="not available for star"):
             build_controls(star6, DragVariant.DRAG1, not_params)
 
 
@@ -191,7 +190,7 @@ class TestAnsatz:
 class TestIntermediateVariants:
     def test_z_only_bracket(self, inter5, not_params):
         # bracket (4/3 - 2/3)/delta2 = 2/(3 delta2) at the window parameters
-        cs = build_controls_intermediate(inter5, DragVariant.Z_ONLY1, not_params)
+        cs = controls_for(inter5, DragVariant.Z_ONLY1, not_params)
         env = GaussianEnvelope(not_params)
         t = 1.7
         want = float(env.value(t)) ** 2 / 4.0 * (2.0 / (3.0 * -TWO_PI))
@@ -199,7 +198,7 @@ class TestIntermediateVariants:
 
     def test_optimal_quadrature_prefactor(self, inter5, not_params):
         # sqrt(4/3 + 2/3) = sqrt(2) over 2*delta2
-        cs = build_controls_intermediate(inter5, DragVariant.OPTIMAL1, not_params)
+        cs = controls_for(inter5, DragVariant.OPTIMAL1, not_params)
         env = GaussianEnvelope(not_params)
         t = 1.1
         want = -math.sqrt(2) * float(env.d1(t)) / (2 * -TWO_PI)
@@ -217,7 +216,7 @@ class TestIntermediateVariants:
                               {0: 1.0, 1: lam1}, ladder.time_unit)
         ts = np.linspace(0, not_params.t_g, 200)
         for v in (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1, DragVariant.OPTIMAL1):
-            a = build_controls_intermediate(inter, v, not_params)
+            a = controls_for(inter, v, not_params)
             b = build_controls(ladder, v, not_params)
             for chan in ("omega_x", "omega_y", "delta"):
                 np.testing.assert_allclose(getattr(a, chan)(ts),
@@ -225,11 +224,7 @@ class TestIntermediateVariants:
 
     def test_rejects_other_variants(self, inter5, not_params):
         with pytest.raises(ValueError, match="not available"):
-            build_controls_intermediate(inter5, DragVariant.DRAG1, not_params)
-
-    def test_rejects_wrong_topology(self, sno5, not_params):
-        with pytest.raises(ValueError, match="not an intermediate"):
-            build_controls_intermediate(sno5, DragVariant.Z_ONLY1, not_params)
+            controls_for(inter5, DragVariant.DRAG1, not_params)
 
 
 class TestStarVariants:
@@ -255,7 +250,7 @@ class TestStarVariants:
         ladder = build_sno(3, -TWO_PI)
         ts = np.linspace(0, not_params.t_g, 200)
         for v in (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1, DragVariant.OPTIMAL1):
-            a = build_controls_star(star, v, not_params)
+            a = controls_for(star, v, not_params)
             b = build_controls(ladder, v, not_params)
             for chan in ("omega_x", "omega_y", "delta"):
                 np.testing.assert_allclose(getattr(a, chan)(ts),
@@ -269,7 +264,7 @@ class TestStarVariants:
                               {0: 1.0, 1: lt}, ladder.time_unit)
         ts = np.linspace(0, not_params.t_g, 1000)
         for v in (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1, DragVariant.OPTIMAL1):
-            a = build_controls_star(star6, v, not_params)
+            a = controls_for(star6, v, not_params)
             b = build_controls(ladder, v, not_params)
             for chan in ("omega_x", "omega_y", "delta"):
                 dev = np.max(np.abs(getattr(a, chan)(ts) - getattr(b, chan)(ts)))
@@ -277,7 +272,7 @@ class TestStarVariants:
 
     def test_rejects_other_variants(self, star6, not_params):
         with pytest.raises(ValueError, match="not available"):
-            build_controls_star(star6, DragVariant.DRAG2, not_params)
+            controls_for(star6, DragVariant.DRAG2, not_params)
 
 
 class TestPhaseRamp:
@@ -300,22 +295,11 @@ class TestPhaseRamp:
         np.testing.assert_allclose(rcs.omega_y(ts), ox * np.sin(c * ts),
                                    atol=1e-12)
 
-    def test_ramped_derivatives_consistent(self, sno5, not_params):
-        cs = build_controls(sno5, DragVariant.OPTIMAL1, not_params)
-        rcs = phase_ramp(cs)
-        ts = np.linspace(0.05, not_params.t_g - 0.05, 50)
-        h = 1e-6
-        fd = (np.asarray(rcs.omega_x(ts + h)) - np.asarray(rcs.omega_x(ts - h))) / (2 * h)
-        np.testing.assert_allclose(rcs.domega_x(ts), fd, atol=1e-5)
-        fd = (np.asarray(rcs.omega_y(ts + h)) - np.asarray(rcs.omega_y(ts - h))) / (2 * h)
-        np.testing.assert_allclose(rcs.domega_y(ts), fd, atol=1e-5)
-
     def test_numeric_phi_fallback_matches_closed_form(self, sno5, not_params):
         from drag_forge.pulses import ControlSet, _numeric_phi
         cs = build_controls(sno5, DragVariant.Z_ONLY1, not_params)
-        stripped = ControlSet(cs.omega_x, cs.omega_y, cs.delta, cs.domega_x,
-                              cs.domega_y, cs.ddelta, cs.t_g, cs.variant,
-                              cs.params, None)
+        stripped = ControlSet(cs.omega_x, cs.omega_y, cs.delta, cs.t_g,
+                              cs.variant, cs.params, None)
         phi = _numeric_phi(stripped)
         ts = np.linspace(0, not_params.t_g, 50)
         np.testing.assert_allclose(phi(ts), cs.phi(ts), atol=1e-10)
@@ -338,3 +322,15 @@ def test_controls_for_dispatch(sno5, inter5, star6, not_params):
     assert controls_for(inter5, DragVariant.OPTIMAL1, not_params).variant == "optimal1"
     assert controls_for(star6, DragVariant.Z_ONLY1, not_params).variant == "z_only1"
     assert "ansatz" in controls_for(star6, Ansatz(1, 0, 0, 0), not_params).variant
+    assert build_controls is controls_for
+
+
+def test_recorded_drive_weights(sno5, inter5, star6, not_params):
+    # each topology records the weights its closed forms were built from
+    lad = controls_for(sno5, DragVariant.DRAG2, not_params).params
+    assert lad["lambda1"] == sno5.lam[1] and "lambda_m1" not in lad
+    mid = controls_for(inter5, DragVariant.Z_ONLY1, not_params).params
+    assert (mid["lambda1"], mid["lambda_m1"]) == (inter5.lam[1], inter5.lam[-1])
+    star = controls_for(star6, DragVariant.Y_ONLY1, not_params).params
+    assert star["lambda_tilde"] == effective_lambda(star6)
+    assert "lambda1" not in star
