@@ -5,7 +5,7 @@ from .model import (Topology, SystemSpec, HamiltonianGenerators, build_sno,
                     hamiltonian_at, spec_to_json, spec_from_json)
 from .pulses import (GaussianParams, GaussianEnvelope, gaussian, DragVariant,
                      Ansatz, ControlSet, build_controls, controls_for,
-                     effective_lambda, phase_ramp, controls_to_csv)
+                     effective_lambda, phase_ramp)
 from .propagator import (TimeGrid, ConvergenceError, propagate, populations,
                          converge)
 from .fidelity import (ideal_not, average_gate_fidelity, gate_error,

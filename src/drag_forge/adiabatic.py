@@ -25,8 +25,7 @@ from .model import (HamiltonianGenerators, SystemSpec, Topology, generators,
                     hamiltonian_at)
 from .propagator import TimeGrid, _sample_controls
 from .pulses import (Ansatz, ControlSet, DragVariant, GaussianEnvelope,
-                     GaussianParams, _cubic_coefficient, controls_for,
-                     first_order_coefficients)
+                     GaussianParams, controls_for)
 
 __all__ = ["FrameTransform", "ExpansionReport", "frame_first_order",
            "frame_second_order", "frames_for", "h_extra", "h_eff_exact",
@@ -135,24 +134,20 @@ def control_orders(spec: SystemSpec, variant, params: GaussianParams,
     """Dimensionless control fields split by expansion order.
 
     Returns {n: (omega_x_bar, omega_y_bar, delta_bar)} on the grid nodes;
-    orders with no contribution are omitted.
+    orders with no contribution are omitted.  The coefficients are those
+    :func:`controls_for` records for the simulated pulse.
     """
     if isinstance(variant, Ansatz):
         raise ValueError("the numeric ansatz has no order decomposition")
     variant = DragVariant(variant)
-    a3 = _cubic_coefficient(variant, spec.lam.get(1, 1.0))
-    if a3 != 0.0 and spec.topology is not Topology.LADDER:
-        raise ValueError(
-            f"{variant.value} has no published form for "
-            f"{spec.topology.value} systems")
+    rec = controls_for(spec, variant, params).params
     g, dg, _ = _bars(params, _tbar(grid))
     zero = np.zeros_like(g)
     orders = {0: (g, zero, zero)}
     if variant is not DragVariant.GAUSSIAN0:
-        b1, c2 = first_order_coefficients(spec, variant)
-        orders[1] = (zero, b1 * dg, c2 * g * g)
-        if a3 != 0.0:
-            orders[2] = (a3 * g ** 3, zero, zero)
+        orders[1] = (zero, rec["b1"] * dg, rec["c2"] * g * g)
+        if rec["a3"] != 0.0:
+            orders[2] = (rec["a3"] * g ** 3, zero, zero)
     return orders
 
 
@@ -187,19 +182,6 @@ def _recursion_frame(ds: _Dimless, m_stack: np.ndarray) -> np.ndarray:
     return s
 
 
-def _free_sy01(spec: SystemSpec, variant) -> float:
-    """Coefficient of the free qubit-block frame element, s_y01 = coeff * G_bar.
-
-    Every first-order family member fixes it through its quadrature field,
-    omega_y_bar^(1) = 2 d(s_y01)/dt, so coeff = b1 / 2.
-    """
-    variant = DragVariant(variant)
-    if variant is DragVariant.GAUSSIAN0:
-        return 0.0
-    b1, _ = first_order_coefficients(spec, variant)
-    return b1 / 2.0
-
-
 def frame_first_order(spec: SystemSpec, variant, params: GaussianParams,
                       grid: TimeGrid) -> FrameTransform:
     """S^(1)(t) of a published variant.
@@ -215,7 +197,9 @@ def frame_first_order(spec: SystemSpec, variant, params: GaussianParams,
     zero = np.zeros_like(g)
     h0ctl = _h_of_order(ds, (g, zero, zero))
     s1 = _recursion_frame(ds, h0ctl)
-    coeff = _free_sy01(spec, variant)
+    # the free element s_y01 = coeff * G_bar is fixed by the quadrature field,
+    # omega_y_bar^(1) = 2 d(s_y01)/dt, so coeff = b1 / 2
+    coeff = controls_for(spec, variant, params).params["b1"] / 2.0
     if coeff != 0.0:
         q0, q1 = ds.qubit_rows
         s1[:, q0, q1] += -1j * coeff * g
@@ -241,7 +225,8 @@ def frame_second_order(spec: SystemSpec, variant, params: GaussianParams,
     if isinstance(variant, Ansatz):
         raise ValueError("the numeric ansatz has no documented frame")
     g, dg, _ = _bars(params, _tbar(grid))
-    sa = _free_sy01(spec, variant)
+    # free s_y01 coefficient: omega_y_bar^(1) = 2 d(s_y01)/dt gives b1 / 2
+    sa = controls_for(spec, variant, params).params["b1"] / 2.0
     lam1 = spec.lam[1]
     s2 = np.zeros((g.shape[0], spec.d, spec.d), dtype=complex)
 

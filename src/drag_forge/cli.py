@@ -237,7 +237,8 @@ def _run_fig5(name: str, out_dir: Path, delta0_free: bool,
                 "max_evals": max_evals},
         csv=csv_path.name,
         rows=[{"sigma": s, "mask": lbl, "n_steps": res.n_steps,
-               "n_evals": res.n_evals} for s, lbl, res in rows])
+               "n_evals": res.n_evals, "converged": res.converged}
+              for s, lbl, res in rows])
     return csv_path
 
 
@@ -257,16 +258,15 @@ def _run_fig9(out_dir: Path) -> Path:
 
 def _run_pop_traces(out_dir: Path, n_steps) -> Path:
     spec = build_sno(5, _DELTA2)
-    steps = 4096 if n_steps == "auto" else n_steps
     header = "t," + ",".join(f"p{j}" for j in range(spec.d))
     files = []
     for i, sigma in enumerate((1.0 / 3.0, 2.0 / 3.0, 1.5), start=1):
         params = GaussianParams.for_not(sigma)
         cs = controls_for(spec, DragVariant.GAUSSIAN0, params)
-        times, probs = populations(spec, cs, TimeGrid(params.t_g, steps), 0)
+        times, probs = populations(spec, cs, TimeGrid(params.t_g, n_steps), 0)
         path = _write_csv(out_dir / f"pop-traces-{i}.csv", "pop-traces", header,
                           ([t, *p] for t, p in zip(times, probs)))
-        files.append({"sigma": sigma, "csv": path.name, "n_steps": steps})
+        files.append({"sigma": sigma, "csv": path.name, "n_steps": n_steps})
     return _write_manifest(
         out_dir, "pop-traces",
         config={"system": {"kind": "sno", "d": 5, "delta2": _DELTA2},
@@ -279,7 +279,14 @@ PRESETS = ("gaussian-benchmark", "fig3", "fig4", "fig5a", "fig5b",
 
 
 def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
-    """Execute a named preset; returns the primary output path."""
+    """Execute a named preset; returns the primary output path.
+
+    ``n_steps`` applies to the sweep presets and, as an integer, pop-traces.
+    """
+    if n_steps is not None and (name in ("fig5a", "fig5b", "fig9") or
+                                (name == "pop-traces" and n_steps == "auto")):
+        raise ConfigError(f"--steps: {name} does not take {n_steps!r} (sweep "
+                          "presets take it, pop-traces as an integer)")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if name == "fig5a":

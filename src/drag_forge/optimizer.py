@@ -19,8 +19,6 @@ from .pulses import Ansatz, GaussianParams, build_controls
 
 __all__ = ["OptimizeTask", "OptimizeResult", "optimize"]
 
-_PARAM_NAMES = ("alpha", "beta", "gamma", "delta0")
-
 
 @dataclass(frozen=True)
 class OptimizeTask:

@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .model import SystemSpec, Topology
 
@@ -32,11 +31,12 @@ __all__ = [
     "controls_for",
     "effective_lambda",
     "phase_ramp",
-    "controls_to_csv",
     "first_order_coefficients",
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# numpy has no erf; the elementwise math.erf keeps scipy out of the runtime
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -103,24 +103,15 @@ class GaussianEnvelope:
         x = t - self._mid
         return self._scale * ((x * x) / self._s2 - 1.0) / self._s2 * self._gauss(t)
 
-    def int_value(self, t):
-        """Integral of the envelope from 0 to t (closed form)."""
-        t = self._check(t)
-        s = self.params.sigma
-        ig = s * math.sqrt(math.pi / 2.0) * (
-            erf((t - self._mid) / (math.sqrt(2.0) * s))
-            - erf(-self._mid / (math.sqrt(2.0) * s)))
-        return self._scale * (ig - self._pedestal * t)
-
     def int_value_squared(self, t):
         """Integral of the squared envelope from 0 to t (closed form)."""
         t = self._check(t)
         s = self.params.sigma
         ig = s * math.sqrt(math.pi / 2.0) * (
-            erf((t - self._mid) / (math.sqrt(2.0) * s))
-            - erf(-self._mid / (math.sqrt(2.0) * s)))
+            _erf((t - self._mid) / (math.sqrt(2.0) * s))
+            - math.erf(-self._mid / (math.sqrt(2.0) * s)))
         ig2 = s * math.sqrt(math.pi) / 2.0 * (
-            erf((t - self._mid) / s) - erf(-self._mid / s))
+            _erf((t - self._mid) / s) - math.erf(-self._mid / s))
         p = self._pedestal
         return self._scale ** 2 * (ig2 - 2.0 * p * ig + p * p * t)
 
@@ -174,9 +165,10 @@ class Ansatz:
 class ControlSet:
     """Evaluable control waveforms on [0, t_g].
 
-    ``phi`` is the accumulated detuning angle int_0^t delta(s) ds, available
-    in closed form for every set built by this module and consumed by
-    :func:`phase_ramp`.
+    ``phi`` is the accumulated detuning angle int_0^t delta(s) ds in closed
+    form.  Every set built by this module carries it (including the output
+    of :func:`phase_ramp`, whose phi is zero); :func:`phase_ramp` consumes it
+    and rejects a set without one.
     """
 
     omega_x: Callable
@@ -336,48 +328,25 @@ def phase_ramp(cs: ControlSet) -> ControlSet:
         omega_x'(t) = omega_x cos(Phi) - omega_y sin(Phi)
         omega_y'(t) = omega_y cos(Phi) + omega_x sin(Phi)
 
-    where Phi(t) = int_0^t delta(s) ds.  The rotation direction is fixed by
+    where Phi(t) = int_0^t delta(s) ds is the set's closed-form ``phi``
+    (a set without one raises ValueError).  The rotation direction is fixed by
     the sign convention delta(t) = omega(t) - omega_d of the simulated
     Hamiltonian: the ramped drive on a fixed-frequency system reproduces
     the detuned evolution up to the final frame rotation,
 
         exp(-i Phi(t_g) h_z) U_ramped = U_detuned.
     """
-    phi = cs.phi if cs.phi is not None else _numeric_phi(cs)
+    if cs.phi is None:
+        raise ValueError(f"{cs.variant}: phase_ramp needs the closed-form phi")
 
     def omega_x(t):
-        p = phi(t)
+        p = cs.phi(t)
         return cs.omega_x(t) * np.cos(p) - cs.omega_y(t) * np.sin(p)
 
     def omega_y(t):
-        p = phi(t)
+        p = cs.phi(t)
         return cs.omega_y(t) * np.cos(p) + cs.omega_x(t) * np.sin(p)
 
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     return ControlSet(omega_x, omega_y, zero, cs.t_g, cs.variant + "+ramp",
-                      dict(cs.params, total_phase=float(phi(cs.t_g))), zero)
-
-
-def _numeric_phi(cs: ControlSet, n: int = 1 << 16):
-    # composite-Simpson fallback for control sets without a closed-form phase
-    ts = np.linspace(0.0, cs.t_g, 2 * n + 1)
-    f = np.asarray(cs.delta(ts), dtype=float)
-    h = cs.t_g / (2 * n)
-    inc = (h / 3.0) * (f[0:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
-    cum = np.concatenate(([0.0], np.cumsum(inc)))
-    grid = ts[::2]
-
-    def phi(t):
-        return np.interp(np.asarray(t, dtype=float), grid, cum)
-
-    return phi
-
-
-def controls_to_csv(cs: ControlSet, path, n_samples: int = 1001) -> None:
-    """Sample the three channels on a uniform grid and write full-precision CSV."""
-    ts = np.linspace(0.0, cs.t_g, n_samples)
-    ox, oy, dl = cs.omega_x(ts), cs.omega_y(ts), cs.delta(ts)
-    with open(path, "w") as fh:
-        fh.write("t,omega_x,omega_y,delta\n")
-        for row in zip(ts, ox, oy, dl):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+                      dict(cs.params, total_phase=float(cs.phi(cs.t_g))), zero)

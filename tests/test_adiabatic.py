@@ -94,7 +94,7 @@ class TestSecondOrderFrameIdentity:
 
     def test_second_order_variant_rejected_off_ladder(self, star6, not_params,
                                                       grid):
-        with pytest.raises(ValueError, match="no published form"):
+        with pytest.raises(ValueError, match="not available"):
             control_orders(star6, DragVariant.DRAG2, not_params, grid)
 
 

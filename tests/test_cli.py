@@ -1,9 +1,27 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import drag_forge
 from drag_forge.cli import main, preset_config, run_config, run_preset
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    src = str(Path(drag_forge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, drag_forge.cli, drag_forge.adiabatic, "
+            "drag_forge.optimizer; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestGaussianBenchmarkPreset:
@@ -60,8 +78,14 @@ class TestExitCodes:
         (["--config", "CFG"],
          {"system": {"kind": "star", "delta": [-2 * math.pi], "lambda": [1.0]},
           "variants": ["gaussian0", "drag2"]}, "variants[1]"),
+        (["fig5a", "--steps", "64"], {}, "--steps"),
+        (["fig5b", "--steps", "auto"], {}, "--steps"),
+        (["fig9", "--steps", "64"], {}, "--steps"),
+        (["pop-traces", "--steps", "auto"], {}, "--steps"),
     ], ids=["config-steps-3", "preset-steps-abc", "pop-traces-steps-3",
-            "sigma-string", "area-string", "tg_factor-null", "star-drag2"])
+            "sigma-string", "area-string", "tg_factor-null", "star-drag2",
+            "fig5a-steps", "fig5b-steps-auto", "fig9-steps",
+            "pop-traces-steps-auto"])
     def test_bad_input_exits_2(self, tmp_path, capsys, args, changes, expect):
         cfg = dict(preset_config("gaussian-benchmark"), **changes)
         path = tmp_path / "cfg.json"
@@ -246,6 +270,8 @@ class TestFig5Preset:
             assert float(r[5]) == 0.0  # delta0 frozen at zero
         manifest = json.loads((tmp_path / "fig5a.manifest.json").read_text())
         assert manifest["config"]["masks"][-1] == "alpha+beta+gamma"
+        assert all(isinstance(row["converged"], bool)
+                   for row in manifest["rows"])
 
     def test_delta0_column_active_in_fig5b(self, tmp_path):
         from drag_forge.cli import _run_fig5
