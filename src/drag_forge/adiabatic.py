@@ -6,7 +6,8 @@ eps = 1/(t_g * delta2) the bookkeeping parameter (its magnitude is what is
 reported).  The module evaluates
 
 * the frame generators S^(n)(t) of the published control solutions,
-* the extra Hamiltonians H_extra^(0..3) generated by the frame change,
+* the extra Hamiltonians H_extra^(n) generated by the frame change, every
+  order from one recursion in ad_S X = [S, X],
 * the exact effective Hamiltonian A^dag H A + i dA^dag/dt A, and
 * the per-order constraint residuals that the closed-form pulses claim
   to satisfy.
@@ -16,7 +17,6 @@ nodes of a TimeGrid; S-derivatives use 4th-order finite differences.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +56,6 @@ class ExpansionReport:
     t_g: float
     n_steps: int
     epsilon: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "order": self.order,
-            "qubit_mismatch": self.qubit_mismatch,
-            "coupling_residual": self.coupling_residual,
-            "t_g": self.t_g,
-            "n_steps": self.n_steps,
-            "epsilon": self.epsilon,
-        }, indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -151,17 +141,10 @@ def control_orders(spec: SystemSpec, variant, params: GaussianParams,
     return orders
 
 
-def _h_of_order(ds: _Dimless, fields) -> np.ndarray:
-    ox, oy, oz = fields
-    return hamiltonian_at(ds.ctl, oz, ox, oy)
-
-
-def _h_stacks(ds: _Dimless, orders: dict, upto: int, t: int) -> dict:
-    out = {}
-    zero = np.zeros((t, ds.d, ds.d), dtype=complex)
-    for n in range(upto + 1):
-        out[n] = _h_of_order(ds, orders[n]) if n in orders else zero
-    return out
+def _h_stacks(ds: _Dimless, orders: dict, upto: int) -> dict:
+    """Control Hamiltonian stacks of the orders <= upto that have a term."""
+    return {n: hamiltonian_at(ds.ctl, oz, ox, oy)
+            for n, (ox, oy, oz) in orders.items() if n <= upto}
 
 
 # -- frame generators ---------------------------------------------------------
@@ -192,18 +175,7 @@ def frame_first_order(spec: SystemSpec, variant, params: GaussianParams,
     """
     if isinstance(variant, Ansatz):
         raise ValueError("the numeric ansatz has no documented frame")
-    ds = _dimless(spec)
-    g, _, _ = _bars(params, _tbar(grid))
-    zero = np.zeros_like(g)
-    h0ctl = _h_of_order(ds, (g, zero, zero))
-    s1 = _recursion_frame(ds, h0ctl)
-    # the free element s_y01 = coeff * G_bar is fixed by the quadrature field,
-    # omega_y_bar^(1) = 2 d(s_y01)/dt, so coeff = b1 / 2
-    coeff = controls_for(spec, variant, params).params["b1"] / 2.0
-    if coeff != 0.0:
-        q0, q1 = ds.qubit_rows
-        s1[:, q0, q1] += -1j * coeff * g
-        s1[:, q1, q0] += 1j * coeff * g
+    s1 = frames_for(spec, variant, params, grid, 1)[0]
     return FrameTransform(1, s1, _epsilon(spec, params.t_g), params.t_g)
 
 
@@ -243,23 +215,82 @@ def frame_second_order(spec: SystemSpec, variant, params: GaussianParams,
     return FrameTransform(2, s2, _epsilon(spec, params.t_g), params.t_g)
 
 
+def _expansion(spec: SystemSpec, variant, params: GaussianParams,
+               grid: TimeGrid, upto: int, h_upto: int):
+    """The dimensionless system, H^(0..h_upto) and S^(1..upto), built once.
+
+    Frames are the closed forms where documented, else the recursion.
+    """
+    ds = _dimless(spec)
+    orders = control_orders(spec, variant, params, grid)
+    hs = _h_stacks(ds, orders, h_upto)
+    frames: list[np.ndarray] = []
+    for k in range(1, upto + 1):
+        if k == 2 and spec.topology is Topology.LADDER:
+            s = frame_second_order(spec, variant, params, grid).s
+        else:
+            # order k-1 constraint: M = H_extra^(k-1) + H^(k-1) fixes S^(k)
+            m = _transformed(k - 1, frames, hs, ds.h0, grid)
+            s = _recursion_frame(ds, m)
+        if k == 1:
+            # the free element s_y01 = coeff * G_bar is fixed by the quadrature
+            # field, omega_y_bar^(1) = 2 d(s_y01)/dt, so coeff = b1 / 2
+            coeff = controls_for(spec, variant, params).params["b1"] / 2.0
+            q0, q1 = ds.qubit_rows
+            s[:, q0, q1] += -1j * coeff * orders[0][0]
+            s[:, q1, q0] += 1j * coeff * orders[0][0]
+        frames.append(s)
+    return ds, hs, frames
+
+
 def frames_for(spec: SystemSpec, variant, params: GaussianParams,
                grid: TimeGrid, upto: int) -> list[np.ndarray]:
     """S^(1..upto) samples: closed forms where documented, else recursion."""
-    ds = _dimless(spec)
-    orders = control_orders(spec, variant, params, grid)
-    hs = _h_stacks(ds, orders, upto, grid.n_steps + 1)
-    frames: list[np.ndarray] = []
-    for k in range(1, upto + 1):
-        if k == 1:
-            frames.append(frame_first_order(spec, variant, params, grid).s)
-        elif k == 2 and spec.topology is Topology.LADDER:
-            frames.append(frame_second_order(spec, variant, params, grid).s)
-        else:
-            prev = k - 1  # constraint order that determines S^(k)
-            m = h_extra(prev, frames, hs, ds.h0, grid) + hs[prev]
-            frames.append(_recursion_frame(ds, m))
-    return frames
+    return _expansion(spec, variant, params, grid, upto, upto - 1)[2]
+
+
+def _transformed(n: int, frames: list[np.ndarray], h_orders: dict,
+                 h0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Order n of A^dag H A + i dA^dag/dt A with A = exp(-i S).
+
+    S = sum_k eps^k S^(k) with S^(k) = frames[k-1], and H = H0/eps +
+    sum_k eps^k H^(k) with H^(k) = h_orders[k].  With ad_S X = [S, X] the
+    transform is sum_m i^m/m! ad_S^m H - sum_m i^m/(m+1)! ad_S^m dS/dt
+    = sum_m Z_m, where Z_0 = H, Z_1 = i ad_S Z_0 - dS/dt and
+    Z_m = (i/m) ad_S Z_(m-1).  ad_S raises the lowest order by one (Z_m
+    starts at order m-1), so order n needs m <= n+1.  Each pass rewrites
+    the orders from the top down, in place, because order j of Z_m reads
+    only lower orders of Z_(m-1); orders with no term are left out rather
+    than held as zero stacks.
+    """
+    t, d = grid.n_steps + 1, h0.shape[0]
+    z = {k: h for k, h in h_orders.items() if k <= n}
+    z[-1] = np.broadcast_to(h0 + 0j, (t, d, d))
+    out = z[n].copy() if n in z else np.zeros((t, d, d), dtype=complex)
+    for m in range(1, n + 2):
+        for j in range(n, m - 2, -1):
+            zj = None
+            if m == 1 and 1 <= j <= len(frames):
+                # Z_1 = i (ad_S Z_0 + i dS/dt): seed with the frame derivative
+                zj = 1j * _fd4(frames[j - 1], 1.0 / grid.n_steps)
+            for k, s in enumerate(frames, 1):
+                x = z.get(j - k)
+                if x is None:
+                    continue
+                if zj is None:
+                    zj = _comm(s, x)
+                else:
+                    zj += s @ x
+                    zj -= x @ s
+            if zj is None:
+                z.pop(j, None)
+            else:
+                zj *= 1j / m
+                z[j] = zj
+        z.pop(m - 2, None)
+        if n in z:
+            out += z[n]
+    return out
 
 
 def h_extra(n: int, frames: list[np.ndarray], h_orders: dict,
@@ -269,54 +300,14 @@ def h_extra(n: int, frames: list[np.ndarray], h_orders: dict,
     ``frames`` lists S^(1), S^(2), ... as (T, d, d) samples (orders beyond
     what order n consumes are ignored); ``h_orders`` maps order -> control
     Hamiltonian stack.  Frame derivatives use 4th-order finite differences.
+    H_extra^(n) is the order-n transform with S^(1..n) and H^(0..n-1).
     """
     if n not in (0, 1, 2, 3):
         raise ValueError("h_extra implements orders 0..3")
-    t = grid.n_steps + 1
-    d = h0.shape[0]
-    if n == 0:
-        return np.zeros((t, d, d), dtype=complex)
     if len(frames) < n:
         raise ValueError(f"order {n} needs frames up to S^({n})")
-    h = 1.0 / grid.n_steps
-    h0b = np.broadcast_to(h0 + 0j, (t, d, d))
-    s1 = frames[0]
-    ds1 = _fd4(s1, h)
-    if n == 1:
-        return (1j * _comm(s1, h_orders[0])
-                - 0.5 * _comm(s1, _comm(s1, h0b))
-                - ds1)
-    s2 = frames[1]
-    ds2 = _fd4(s2, h)
-    if n == 2:
-        return (1j * _comm(s2, h_orders[0])
-                + 1j * _comm(s1, h_orders[1])
-                - 0.5 * _comm(s1, _comm(s1, h_orders[0]))
-                - 0.5 * _comm(s1, _comm(s2, h0b))
-                - 0.5 * _comm(s2, _comm(s1, h0b))
-                - (1j / 6.0) * _comm(s1, _comm(s1, _comm(s1, h0b)))
-                + 0.5j * _comm(ds1, s1)
-                - ds2)
-    s3 = frames[2]
-    ds3 = _fd4(s3, h)
-    return (1j * _comm(s3, h_orders[0])
-            + 1j * _comm(s2, h_orders[1])
-            + 1j * _comm(s1, h_orders[2])
-            - 0.5 * _comm(s1, _comm(s1, h_orders[1]))
-            - 0.5 * _comm(s1, _comm(s2, h_orders[0]))
-            - 0.5 * _comm(s2, _comm(s1, h_orders[0]))
-            - (1j / 6.0) * _comm(s1, _comm(s1, _comm(s1, h_orders[0])))
-            - 0.5 * _comm(s1, _comm(s3, h0b))
-            - 0.5 * _comm(s3, _comm(s1, h0b))
-            - 0.5 * _comm(s2, _comm(s2, h0b))
-            - (1j / 6.0) * _comm(s1, _comm(s1, _comm(s2, h0b)))
-            - (1j / 6.0) * _comm(s2, _comm(s1, _comm(s1, h0b)))
-            - (1j / 6.0) * _comm(s1, _comm(s2, _comm(s1, h0b)))
-            + (1.0 / 24.0) * _comm(s1, _comm(s1, _comm(s1, _comm(s1, h0b))))
-            + 0.5j * _comm(ds1, s2)
-            + 0.5j * _comm(ds2, s1)
-            - (1.0 / 6.0) * _comm(s1, _comm(ds1, s1))
-            - ds3)
+    below = {k: h for k, h in h_orders.items() if k < n}
+    return _transformed(n, frames[:n], below, h0, grid)
 
 
 def h_eff_exact(spec: SystemSpec, cs: ControlSet, s_total: np.ndarray,
@@ -373,12 +364,8 @@ def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
     """
     if order < 0 or order > 2:
         raise ValueError("constraint residuals implemented for orders 0..2")
-    ds = _dimless(spec)
-    orders = control_orders(spec, variant, params, grid)
-    hs = _h_stacks(ds, orders, order, grid.n_steps + 1)
-    frames = frames_for(spec, variant, params, grid, order)
-    hx_n = h_extra(order, frames, hs, ds.h0, grid)
-    m = hx_n + hs[order]
+    ds, hs, frames = _expansion(spec, variant, params, grid, order, order)
+    m = _transformed(order, frames, hs, ds.h0, grid)
 
     if order == 1 and spec.topology is Topology.LADDER:
         s_next = frame_second_order(spec, variant, params, grid).s
@@ -397,10 +384,7 @@ def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
 def h_extra_report(spec: SystemSpec, variant, params: GaussianParams,
                    grid: TimeGrid, order: int) -> ExpansionReport:
     """Qubit-block and coupling maxima of H_extra^(n) alone."""
-    ds = _dimless(spec)
-    orders = control_orders(spec, variant, params, grid)
-    hs = _h_stacks(ds, orders, max(order - 1, 0), grid.n_steps + 1)
-    frames = frames_for(spec, variant, params, grid, order)
+    ds, hs, frames = _expansion(spec, variant, params, grid, order, order - 1)
     hx_n = h_extra(order, frames, hs, ds.h0, grid)
     mismatch, coupling = _component_maxima(ds, hx_n)
     return ExpansionReport(order, mismatch, coupling, params.t_g,
@@ -419,21 +403,15 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
     """
     if order < 0 or order > 3:
         raise ValueError("series comparison implemented for orders 0..3")
-    ds = _dimless(spec)
-    t = grid.n_steps + 1
+    ds, hs, frames = _expansion(spec, variant, params, grid, order + 1, order)
     eps = _epsilon_signed(spec, params.t_g)
-    orders = control_orders(spec, variant, params, grid)
-    hs = _h_stacks(ds, orders, order, t)
-    frames = frames_for(spec, variant, params, grid, order + 1)
     s_total = sum(eps ** (m + 1) * frames[m] for m in range(order + 1))
 
     cs = controls_for(spec, variant, params)
     exact = h_eff_exact(spec, cs, s_total, grid)
 
-    h0b = np.broadcast_to(ds.h0 + 0j, (t, ds.d, ds.d))
-    series = h0b / eps
+    series = np.broadcast_to(ds.h0 + 0j, s_total.shape) / eps
     for m in range(order + 1):
-        heff_m = (h_extra(m, frames, hs, ds.h0, grid) + hs[m]
-                  + 1j * _comm(frames[m], h0b))
+        heff_m = _transformed(m, frames[:m + 1], hs, ds.h0, grid)
         series = series + eps ** m * heff_m
     return float(np.max(np.abs(exact - series)))

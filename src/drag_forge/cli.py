@@ -287,6 +287,9 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
                                 (name == "pop-traces" and n_steps == "auto")):
         raise ConfigError(f"--steps: {name} does not take {n_steps!r} (sweep "
                           "presets take it, pop-traces as an integer)")
+    if name == "pop-traces" and n_steps is not None and (
+            not isinstance(n_steps, int) or n_steps < 16):
+        raise ConfigError(f"n_steps: must be an integer >= 16, got {n_steps!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if name == "fig5a":

@@ -46,6 +46,8 @@ class OptimizeTask:
             raise ValueError("at least one parameter must be free")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.prop_tol <= 0:  # step doubling would run to its cap
+            raise ValueError("prop_tol must be positive")
 
 
 @dataclass(frozen=True)

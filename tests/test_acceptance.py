@@ -111,7 +111,7 @@ def test_criterion_4_expansion_verification(sno5):
 
     # (a) zeroth order vanishes identically
     hs = _h_stacks(ds, control_orders(sno5, DragVariant.DRAG1, params, grid),
-                   0, grid.n_steps + 1)
+                   0)
     a_ok = float(np.max(np.abs(h_extra(0, [], hs, ds.h0, grid)))) == 0.0
 
     # (b) published first-order solution satisfies the no-leakage conditions

@@ -108,6 +108,12 @@ class TestExitCodes:
             run_config(path, tmp_path / "out", n_steps=3)
         with pytest.raises(ConfigError, match="n_steps"):
             run_preset("fig3", tmp_path / "out", n_steps=3)
+        # pop-traces checks its step count before it creates the directory;
+        # 0 used to run 4096 steps and True is no step count either
+        for bad in (3, 0, True):
+            with pytest.raises(ConfigError, match="n_steps"):
+                run_preset("pop-traces", tmp_path / "pop", n_steps=bad)
+        assert not (tmp_path / "pop").exists()
 
     def test_convergence_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         import drag_forge.cli as cli

@@ -32,6 +32,14 @@ class TestValidation:
             OptimizeTask(sno5, fast_params, (True, False, False, False),
                          tol=0.0)
 
+    @pytest.mark.parametrize("prop_tol", [0.0, -1e-9])
+    def test_bad_prop_tolerance_rejected(self, sno5, fast_params, prop_tol):
+        # a step-doubling tolerance that can never be met would double the
+        # grid to its 2^20 cap; only the construction is exercised here
+        with pytest.raises(ValueError, match="prop_tol must be positive"):
+            OptimizeTask(sno5, fast_params, (True, False, False, False),
+                         prop_tol=prop_tol)
+
 
 class TestAlphaOnly:
     def test_matches_scan_oracle(self, sno5, fast_params):
