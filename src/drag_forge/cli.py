@@ -290,6 +290,8 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
     if name == "pop-traces" and n_steps is not None and (
             not isinstance(n_steps, int) or n_steps < 16):
         raise ConfigError(f"n_steps: must be an integer >= 16, got {n_steps!r}")
+    if name not in ("fig5a", "fig5b", "fig9", "pop-traces"):
+        cfg = _validate_config(preset_config(name), n_steps)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if name == "fig5a":
@@ -300,8 +302,7 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
         return _run_fig9(out_dir)
     if name == "pop-traces":
         return _run_pop_traces(out_dir, n_steps or 4096)
-    return _run_sweep(_validate_config(preset_config(name), n_steps),
-                      out_dir, jobs)
+    return _run_sweep(cfg, out_dir, jobs)
 
 
 def run_config(path, out_dir, jobs: int = 1, n_steps=None) -> Path:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fidelity import gate_error, ideal_not
-from .model import SystemSpec
-from .propagator import TimeGrid, propagate
+from .model import HamiltonianGenerators, SystemSpec
+from .propagator import TimeGrid, _as_generators, converge, propagate
 from .pulses import Ansatz, GaussianParams, build_controls
 
 __all__ = ["OptimizeTask", "OptimizeResult", "optimize"]
@@ -25,8 +25,9 @@ class OptimizeTask:
     """One optimization problem over the ansatz coefficients.
 
     ``mask`` selects which of (alpha, beta, gamma, delta0) are free; the
-    rest stay at their initial values.  ``prop_tol`` sets the step-doubling
-    tolerance on the objective used to fix the integration grid.
+    rest stay at their initial values.  ``prop_tol`` bounds the Richardson
+    estimate of the unitary's discretisation error at ``x0`` (see
+    :func:`~drag_forge.propagator.converge`), which fixes the grid.
     """
 
     spec: SystemSpec
@@ -59,28 +60,11 @@ class OptimizeResult:
     n_steps: int
 
 
-def _resolve_steps(task: OptimizeTask) -> int:
-    """Double the step count until the objective itself is converged.
-
-    The integrator is second order, so requiring successive unitaries to
-    agree to prop_tol element-wise would need millions of steps; the gate
-    error converges at the same rate with a far smaller constant, and all
-    simplex comparisons share whatever grid is chosen here.
-    """
-    spec, params = task.spec, task.params
-    uid = ideal_not(spec.d, spec.qubit_rows)
-    cs = build_controls(spec, Ansatz(*task.x0), params)
-    n = 256
-    prev = gate_error(propagate(spec, cs, TimeGrid(params.t_g, n)), uid,
-                      spec.qubit_rows)
-    while n < (1 << 20):
-        n *= 2
-        cur = gate_error(propagate(spec, cs, TimeGrid(params.t_g, n)), uid,
-                         spec.qubit_rows)
-        if abs(cur - prev) < task.prop_tol:
-            return n
-        prev = cur
-    return n
+def _resolve_steps(task: OptimizeTask, gen: HamiltonianGenerators) -> int:
+    """Step count whose unitary at the initial point meets ``prop_tol``;
+    every simplex comparison shares this grid."""
+    cs = build_controls(task.spec, Ansatz(*task.x0), task.params)
+    return converge(gen, cs, task.params.t_g, task.prop_tol)[1]
 
 
 class _BudgetSpent(Exception):
@@ -97,7 +81,8 @@ def optimize(task: OptimizeTask) -> OptimizeResult:
     """
     spec, params = task.spec, task.params
     uid = ideal_not(spec.d, spec.qubit_rows)
-    n_steps = _resolve_steps(task)
+    gen = _as_generators(spec)
+    n_steps = _resolve_steps(task, gen)
     grid = TimeGrid(params.t_g, n_steps)
     free = [i for i in range(4) if task.mask[i]]
     x_fixed = np.asarray(task.x0, dtype=float)
@@ -113,7 +98,7 @@ def optimize(task: OptimizeTask) -> OptimizeResult:
         x[free] = z
         try:
             cs = build_controls(spec, Ansatz(*x), params)
-            u = propagate(spec, cs, grid)
+            u = propagate(gen, cs, grid)
             e = gate_error(u, uid, spec.qubit_rows)
         except (ValueError, FloatingPointError):
             e = math.inf

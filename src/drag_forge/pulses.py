@@ -169,6 +169,9 @@ class ControlSet:
     form.  Every set built by this module carries it (including the output
     of :func:`phase_ramp`, whose phi is zero); :func:`phase_ramp` consumes it
     and rejects a set without one.
+
+    ``mirror`` marks omega_x, delta even and omega_y odd about t_g/2, so the
+    propagator builds half the steps; only this module's builders set it.
     """
 
     omega_x: Callable
@@ -178,6 +181,7 @@ class ControlSet:
     variant: str
     params: dict = field(default_factory=dict)
     phi: Callable | None = None
+    mirror: bool = False
 
 
 def _assemble(env: GaussianEnvelope, *, a1: float, a3: float, b1: float,
@@ -206,8 +210,9 @@ def _assemble(env: GaussianEnvelope, *, a1: float, a3: float, b1: float,
     }
     if extra:
         record.update(extra)
+    # G is even about t_g/2 and dG/dt odd
     return ControlSet(omega_x, omega_y, delta, env.params.t_g, variant,
-                      record, phi)
+                      record, phi, mirror=True)
 
 
 def first_order_coefficients(spec: SystemSpec, variant: DragVariant

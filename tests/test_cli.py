@@ -106,8 +106,10 @@ class TestExitCodes:
         path.write_text(json.dumps(preset_config("gaussian-benchmark")))
         with pytest.raises(ConfigError, match="n_steps"):
             run_config(path, tmp_path / "out", n_steps=3)
+        # sweep presets validate the override before creating the directory
         with pytest.raises(ConfigError, match="n_steps"):
-            run_preset("fig3", tmp_path / "out", n_steps=3)
+            run_preset("fig3", tmp_path / "fig3", n_steps=3)
+        assert not (tmp_path / "fig3").exists()
         # pop-traces checks its step count before it creates the directory;
         # 0 used to run 4096 steps and True is no step count either
         for bad in (3, 0, True):

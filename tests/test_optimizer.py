@@ -123,3 +123,16 @@ def test_result_reports_budget(sno5, fast_params):
     assert isinstance(res, OptimizeResult)
     assert res.n_evals <= 25
     assert res.n_steps >= 256
+
+
+def test_generators_built_once_per_task(sno5, fast_params, monkeypatch):
+    # the step resolution and every evaluation share one generator build
+    import drag_forge.propagator as propagator
+
+    calls = []
+    real = propagator.generators
+    monkeypatch.setattr(propagator, "generators",
+                        lambda spec: calls.append(spec) or real(spec))
+    optimize(OptimizeTask(sno5, fast_params, (True, False, False, False),
+                          max_evals=10, prop_tol=1e-7))
+    assert len(calls) == 1

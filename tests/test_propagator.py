@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from drag_forge import (Ansatz, ConvergenceError, DragVariant, GaussianParams,
                         TimeGrid, build_controls, build_sno, controls_for,
                         converge, populations, propagate)
-from drag_forge.model import HamiltonianGenerators, sigma_x, sigma_y
-from drag_forge.pulses import ControlSet
+from drag_forge.model import (HamiltonianGenerators, generators,
+                              hamiltonian_at, sigma_x, sigma_y)
+from drag_forge.propagator import _ordered_product, _step_unitaries
+from drag_forge.pulses import ControlSet, phase_ramp
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,14 +59,16 @@ class TestPropagate:
         assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-10
 
     def test_second_order_convergence(self, sno5, not_params):
+        # the name predates the Magnus-4 stepper: halving dt now divides
+        # the difference of successive unitaries by 2^4
         cs = build_controls(sno5, DragVariant.GAUSSIAN0, not_params)
         us = [propagate(sno5, cs, TimeGrid(not_params.t_g, n))
-              for n in (512, 1024, 2048, 4096)]
+              for n in (128, 256, 512, 1024)]
         d1 = np.max(np.abs(us[1] - us[0]))
         d2 = np.max(np.abs(us[2] - us[1]))
         d3 = np.max(np.abs(us[3] - us[2]))
-        assert d1 / d2 == pytest.approx(4.0, rel=0.15)
-        assert d2 / d3 == pytest.approx(4.0, rel=0.15)
+        assert d1 / d2 == pytest.approx(16.0, rel=0.15)
+        assert d2 / d3 == pytest.approx(16.0, rel=0.15)
 
     def test_composition(self, sno5, not_params):
         cs = build_controls(sno5, DragVariant.Z_ONLY1, not_params)
@@ -117,6 +122,22 @@ class TestPopulations:
         assert 0.05 < leak < 0.25
         assert leak > probs[-1, 0]
 
+    @pytest.mark.parametrize("n_steps", [4096, 4097])
+    @pytest.mark.parametrize("mirror", [True, False])
+    def test_matches_step_by_step(self, sno5, not_params, n_steps, mirror):
+        # the prefix-product trace against one matrix-vector step at a time
+        cs = replace(controls_for(sno5, DragVariant.DRAG2, not_params),
+                     mirror=mirror)
+        grid = TimeGrid(not_params.t_g, n_steps)
+        psi = np.eye(5, dtype=complex)[1]
+        ref = [np.abs(psi) ** 2]
+        for step in _step_unitaries(generators(sno5),
+                                    replace(cs, mirror=False), grid):
+            psi = step @ psi
+            ref.append(np.abs(psi) ** 2)
+        _, probs = populations(sno5, cs, grid, 1)
+        assert np.max(np.abs(probs - np.array(ref))) < 1e-13
+
     def test_signed_initial_level(self, inter5, not_params):
         cs = controls_for(inter5, DragVariant.OPTIMAL1, not_params)
         _, probs = populations(inter5, cs, TimeGrid(not_params.t_g, 256), 0)
@@ -130,12 +151,13 @@ class TestConverge:
         np.testing.assert_allclose(u, np.eye(3), atol=1e-12)
 
     def test_doubling_loop_frozen_value(self, sno5):
-        # the doubling loop itself is the oracle: the second-order stepper
-        # needs 262144 steps to reach 1e-10 on the fastest benchmark pulse
+        # the doubling loop itself is the oracle: the fourth-order stepper
+        # needs 1024 steps to reach 1e-10 on the fastest benchmark pulse
+        # (the second-order midpoint rule needed 262144)
         p = GaussianParams.for_not(1 / 3)
         cs = build_controls(sno5, DragVariant.GAUSSIAN0, p)
         u, n = converge(sno5, cs, p.t_g, 1e-10)
-        assert n == 262144
+        assert n == 1024
         np.testing.assert_allclose(u.conj().T @ u, np.eye(5), atol=1e-10)
 
     def test_rejects_bad_tolerance(self, sno3):
@@ -181,3 +203,65 @@ def test_unitarity_on_random_controls(sno5, rng):
         u = propagate(sno5, cs, TimeGrid(p.t_g, 128))
         worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(5)))))
     assert worst < 1e-10
+
+
+def _full_product(spec, cs, grid):
+    # every step built and multiplied, whatever the set's symmetry
+    steps = _step_unitaries(generators(spec), replace(cs, mirror=False), grid)
+    return _ordered_product(steps)
+
+
+_MIRROR_CASES = [
+    ("sno5", DragVariant.GAUSSIAN0), ("sno5", DragVariant.OPTIMAL1),
+    ("sno5", DragVariant.DRAG2), ("sno5", DragVariant.Y_ONLY2),
+    ("inter5", DragVariant.Z_ONLY1), ("inter5", DragVariant.OPTIMAL1),
+    ("star6", DragVariant.Y_ONLY1), ("star6", DragVariant.OPTIMAL1),
+    ("sno5", Ansatz(1.02, 0.4, -0.3, 0.25)),
+]
+
+
+class TestMirrorProduct:
+    @pytest.mark.parametrize("n_steps", [256, 257])
+    @pytest.mark.parametrize("system,variant", _MIRROR_CASES)
+    def test_matches_full_product(self, request, system, variant, n_steps):
+        spec = request.getfixturevalue(system)
+        p = GaussianParams.for_not(0.6)
+        cs = controls_for(spec, variant, p)
+        assert cs.mirror
+        grid = TimeGrid(p.t_g, n_steps)
+        u = propagate(spec, cs, grid)
+        assert np.max(np.abs(u - _full_product(spec, cs, grid))) < 1e-13
+
+    def test_ramped_and_hand_built_sets_take_full_product(self, sno5,
+                                                          not_params):
+        cs = controls_for(sno5, DragVariant.DRAG2, not_params)
+        hand = ControlSet(cs.omega_x, cs.omega_y, cs.delta, cs.t_g, "hand")
+        ramped = phase_ramp(cs)
+        grid = TimeGrid(not_params.t_g, 512)
+        for s in (hand, ramped):
+            assert not s.mirror
+            np.testing.assert_array_equal(propagate(sno5, s, grid),
+                                          _full_product(sno5, s, grid))
+        # the ramp breaks the symmetry: the half product would be wrong
+        wrong = propagate(sno5, replace(ramped, mirror=True), grid)
+        assert np.max(np.abs(wrong - propagate(sno5, ramped, grid))) > 1e-3
+
+
+def test_magnus4_against_ode_solver(sno5):
+    # fourth-order accuracy at a modest grid on the shortest fig3/fig4 pulse
+    from scipy.integrate import solve_ivp
+
+    p = GaussianParams.for_not(0.4)
+    cs = controls_for(sno5, DragVariant.DRAG2, p)
+    gen = generators(sno5)
+
+    def rhs(t, y):
+        h = hamiltonian_at(gen, float(cs.delta(t)), float(cs.omega_x(t)),
+                           float(cs.omega_y(t)))
+        return (-1j * h @ y.reshape(5, 5)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, p.t_g), np.eye(5, dtype=complex).ravel(),
+                    method="DOP853", rtol=1e-12, atol=1e-12)
+    u_ode = sol.y[:, -1].reshape(5, 5)
+    u = propagate(sno5, cs, TimeGrid(p.t_g, 512))
+    assert np.max(np.abs(u - u_ode)) < 1e-8
