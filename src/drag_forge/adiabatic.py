@@ -2,8 +2,7 @@
 
 Everything here works in dimensionless form: time is rescaled to [0, 1],
 energies carry a factor t_g, and the drift is split off as H0/eps with
-eps = 1/(t_g * delta2) the bookkeeping parameter (its magnitude is what is
-reported).  The module evaluates
+eps = 1/(t_g * delta2) the bookkeeping parameter.  The module evaluates
 
 * the frame generators S^(n)(t) of the published control solutions,
 * the extra Hamiltonians H_extra^(n) generated by the frame change, every
@@ -27,35 +26,17 @@ from .propagator import TimeGrid, _sample_controls
 from .pulses import (Ansatz, ControlSet, DragVariant, GaussianEnvelope,
                      GaussianParams, controls_for)
 
-__all__ = ["FrameTransform", "ExpansionReport", "frame_first_order",
-           "frame_second_order", "frames_for", "h_extra", "h_eff_exact",
-           "constraint_residuals", "h_extra_report", "control_orders",
-           "series_vs_exact_deviation"]
-
-
-@dataclass(frozen=True)
-class FrameTransform:
-    """Order-indexed Hermitian frame generator sampled on a time grid."""
-
-    order: int
-    s: np.ndarray          # (T, d, d), dimensionless
-    epsilon: float         # 1 / (t_g * |delta2|)
-    t_g: float
-
-    def __post_init__(self):
-        self.s.setflags(write=False)
+__all__ = ["ExpansionReport", "frame_second_order", "frames_for", "h_extra",
+           "h_eff_exact", "constraint_residuals", "h_extra_report",
+           "control_orders", "series_vs_exact_deviation"]
 
 
 @dataclass(frozen=True)
 class ExpansionReport:
     """Residual maxima of the order-n constraint equations."""
 
-    order: int
     qubit_mismatch: dict
     coupling_residual: float
-    t_g: float
-    n_steps: int
-    epsilon: float
 
 
 @dataclass(frozen=True)
@@ -82,11 +63,11 @@ def _tbar(grid: TimeGrid) -> np.ndarray:
 
 
 def _bars(params: GaussianParams, tbar: np.ndarray):
-    """Dimensionless envelope and derivatives w.r.t. the scaled time."""
+    """Dimensionless envelope and derivative w.r.t. the scaled time."""
     env = GaussianEnvelope(params)
     t = tbar * params.t_g
     tg = params.t_g
-    return tg * env.value(t), tg * tg * env.d1(t), tg ** 3 * env.d2(t)
+    return tg * env.value(t), tg * tg * env.d1(t)
 
 
 def _fd4(series: np.ndarray, h: float) -> np.ndarray:
@@ -110,10 +91,6 @@ def _comm(a, b):
 
 
 def _epsilon(spec: SystemSpec, t_g: float) -> float:
-    return 1.0 / (t_g * abs(spec.delta2))
-
-
-def _epsilon_signed(spec: SystemSpec, t_g: float) -> float:
     return 1.0 / (t_g * spec.delta2)
 
 
@@ -131,7 +108,7 @@ def control_orders(spec: SystemSpec, variant, params: GaussianParams,
         raise ValueError("the numeric ansatz has no order decomposition")
     variant = DragVariant(variant)
     rec = controls_for(spec, variant, params).params
-    g, dg, _ = _bars(params, _tbar(grid))
+    g, dg = _bars(params, _tbar(grid))
     zero = np.zeros_like(g)
     orders = {0: (g, zero, zero)}
     if variant is not DragVariant.GAUSSIAN0:
@@ -165,23 +142,9 @@ def _recursion_frame(ds: _Dimless, m_stack: np.ndarray) -> np.ndarray:
     return s
 
 
-def frame_first_order(spec: SystemSpec, variant, params: GaussianParams,
-                      grid: TimeGrid) -> FrameTransform:
-    """S^(1)(t) of a published variant.
-
-    The leakage-canceling part is solved from the order-0 constraint; the
-    free qubit-block element follows the variant's quadrature choice.  The
-    numeric ansatz has no documented frame and is rejected.
-    """
-    if isinstance(variant, Ansatz):
-        raise ValueError("the numeric ansatz has no documented frame")
-    s1 = frames_for(spec, variant, params, grid, 1)[0]
-    return FrameTransform(1, s1, _epsilon(spec, params.t_g), params.t_g)
-
-
 def frame_second_order(spec: SystemSpec, variant, params: GaussianParams,
-                       grid: TimeGrid) -> FrameTransform:
-    """Closed-form S^(2)(t) for the ladder variants.
+                       grid: TimeGrid) -> np.ndarray:
+    """Closed-form S^(2)(t) samples, (T, d, d), for the ladder variants.
 
     Obtained by substituting S^(1) into the order-1 no-leakage conditions:
 
@@ -196,7 +159,7 @@ def frame_second_order(spec: SystemSpec, variant, params: GaussianParams,
         raise ValueError("closed-form S^(2) is available for ladder systems only")
     if isinstance(variant, Ansatz):
         raise ValueError("the numeric ansatz has no documented frame")
-    g, dg, _ = _bars(params, _tbar(grid))
+    g, dg = _bars(params, _tbar(grid))
     # free s_y01 coefficient: omega_y_bar^(1) = 2 d(s_y01)/dt gives b1 / 2
     sa = controls_for(spec, variant, params).params["b1"] / 2.0
     lam1 = spec.lam[1]
@@ -212,22 +175,24 @@ def frame_second_order(spec: SystemSpec, variant, params: GaussianParams,
         lam2 = spec.lam[2]
         dbar3 = spec.delta[3] / spec.delta2
         put(1, 3, 0.0, (lam1 * lam2 / (4.0 * dbar3)) * g * g)
-    return FrameTransform(2, s2, _epsilon(spec, params.t_g), params.t_g)
+    return s2
 
 
 def _expansion(spec: SystemSpec, variant, params: GaussianParams,
-               grid: TimeGrid, upto: int, h_upto: int):
-    """The dimensionless system, H^(0..h_upto) and S^(1..upto), built once.
+               grid: TimeGrid, upto: int):
+    """The dimensionless system, H^(0..upto) and S^(1..upto), built once.
 
     Frames are the closed forms where documented, else the recursion.
     """
+    if isinstance(variant, Ansatz):
+        raise ValueError("the numeric ansatz has no documented frame")
     ds = _dimless(spec)
     orders = control_orders(spec, variant, params, grid)
-    hs = _h_stacks(ds, orders, h_upto)
+    hs = _h_stacks(ds, orders, upto)
     frames: list[np.ndarray] = []
     for k in range(1, upto + 1):
         if k == 2 and spec.topology is Topology.LADDER:
-            s = frame_second_order(spec, variant, params, grid).s
+            s = frame_second_order(spec, variant, params, grid)
         else:
             # order k-1 constraint: M = H_extra^(k-1) + H^(k-1) fixes S^(k)
             m = _transformed(k - 1, frames, hs, ds.h0, grid)
@@ -246,7 +211,7 @@ def _expansion(spec: SystemSpec, variant, params: GaussianParams,
 def frames_for(spec: SystemSpec, variant, params: GaussianParams,
                grid: TimeGrid, upto: int) -> list[np.ndarray]:
     """S^(1..upto) samples: closed forms where documented, else recursion."""
-    return _expansion(spec, variant, params, grid, upto, upto - 1)[2]
+    return _expansion(spec, variant, params, grid, upto)[2]
 
 
 def _transformed(n: int, frames: list[np.ndarray], h_orders: dict,
@@ -364,31 +329,29 @@ def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
     """
     if order < 0 or order > 2:
         raise ValueError("constraint residuals implemented for orders 0..2")
-    ds, hs, frames = _expansion(spec, variant, params, grid, order, order)
+    ds, hs, frames = _expansion(spec, variant, params, grid, order)
     m = _transformed(order, frames, hs, ds.h0, grid)
 
     if order == 1 and spec.topology is Topology.LADDER:
-        s_next = frame_second_order(spec, variant, params, grid).s
+        s_next = frame_second_order(spec, variant, params, grid)
     else:
         s_next = _recursion_frame(ds, m)
     h0b = np.broadcast_to(ds.h0 + 0j, m.shape)
     heff = m + 1j * _comm(s_next, h0b)
 
-    g, _, _ = _bars(params, _tbar(grid))
+    g, _ = _bars(params, _tbar(grid))
     targets = (g, 0.0, 0.0) if order == 0 else (0.0, 0.0, 0.0)
     mismatch, coupling = _component_maxima(ds, heff, targets)
-    return ExpansionReport(order, mismatch, coupling, params.t_g,
-                           grid.n_steps, _epsilon(spec, params.t_g))
+    return ExpansionReport(mismatch, coupling)
 
 
 def h_extra_report(spec: SystemSpec, variant, params: GaussianParams,
                    grid: TimeGrid, order: int) -> ExpansionReport:
     """Qubit-block and coupling maxima of H_extra^(n) alone."""
-    ds, hs, frames = _expansion(spec, variant, params, grid, order, order - 1)
+    ds, hs, frames = _expansion(spec, variant, params, grid, order)
     hx_n = h_extra(order, frames, hs, ds.h0, grid)
     mismatch, coupling = _component_maxima(ds, hx_n)
-    return ExpansionReport(order, mismatch, coupling, params.t_g,
-                           grid.n_steps, _epsilon(spec, params.t_g))
+    return ExpansionReport(mismatch, coupling)
 
 
 def series_vs_exact_deviation(spec: SystemSpec, variant,
@@ -403,8 +366,8 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
     """
     if order < 0 or order > 3:
         raise ValueError("series comparison implemented for orders 0..3")
-    ds, hs, frames = _expansion(spec, variant, params, grid, order + 1, order)
-    eps = _epsilon_signed(spec, params.t_g)
+    ds, hs, frames = _expansion(spec, variant, params, grid, order + 1)
+    eps = _epsilon(spec, params.t_g)
     s_total = sum(eps ** (m + 1) * frames[m] for m in range(order + 1))
 
     cs = controls_for(spec, variant, params)

@@ -315,18 +315,21 @@ def run_config(path, out_dir, jobs: int = 1, n_steps=None) -> Path:
     return _run_sweep(cfg, out_dir, jobs)
 
 
-def _steps_arg(text: str):
-    """argparse type of --steps: an integer >= 16 or 'auto'."""
-    if text == "auto":
-        return text
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 16:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer >= 16 or 'auto'")
-    return n
+def _int_arg(low: int, auto: bool = False):
+    """argparse type: an integer >= low, or 'auto' where allowed."""
+    def parse(text: str):
+        if auto and text == "auto":
+            return text
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            tail = " or 'auto'" if auto else ""
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer >= {low}{tail}")
+        return n
+    return parse
 
 
 def main(argv=None) -> int:
@@ -338,9 +341,10 @@ def main(argv=None) -> int:
     run = sub.add_parser("run", help="run a preset or a JSON sweep config")
     run.add_argument("preset", nargs="?", help=f"one of: {', '.join(PRESETS)}")
     run.add_argument("--config", help="path to a JSON sweep config")
-    run.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    run.add_argument("--jobs", type=_int_arg(1), default=1,
+                     help="parallel workers (integer >= 1)")
     run.add_argument("--out", default="results", help="output directory")
-    run.add_argument("--steps", type=_steps_arg, default=None,
+    run.add_argument("--steps", type=_int_arg(16, auto=True), default=None,
                      help="integrator steps per point (integer >= 16 or 'auto')")
     args = parser.parse_args(argv)
 

@@ -89,20 +89,12 @@ class SystemSpec:
         Dimensionless drive weight of each transition, keyed by the
         transition index (ladder/star: 0..d-2; intermediate: -N..N-1).
         lam[0] is the qubit transition and must equal 1.
-    time_unit : float
-        Duration of one time unit in the chosen convention (2*pi/|delta2|
-        when |delta2| = 2*pi), recorded for configs and CSV metadata.
-    omega : float | None
-        Bare qubit frequency; carried only for cavity-dressing bookkeeping,
-        never used by the rotating-frame simulation.
     """
 
     topology: Topology
     d: int
     delta: dict[int, float]
     lam: dict[int, float]
-    time_unit: float = 1.0
-    omega: float | None = None
 
     def __post_init__(self):
         if self.d < 3:
@@ -200,10 +192,6 @@ class HamiltonianGenerators:
     def row(self, level: int) -> int:
         return self.levels.index(level)
 
-    @property
-    def qubit_rows(self) -> tuple[int, int]:
-        return (self.row(0), self.row(1))
-
 
 def build_sno(d: int, delta2: float) -> SystemSpec:
     """Standard nonlinear oscillator: ladder with delta_j = delta2*j(j-1)/2.
@@ -218,8 +206,7 @@ def build_sno(d: int, delta2: float) -> SystemSpec:
     delta = {j: delta2 * j * (j - 1) / 2.0 for j in range(d)}
     lam = {j - 1: math.sqrt(j) for j in range(1, d)}
     lam[0] = 1.0
-    return SystemSpec(Topology.LADDER, d, delta, lam,
-                      time_unit=2 * math.pi / abs(delta2))
+    return SystemSpec(Topology.LADDER, d, delta, lam)
 
 
 def build_intermediate_sno(d: int, delta2: float) -> SystemSpec:
@@ -246,8 +233,7 @@ def build_intermediate_sno(d: int, delta2: float) -> SystemSpec:
     delta = {j: delta2 * j * (j - 1) / 2.0 for j in range(-n, n + 1)}
     lam = {m: math.sqrt((m + n + 1) / (n + 1)) for m in range(-n, n)}
     lam[0] = 1.0
-    return SystemSpec(Topology.INTERMEDIATE, d, delta, lam,
-                      time_unit=2 * math.pi / abs(delta2))
+    return SystemSpec(Topology.INTERMEDIATE, d, delta, lam)
 
 
 def build_star(delta_leak, lam_leak) -> SystemSpec:
@@ -271,8 +257,7 @@ def build_star(delta_leak, lam_leak) -> SystemSpec:
     delta.update({j + 2: float(v) for j, v in enumerate(delta_leak)})
     lam = {0: 1.0}
     lam.update({j + 1: float(v) for j, v in enumerate(lam_leak)})
-    return SystemSpec(Topology.STAR, d, delta, lam,
-                      time_unit=2 * math.pi / abs(delta[2]))
+    return SystemSpec(Topology.STAR, d, delta, lam)
 
 
 def generators(spec: SystemSpec) -> HamiltonianGenerators:
@@ -326,14 +311,12 @@ def spec_to_json(spec: SystemSpec) -> str:
         "d": spec.d,
         "delta": delta,
         "lambda": lam,
-        "time_unit": spec.time_unit,
     }
-    if spec.omega is not None:
-        doc["omega"] = spec.omega
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def spec_from_json(text: str) -> SystemSpec:
+    """Parse a SystemSpec; keys it does not read are ignored."""
     doc = json.loads(text)
     topology = Topology(doc["topology"])
     d = int(doc["d"])
@@ -350,6 +333,4 @@ def spec_from_json(text: str) -> SystemSpec:
             lam = {int(k): float(v) for k, v in raw_lam.items()}
         else:
             lam = {k: float(v) for k, v in enumerate(raw_lam)}
-    return SystemSpec(topology, d, delta, lam,
-                      time_unit=float(doc.get("time_unit", 1.0)),
-                      omega=doc.get("omega"))
+    return SystemSpec(topology, d, delta, lam)

@@ -49,6 +49,10 @@ class OptimizeTask:
             raise ValueError("tol must be positive")
         if self.prop_tol <= 0:  # step doubling would run to its cap
             raise ValueError("prop_tol must be positive")
+        if self.max_evals < 1:  # the result must come from an evaluation
+            raise ValueError("max_evals must be >= 1")
+        if self.n_restarts < 0:
+            raise ValueError("n_restarts must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -150,8 +150,8 @@ def populations(system, controls: ControlSet, grid: TimeGrid,
 
 
 def converge(system, controls: ControlSet, t_g: float, tol: float,
-             start: int = 256, cap: int = 1 << 20) -> tuple[np.ndarray, int]:
-    """Double the step count until the finer unitary is within tol.
+             cap: int = 1 << 20) -> tuple[np.ndarray, int]:
+    """Double the step count from 256 until the finer unitary is within tol.
 
     The error of U_2N is the Richardson estimate of fourth-order steps,
     max|U_2N - U_N| / 15 element-wise; returns U_2N and 2N of the first
@@ -160,7 +160,7 @@ def converge(system, controls: ControlSet, t_g: float, tol: float,
     if tol <= 0:
         raise ValueError("tol must be positive")
     gen = _as_generators(system)
-    n = max(16, start)
+    n = 256
     u = propagate(gen, controls, TimeGrid(t_g, n))
     while 2 * n <= cap:
         n *= 2

@@ -98,11 +98,6 @@ class GaussianEnvelope:
         t = self._check(t)
         return self._scale * (-(t - self._mid) / self._s2) * self._gauss(t)
 
-    def d2(self, t):
-        t = self._check(t)
-        x = t - self._mid
-        return self._scale * ((x * x) / self._s2 - 1.0) / self._s2 * self._gauss(t)
-
     def int_value_squared(self, t):
         """Integral of the squared envelope from 0 to t (closed form)."""
         t = self._check(t)

@@ -157,7 +157,7 @@ def test_criterion_5_lambda_tilde_equivalence(star6):
     value_ok = abs(lt - oracle) < 1e-5
 
     ladder = SystemSpec(Topology.LADDER, 3, {0: 0.0, 1: 0.0, 2: -TWO_PI},
-                        {0: 1.0, 1: lt}, time_unit=1.0)
+                        {0: 1.0, 1: lt})
     ts = np.linspace(0.0, params.t_g, 1000)
     worst = 0.0
     for v in (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1, DragVariant.OPTIMAL1):

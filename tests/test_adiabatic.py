@@ -5,18 +5,19 @@ import pytest
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
                         build_controls, build_sno)
-from drag_forge.adiabatic import (ExpansionReport, FrameTransform,
-                                  constraint_residuals, control_orders,
-                                  frame_first_order, frame_second_order,
-                                  frames_for, h_eff_exact, h_extra,
-                                  h_extra_report, series_vs_exact_deviation,
+from drag_forge.adiabatic import (constraint_residuals, control_orders,
+                                  frame_second_order, frames_for, h_eff_exact,
+                                  h_extra, series_vs_exact_deviation,
                                   _dimless, _h_stacks, _recursion_frame)
 from drag_forge.pulses import GaussianEnvelope
 
-TWO_PI = 2.0 * math.pi
-
 FIRST_ORDER = [DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
                DragVariant.OPTIMAL1, DragVariant.DRAG1]
+# (topology fixture, variant) of every published closed form
+PUBLISHED = ([("sno5", v) for v in DragVariant]
+             + [(t, v) for t in ("inter5", "star6")
+                for v in (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
+                          DragVariant.OPTIMAL1)])
 
 
 @pytest.fixture
@@ -27,26 +28,26 @@ def grid(not_params):
 class TestFrameFirstOrder:
     def test_boundary_values_vanish(self, sno5, not_params, grid):
         for v in FIRST_ORDER:
-            ft = frame_first_order(sno5, v, not_params, grid)
-            assert np.max(np.abs(ft.s[0])) < 1e-12
-            assert np.max(np.abs(ft.s[-1])) < 1e-12
+            s1 = frames_for(sno5, v, not_params, grid, 1)[0]
+            assert np.max(np.abs(s1[0])) < 1e-12
+            assert np.max(np.abs(s1[-1])) < 1e-12
 
     def test_hermitian_at_every_sample(self, sno5, not_params, grid):
-        ft = frame_first_order(sno5, DragVariant.DRAG1, not_params, grid)
-        np.testing.assert_allclose(ft.s, ft.s.conj().swapaxes(-1, -2), atol=0)
+        s1 = frames_for(sno5, DragVariant.DRAG1, not_params, grid, 1)[0]
+        np.testing.assert_allclose(s1, s1.conj().swapaxes(-1, -2), atol=0)
 
     def test_z_only_has_single_coefficient(self, sno5, not_params, grid):
         # only the leakage-canceling (1, 2) element is populated
-        ft = frame_first_order(sno5, DragVariant.Z_ONLY1, not_params, grid)
+        s1 = frames_for(sno5, DragVariant.Z_ONLY1, not_params, grid, 1)[0]
         mask = np.zeros((5, 5), dtype=bool)
         mask[1, 2] = mask[2, 1] = True
-        assert np.max(np.abs(ft.s[:, ~mask])) == 0.0
+        assert np.max(np.abs(s1[:, ~mask])) == 0.0
         env = GaussianEnvelope(not_params)
         k = grid.n_steps // 3
         t = grid.nodes()[k]
         gbar = not_params.t_g * float(env.value(t))
         want = 1j * math.sqrt(2) * gbar / 2.0  # s_y = -lam1 Gbar / 2
-        assert ft.s[k, 1, 2] == pytest.approx(want, abs=1e-12)
+        assert s1[k, 1, 2] == pytest.approx(want, abs=1e-12)
 
     def test_variant_qubit_block_coefficients(self, sno5, not_params, grid):
         # s_y01 = (b1/2) * Gbar distinguishes the family members
@@ -60,16 +61,12 @@ class TestFrameFirstOrder:
             DragVariant.DRAG1: -0.5,
         }
         for v, coeff in expected.items():
-            ft = frame_first_order(sno5, v, not_params, grid)
-            assert ft.s[k, 0, 1] == pytest.approx(-1j * coeff * gbar, abs=1e-12)
-
-    def test_epsilon_field(self, sno5, not_params, grid):
-        ft = frame_first_order(sno5, DragVariant.DRAG1, not_params, grid)
-        assert ft.epsilon == pytest.approx(1.0 / (not_params.t_g * TWO_PI))
+            s1 = frames_for(sno5, v, not_params, grid, 1)[0]
+            assert s1[k, 0, 1] == pytest.approx(-1j * coeff * gbar, abs=1e-12)
 
     def test_ansatz_rejected(self, sno5, not_params, grid):
         with pytest.raises(ValueError, match="no documented frame"):
-            frame_first_order(sno5, Ansatz(1, 0, 0, 0), not_params, grid)
+            frames_for(sno5, Ansatz(1, 0, 0, 0), not_params, grid, 1)
 
 
 class TestSecondOrderFrameIdentity:
@@ -82,10 +79,10 @@ class TestSecondOrderFrameIdentity:
         for v in FIRST_ORDER:
             orders = control_orders(sno5, v, not_params, grid)
             hs = _h_stacks(ds, orders, 1)
-            s1 = frame_first_order(sno5, v, not_params, grid).s
+            s1 = frames_for(sno5, v, not_params, grid, 1)[0]
             m = h_extra(1, [s1], hs, ds.h0, grid) + hs[1]
             s2_recursion = _recursion_frame(ds, m)
-            s2_analytic = frame_second_order(sno5, v, not_params, grid).s
+            s2_analytic = frame_second_order(sno5, v, not_params, grid)
             assert np.max(np.abs(s2_recursion - s2_analytic)) < 1e-10
 
     def test_non_ladder_rejected(self, star6, not_params, grid):
@@ -182,6 +179,21 @@ class TestConstraintResiduals:
         assert before.qubit_mismatch["x"] > 1.0
         assert after.qubit_mismatch["x"] < 1e-6
         assert max(after.qubit_mismatch.values()) < 1e-6
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("topology,variant", PUBLISHED)
+    def test_published_case(self, request, not_params, topology, variant,
+                            order):
+        # every published closed form closes its leakage couplings at each
+        # order; off the star, the qubit block also closes up to the
+        # variant's own order (the star's lambda-tilde gap is pinned below)
+        spec = request.getfixturevalue(topology)
+        grid = TimeGrid(not_params.t_g, 1024)
+        r = constraint_residuals(spec, variant, not_params, grid, order)
+        assert r.coupling_residual <= 1e-8
+        own = 0 if variant is DragVariant.GAUSSIAN0 else int(variant.value[-1])
+        if topology != "star6" and order <= own:
+            assert max(r.qubit_mismatch.values()) <= 1e-8
 
     def test_star_reports_substitution_gap(self, star6, not_params, grid):
         # the lambda-tilde substituted detuning is not the exact first-order
@@ -293,9 +305,3 @@ def test_order_ranges_are_enforced(sno5, not_params, grid):
         constraint_residuals(sno5, DragVariant.DRAG2, not_params, grid, 3)
     with pytest.raises(ValueError, match="orders 0..3"):
         series_vs_exact_deviation(sno5, DragVariant.DRAG2, not_params, grid, 4)
-
-
-def test_frame_transform_is_read_only(sno5, not_params, grid):
-    ft = frame_first_order(sno5, DragVariant.DRAG1, not_params, grid)
-    with pytest.raises(ValueError):
-        ft.s[0, 0, 0] = 1.0

@@ -82,10 +82,11 @@ class TestExitCodes:
         (["fig5b", "--steps", "auto"], {}, "--steps"),
         (["fig9", "--steps", "64"], {}, "--steps"),
         (["pop-traces", "--steps", "auto"], {}, "--steps"),
+        (["fig3", "--jobs", "0"], {}, "--jobs"),
     ], ids=["config-steps-3", "preset-steps-abc", "pop-traces-steps-3",
             "sigma-string", "area-string", "tg_factor-null", "star-drag2",
             "fig5a-steps", "fig5b-steps-auto", "fig9-steps",
-            "pop-traces-steps-auto"])
+            "pop-traces-steps-auto", "fig3-jobs-0"])
     def test_bad_input_exits_2(self, tmp_path, capsys, args, changes, expect):
         cfg = dict(preset_config("gaussian-benchmark"), **changes)
         path = tmp_path / "cfg.json"

@@ -196,7 +196,14 @@ class TestJsonRoundTrip:
         assert back.d == spec.d
         assert back.delta == spec.delta
         assert back.lam == spec.lam
-        assert back.time_unit == spec.time_unit
+
+    def test_reads_older_documents(self):
+        # earlier versions also wrote "time_unit" and "omega" (this is such
+        # a document, for build_sno(3, -2 pi) with omega set); both are ignored
+        text = """{"d": 3, "delta": [0.0, -0.0, -6.283185307179586],
+                   "lambda": [1.0, 1.4142135623730951], "omega": 31.4,
+                   "time_unit": 1.0, "topology": "ladder"}"""
+        assert spec_from_json(text) == build_sno(3, -TWO_PI)
 
     def test_intermediate_uses_signed_map(self, inter5):
         import json

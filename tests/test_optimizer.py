@@ -40,6 +40,14 @@ class TestValidation:
             OptimizeTask(sno5, fast_params, (True, False, False, False),
                          prop_tol=prop_tol)
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_evals", 0), ("max_evals", -3), ("n_restarts", -1)])
+    def test_bad_budget_rejected(self, sno5, fast_params, field, value):
+        # max_evals = 0 would return inf at x0, above the objective there
+        with pytest.raises(ValueError, match=field):
+            OptimizeTask(sno5, fast_params, (True, False, False, False),
+                         **{field: value})
+
 
 class TestAlphaOnly:
     def test_matches_scan_oracle(self, sno5, fast_params):

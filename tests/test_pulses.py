@@ -38,14 +38,6 @@ class TestGaussianEnvelope:
         fd = (env.value(ts + h) - env.value(ts - h)) / (2 * h)
         np.testing.assert_allclose(env.d1(ts), fd, atol=1e-6)
 
-    def test_second_derivative(self):
-        p = GaussianParams.for_not(0.5)
-        env = GaussianEnvelope(p)
-        ts = np.linspace(0.05, p.t_g - 0.05, 41)
-        h = 1e-5
-        fd = (env.d1(ts + h) - env.d1(ts - h)) / (2 * h)
-        np.testing.assert_allclose(env.d2(ts), fd, rtol=1e-6, atol=1e-5)
-
     def test_cumulative_integrals(self):
         p = GaussianParams.for_not(0.4)
         env = GaussianEnvelope(p)
@@ -95,8 +87,7 @@ class TestLadderVariants:
     def test_drag1_detuning_vanishes_at_lam_2(self, not_params):
         # the (lam1^2 - 4) bracket is zero when lam1 = 2
         spec = build_sno(3, -TWO_PI)
-        spec = type(spec)(spec.topology, 3, spec.delta, {0: 1.0, 1: 2.0},
-                          spec.time_unit)
+        spec = type(spec)(spec.topology, 3, spec.delta, {0: 1.0, 1: 2.0})
         cs = build_controls(spec, DragVariant.DRAG1, not_params)
         ts = np.linspace(0, not_params.t_g, 101)
         np.testing.assert_allclose(cs.delta(ts), 0.0, atol=1e-15)
@@ -210,7 +201,7 @@ class TestIntermediateVariants:
             {-2: 0.5, -1: 0.0, 0: 1.0, 1: lam1})
         ladder = build_sno(3, -TWO_PI)
         ladder = type(ladder)(ladder.topology, 3, ladder.delta,
-                              {0: 1.0, 1: lam1}, ladder.time_unit)
+                              {0: 1.0, 1: lam1})
         ts = np.linspace(0, not_params.t_g, 200)
         for v in (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1, DragVariant.OPTIMAL1):
             a = controls_for(inter, v, not_params)
@@ -258,7 +249,7 @@ class TestStarVariants:
         lt = effective_lambda(star6)
         ladder = build_sno(3, -TWO_PI)
         ladder = type(ladder)(ladder.topology, 3, ladder.delta,
-                              {0: 1.0, 1: lt}, ladder.time_unit)
+                              {0: 1.0, 1: lt})
         ts = np.linspace(0, not_params.t_g, 1000)
         for v in (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1, DragVariant.OPTIMAL1):
             a = controls_for(star6, v, not_params)
