@@ -185,9 +185,10 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int) -> Path:
     points = [(cfg["system"], v, s, cfg["area"], cfg["tg_factor"],
                cfg["n_steps"])
               for s in cfg["sigma"] for v in cfg["variants"]]
+    workers = min(jobs, len(points))  # a pool forks all its workers at once
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_sweep_point, points))
         else:
             rows = [_sweep_point(p) for p in points]
@@ -278,11 +279,17 @@ PRESETS = ("gaussian-benchmark", "fig3", "fig4", "fig5a", "fig5b",
            "fig7", "fig8", "fig9", "pop-traces")
 
 
+def _check_jobs(jobs) -> None:
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs: must be an integer >= 1, got {jobs!r}")
+
+
 def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
     """Execute a named preset; returns the primary output path.
 
     ``n_steps`` applies to the sweep presets and, as an integer, pop-traces.
     """
+    _check_jobs(jobs)
     if n_steps is not None and (name in ("fig5a", "fig5b", "fig9") or
                                 (name == "pop-traces" and n_steps == "auto")):
         raise ConfigError(f"--steps: {name} does not take {n_steps!r} (sweep "
@@ -307,6 +314,7 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
 
 def run_config(path, out_dir, jobs: int = 1, n_steps=None) -> Path:
     """Execute a sweep described by a JSON config file."""
+    _check_jobs(jobs)
     with open(path) as fh:
         cfg = json.load(fh)
     cfg = _validate_config(cfg, n_steps)

@@ -3,9 +3,14 @@
 Each step is the fourth-order Magnus step on two Gauss-Legendre nodes
 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)): U_k = exp(-i dt K),
 K = (H1 + H2)/2 + i (sqrt(3)/12) dt [H1, H2], H1 and H2 sampled at
-t_k + (1/2 -+ sqrt(3)/6) dt.  The Hermitian K is exponentiated exactly by
-its eigendecomposition, so every step is unitary; the global error is
-fourth order in the step size.
+t_k + (1/2 -+ sqrt(3)/6) dt; the global error is fourth order in the step
+size.  H is linear in the controls, so A = -i dt K of every step is one
+real product of per-step coefficients with a fixed basis of the generators
+and their commutators.  exp(A) comes from a degree-8 Taylor polynomial,
+exact to round-off at the small ||A|| of a step (scaling and squaring
+covers larger ones), so no step needs an eigendecomposition.  Steps and
+products are kept as U - I: (I + B1)(I + B0) = I + (B1 + B0 + B1 B0)
+keeps the small step increments from being rounded against the identity.
 
 For a mirror-symmetric set (``ControlSet.mirror``), H(t_g - t) = conj H(t)
 makes step N-1-k the transpose of step k, so only the first half is built:
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HamiltonianGenerators, SystemSpec, generators, hamiltonian_at
+from .model import HamiltonianGenerators, SystemSpec, generators
 from .pulses import ControlSet
 
 __all__ = ["TimeGrid", "ConvergenceError", "propagate", "populations",
@@ -71,34 +76,76 @@ def _sample_controls(cs: ControlSet, ts: np.ndarray):
     return ox, oy, dl
 
 
-def _step_unitaries(gen: HamiltonianGenerators, cs: ControlSet,
+# the degree-8 Taylor polynomial is exact to round-off up to this 1-norm
+# (remainder below theta^9/9! ~ 5e-18); larger exponents are scaled
+_TAYLOR_THETA = 0.05
+_TAYLOR_COEFFS = [1.0 / math.factorial(k) for k in range(9)]
+# generator pairs (a, b), a < b, of the commutator terms, in basis order
+_PAIRS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+
+
+def _exponent_basis(gen: HamiltonianGenerators) -> np.ndarray:
+    """(10, 2 d^2) real view of the fixed basis E_j of A = sum_j coef_j E_j:
+    -i G_a for the generators G = (h_drift, h_z, h_x/2, h_y/2) of
+    H = sum_a c_a G_a, then R [G_a, G_b] for a < b, R = sqrt(3)/12."""
+    g = (gen.h_drift, gen.h_z, 0.5 * gen.h_x, 0.5 * gen.h_y)
+    r = math.sqrt(3.0) / 12.0
+    comm = [r * (g[a] @ g[b] - g[b] @ g[a]) for a, b in _PAIRS]
+    basis = np.array([-1j * m for m in g] + comm)
+    return basis.reshape(10, -1).view(float)
+
+
+def _step_exponents(gen: HamiltonianGenerators, cs: ControlSet,
                     grid: TimeGrid) -> np.ndarray:
-    """Magnus-4 steps U_0.., all N of them, or the first ceil(N/2) of a
-    mirror set (the rest are their transposes in reverse order)."""
+    """A_k = -i dt K_k of the Magnus-4 steps, all N of them, or the first
+    ceil(N/2) of a mirror set (the rest are their transposes in reverse
+    order), as one real product of per-step coefficients and the basis."""
     n = (grid.n_steps + 1) // 2 if cs.mirror else grid.n_steps
     dt = grid.dt
     offsets = np.array([[-dt], [dt]]) * (math.sqrt(3.0) / 6.0)  # Gauss nodes
     ox, oy, dl = _sample_controls(cs, grid.midpoints()[:n] + offsets)
-    # K is built in its own frame, so the H stacks are freed before eigh
-    w, v = np.linalg.eigh(_magnus_k(*hamiltonian_at(gen, dl, ox, oy), dt))
-    phases = np.exp(-1j * w * dt)
-    return (v * phases[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    # c1, c2: coefficients of the generators G_a at the two nodes (1 for
+    # the drift); [H1, H2] = sum_{a<b} (c1_a c2_b - c1_b c2_a) [G_a, G_b]
+    c1, c2 = np.stack([np.ones_like(dl), dl, ox, oy], axis=-1)
+    coef = np.empty((n, 10))
+    coef[:, :4] = (0.5 * dt) * (c1 + c2)
+    for col, (a, b) in enumerate(_PAIRS, start=4):
+        coef[:, col] = dt * dt * (c1[:, a] * c2[:, b] - c1[:, b] * c2[:, a])
+    d = gen.d
+    return (coef @ _exponent_basis(gen)).view(complex).reshape(n, d, d)
 
 
-def _magnus_k(h1: np.ndarray, h2: np.ndarray, dt: float) -> np.ndarray:
-    """K of the Magnus-4 step; for Hermitian H1, H2 the commutator is
-    H1 H2 - (H1 H2)^dagger, one batched product instead of two."""
-    h12 = h1 @ h2
-    return 0.5 * (h1 + h2) + (1j * math.sqrt(3.0) / 12.0 * dt) * (
-        h12 - h12.conj().swapaxes(-1, -2))
+def _expm1(a: np.ndarray) -> np.ndarray:
+    """exp(A) - I for a stack of matrices: a degree-8 Taylor polynomial in
+    Paterson-Stockmeyer form (four batched products), after scaling A by
+    2^-s so that its largest 1-norm is at most theta, then s squarings
+    B <- 2B + B^2 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011))."""
+    norm = float(np.abs(a).sum(axis=-2).max())
+    s = max(0, math.frexp(norm / _TAYLOR_THETA)[1])
+    if s:
+        a = a * 2.0 ** -s
+    c = _TAYLOR_COEFFS
+    a2 = a @ a
+    b = c[7] * a + c[8] * a2
+    for k in (5, 3, 1):
+        b = c[k] * a + c[k + 1] * a2 + a2 @ b
+    for _ in range(s):
+        b = 2.0 * b + b @ b
+    return b
+
+
+def _compose(b1: np.ndarray, b0: np.ndarray) -> np.ndarray:
+    """(I + B1)(I + B0) - I, the product kept in the U - I form."""
+    return b1 + b0 + b1 @ b0
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    # pairwise reduction of U = mats[-1] @ ... @ mats[0]; an odd last
-    # factor waits for the next level
+    # pairwise reduction of U - I for U = (I + mats[-1]) ... (I + mats[0]);
+    # an odd last factor waits for the next level
     while mats.shape[0] > 1:
         n = mats.shape[0]
-        mats = np.concatenate([mats[1::2] @ mats[:n - 1:2], mats[n - n % 2:]])
+        mats = np.concatenate([_compose(mats[1::2], mats[:n - 1:2]),
+                               mats[n - n % 2:]])
     return mats[0]
 
 
@@ -122,13 +169,15 @@ def propagate(system, controls: ControlSet, grid: TimeGrid) -> np.ndarray:
 
     ``system`` may be a SystemSpec or a prebuilt HamiltonianGenerators.
     """
-    steps = _step_unitaries(_as_generators(system), controls, grid)
+    gen = _as_generators(system)
+    steps = _expm1(_step_exponents(gen, controls, grid))  # U_k - I
     if not controls.mirror:
-        return _ordered_product(steps)
-    p = _ordered_product(steps[:grid.n_steps // 2])
-    if grid.n_steps % 2:
-        return p.T @ steps[-1] @ p
-    return p.T @ p
+        b = _ordered_product(steps)
+    else:
+        p = _ordered_product(steps[:grid.n_steps // 2])
+        q = _compose(steps[-1], p) if grid.n_steps % 2 else p
+        b = _compose(p.T, q)
+    return b + np.eye(gen.d)
 
 
 def populations(system, controls: ControlSet, grid: TimeGrid,
@@ -140,7 +189,7 @@ def populations(system, controls: ControlSet, grid: TimeGrid,
     for intermediate systems).
     """
     gen = _as_generators(system)
-    steps = _step_unitaries(gen, controls, grid)
+    steps = _expm1(_step_exponents(gen, controls, grid)) + np.eye(gen.d)
     # the identity in front makes prefix k the evolution up to node k
     factors = [np.eye(gen.d, dtype=complex)[None], steps]
     if controls.mirror:

@@ -316,3 +316,50 @@ def test_parallel_jobs_match_serial(tmp_path):
     serial = run_config(path, tmp_path / "s", jobs=1).read_bytes()
     parallel = run_config(path, tmp_path / "p", jobs=2).read_bytes()
     assert serial == parallel
+
+
+class _RecordingPool:
+    # stands in for ProcessPoolExecutor: records its size, maps in-process
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestJobs:
+    def test_pool_never_exceeds_points(self, tmp_path, monkeypatch):
+        import drag_forge.cli as cli
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "sizes", [])
+        cfg = preset_config("gaussian-benchmark")
+        cfg["sigma"] = [0.4, 0.8]
+        cfg["n_steps"] = 64
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        serial = run_config(path, tmp_path / "s").read_bytes()
+        assert run_config(path, tmp_path / "p", jobs=64).read_bytes() == serial
+        cfg["sigma"] = [0.4]
+        path.write_text(json.dumps(cfg))
+        run_config(path, tmp_path / "one", jobs=64)  # one point, no pool
+        assert _RecordingPool.sizes == [2]
+
+    @pytest.mark.parametrize("jobs", [0, -3, 2.0, True, "2", None])
+    def test_bad_jobs_rejected_before_output(self, tmp_path, jobs):
+        from drag_forge.cli import ConfigError
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(preset_config("gaussian-benchmark")))
+        with pytest.raises(ConfigError, match="jobs"):
+            run_config(path, tmp_path / "cfg-out", jobs=jobs)
+        for name in ("fig3", "fig9"):
+            with pytest.raises(ConfigError, match="jobs"):
+                run_preset(name, tmp_path / name, jobs=jobs)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -9,7 +9,7 @@ from drag_forge import (Ansatz, ConvergenceError, DragVariant, GaussianParams,
                         converge, populations, propagate)
 from drag_forge.model import (HamiltonianGenerators, generators,
                               hamiltonian_at, sigma_x, sigma_y)
-from drag_forge.propagator import _ordered_product, _step_unitaries
+from drag_forge.propagator import _expm1, _ordered_product, _step_exponents
 from drag_forge.pulses import ControlSet, phase_ramp
 
 TWO_PI = 2.0 * math.pi
@@ -131,9 +131,9 @@ class TestPopulations:
         grid = TimeGrid(not_params.t_g, n_steps)
         psi = np.eye(5, dtype=complex)[1]
         ref = [np.abs(psi) ** 2]
-        for step in _step_unitaries(generators(sno5),
-                                    replace(cs, mirror=False), grid):
-            psi = step @ psi
+        for step in _expm1(_step_exponents(generators(sno5),
+                                           replace(cs, mirror=False), grid)):
+            psi = psi + step @ psi  # steps are kept as U - I
             ref.append(np.abs(psi) ** 2)
         _, probs = populations(sno5, cs, grid, 1)
         assert np.max(np.abs(probs - np.array(ref))) < 1e-13
@@ -206,9 +206,11 @@ def test_unitarity_on_random_controls(sno5, rng):
 
 
 def _full_product(spec, cs, grid):
-    # every step built and multiplied, whatever the set's symmetry
-    steps = _step_unitaries(generators(spec), replace(cs, mirror=False), grid)
-    return _ordered_product(steps)
+    # every step built and multiplied, whatever the set's symmetry; steps
+    # and their product are kept as U - I
+    steps = _expm1(_step_exponents(generators(spec),
+                                   replace(cs, mirror=False), grid))
+    return _ordered_product(steps) + np.eye(spec.d)
 
 
 _MIRROR_CASES = [
@@ -265,3 +267,62 @@ def test_magnus4_against_ode_solver(sno5):
     u_ode = sol.y[:, -1].reshape(5, 5)
     u = propagate(sno5, cs, TimeGrid(p.t_g, 512))
     assert np.max(np.abs(u - u_ode)) < 1e-8
+
+
+def _eigh_exp(a):
+    # reference exponential of anti-Hermitian A = -iH by H's eigenbasis
+    w, v = np.linalg.eigh(1j * a)
+    return (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _two_h_exponent(gen, cs, grid):
+    # -i dt K with K = (H1 + H2)/2 + i (sqrt(3)/12) dt [H1, H2] from the two
+    # Hamiltonians at the Gauss nodes, the Magnus-4 step as written
+    dt = grid.dt
+    ts = grid.midpoints()[:, None] + np.array([-dt, dt]) * math.sqrt(3.0) / 6
+    h1, h2 = (hamiltonian_at(gen, cs.delta(t), cs.omega_x(t), cs.omega_y(t))
+              for t in ts.T)
+    k = 0.5 * (h1 + h2) + 1j * math.sqrt(3.0) / 12 * dt * (h1 @ h2 - h2 @ h1)
+    return -1j * dt * k
+
+
+class TestTaylorStep:
+    @pytest.mark.parametrize("norm", [0.01, 0.05, 0.3, 2.0, 20.0])
+    def test_matches_eigh_exponential(self, rng, norm):
+        # random anti-Hermitian stacks whose largest 1-norm is `norm`; the
+        # last three take the scaling and squaring branch
+        x = rng.normal(size=(64, 6, 6)) + 1j * rng.normal(size=(64, 6, 6))
+        a = x - x.conj().swapaxes(-1, -2)
+        a *= norm / np.abs(a).sum(axis=-2).max()
+        b = _expm1(a)
+        assert np.max(np.abs(b + np.eye(6) - _eigh_exp(a))) <= 1e-14
+
+    @pytest.mark.parametrize("system,variant", [
+        ("sno5", DragVariant.DRAG2), ("inter5", DragVariant.OPTIMAL1),
+        ("star6", DragVariant.OPTIMAL1),
+        ("sno5", Ansatz(1.02, 0.4, -0.3, 0.25))])
+    def test_basis_exponent_matches_two_h_formula(self, request, system,
+                                                  variant):
+        spec = request.getfixturevalue(system)
+        gen = generators(spec)
+        p = GaussianParams.for_not(0.6)
+        cs = replace(controls_for(spec, variant, p), mirror=False)
+        grid = TimeGrid(p.t_g, 256)
+        ref = _two_h_exponent(gen, cs, grid)
+        assert np.max(np.abs(_step_exponents(gen, cs, grid) - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("system,variant,sigma", [
+        ("inter5", DragVariant.Z_ONLY1, 0.4),
+        ("inter5", DragVariant.Z_ONLY1, 0.6),
+        ("inter5", DragVariant.Z_ONLY1, 1.6),
+        ("inter5", DragVariant.GAUSSIAN0, 0.4),
+        ("inter5", DragVariant.GAUSSIAN0, 0.6),
+        ("inter5", DragVariant.GAUSSIAN0, 1.6),
+        ("star6", DragVariant.GAUSSIAN0, 2.0)])
+    def test_unitary_to_round_off(self, request, system, variant, sigma):
+        # fig7 / fig8 sweep points at the presets' 4096 steps
+        spec = request.getfixturevalue(system)
+        p = GaussianParams.for_not(sigma)
+        u = propagate(spec, controls_for(spec, variant, p),
+                      TimeGrid(p.t_g, 4096))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(spec.d))) < 1e-13
