@@ -9,10 +9,11 @@ eps = 1/(t_g * delta2) the bookkeeping parameter.  The module evaluates
   order from one recursion in ad_S X = [S, X],
 * the exact effective Hamiltonian A^dag H A + i dA^dag/dt A, and
 * the per-order constraint residuals that the closed-form pulses claim
-  to satisfy.
+  to satisfy, each order's transform built once per report.
 
-Matrix-valued time series are ndarrays of shape (T, d, d) sampled on the
-nodes of a TimeGrid; S-derivatives use 4th-order finite differences.
+Frames and Hamiltonians are Hermitian (T, d, d) samples on TimeGrid nodes
+and H0 is diagonal: [S, X] = P - P^dag takes one product P = SX, [S, H0]
+none.  S-derivatives use 4th-order finite differences.
 """
 from __future__ import annotations
 
@@ -86,12 +87,21 @@ def _fd4(series: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _comm(a, b):
-    return a @ b - b @ a
+def _comm(a, b, acc=None):
+    """[a, b] of Hermitian a, b as P - P^dag, P = ab; added in place to acc."""
+    p = a @ b
+    if acc is None:
+        q = p.swapaxes(-1, -2).copy()  # contiguous: no strided ufunc buffer
+        return np.subtract(p, np.conjugate(q, out=q), out=p)
+    acc += p
+    return np.subtract(acc, np.conjugate(p, out=p).swapaxes(-1, -2), out=acc)
 
 
-def _epsilon(spec: SystemSpec, t_g: float) -> float:
-    return 1.0 / (t_g * spec.delta2)
+def _comm_h0(s, h0, acc=None):
+    """acc + [S, H0] for the diagonal H0 = diag(w): S_ij (w_j - w_i)."""
+    w = np.diagonal(h0)
+    c = s * (w - w[:, None])
+    return c if acc is None else np.add(acc, c, out=acc)
 
 
 # -- per-order control fields -------------------------------------------------
@@ -116,12 +126,6 @@ def control_orders(spec: SystemSpec, variant, params: GaussianParams,
         if rec["a3"] != 0.0:
             orders[2] = (rec["a3"] * g ** 3, zero, zero)
     return orders
-
-
-def _h_stacks(ds: _Dimless, orders: dict, upto: int) -> dict:
-    """Control Hamiltonian stacks of the orders <= upto that have a term."""
-    return {n: hamiltonian_at(ds.ctl, oz, ox, oy)
-            for n, (ox, oy, oz) in orders.items() if n <= upto}
 
 
 # -- frame generators ---------------------------------------------------------
@@ -180,38 +184,48 @@ def frame_second_order(spec: SystemSpec, variant, params: GaussianParams,
 
 def _expansion(spec: SystemSpec, variant, params: GaussianParams,
                grid: TimeGrid, upto: int):
-    """The dimensionless system, H^(0..upto) and S^(1..upto), built once.
+    """The dimensionless system, H^(0..upto), the frames and the order step.
 
-    Frames are the closed forms where documented, else the recursion.
+    Returns (ds, hs, frames, step); each step() appends S^(n+1) to frames
+    S^(1..n) and returns H_eff^(n) = M + i[S^(n+1), H0].  M = H_extra^(n)
+    + H^(n), the order-n transform with S^(1..n), also fixes S^(n+1) (closed
+    forms where documented, else the recursion), so it is built once.
     """
     if isinstance(variant, Ansatz):
         raise ValueError("the numeric ansatz has no documented frame")
     ds = _dimless(spec)
     orders = control_orders(spec, variant, params, grid)
-    hs = _h_stacks(ds, orders, upto)
+    hs = {n: hamiltonian_at(ds.ctl, oz, ox, oy)
+          for n, (ox, oy, oz) in orders.items() if n <= upto}
+    gbar = orders[0][0]
     frames: list[np.ndarray] = []
-    for k in range(1, upto + 1):
-        if k == 2 and spec.topology is Topology.LADDER:
+
+    def step():
+        n = len(frames)
+        m = _transformed(n, frames, hs, ds.h0, grid)
+        if n == 1 and spec.topology is Topology.LADDER:
             s = frame_second_order(spec, variant, params, grid)
         else:
-            # order k-1 constraint: M = H_extra^(k-1) + H^(k-1) fixes S^(k)
-            m = _transformed(k - 1, frames, hs, ds.h0, grid)
             s = _recursion_frame(ds, m)
-        if k == 1:
+        if n == 0:
             # the free element s_y01 = coeff * G_bar is fixed by the quadrature
             # field, omega_y_bar^(1) = 2 d(s_y01)/dt, so coeff = b1 / 2
             coeff = controls_for(spec, variant, params).params["b1"] / 2.0
             q0, q1 = ds.qubit_rows
-            s[:, q0, q1] += -1j * coeff * orders[0][0]
-            s[:, q1, q0] += 1j * coeff * orders[0][0]
+            s[:, q0, q1] += -1j * coeff * gbar
+            s[:, q1, q0] += 1j * coeff * gbar
         frames.append(s)
-    return ds, hs, frames
+        return _comm_h0(s, 1j * ds.h0, m)  # M + [S, i H0] = M + i[S, H0]
+    return ds, hs, frames, step
 
 
 def frames_for(spec: SystemSpec, variant, params: GaussianParams,
                grid: TimeGrid, upto: int) -> list[np.ndarray]:
     """S^(1..upto) samples: closed forms where documented, else recursion."""
-    return _expansion(spec, variant, params, grid, upto)[2]
+    _, _, frames, step = _expansion(spec, variant, params, grid, upto)
+    for _ in range(upto):
+        step()
+    return frames
 
 
 def _transformed(n: int, frames: list[np.ndarray], h_orders: dict,
@@ -227,10 +241,13 @@ def _transformed(n: int, frames: list[np.ndarray], h_orders: dict,
     the orders from the top down, in place, because order j of Z_m reads
     only lower orders of Z_(m-1); orders with no term are left out rather
     than held as zero stacks.
+
+    Frames and H stacks must be Hermitian and H0 diagonal: every Z_m is
+    then Hermitian, [S, X] is P - P^dag of one product P = SX, and [S, H0]
+    (Z_0 at order -1) is element-wise.
     """
     t, d = grid.n_steps + 1, h0.shape[0]
     z = {k: h for k, h in h_orders.items() if k <= n}
-    z[-1] = np.broadcast_to(h0 + 0j, (t, d, d))
     out = z[n].copy() if n in z else np.zeros((t, d, d), dtype=complex)
     for m in range(1, n + 2):
         for j in range(n, m - 2, -1):
@@ -240,13 +257,10 @@ def _transformed(n: int, frames: list[np.ndarray], h_orders: dict,
                 zj = 1j * _fd4(frames[j - 1], 1.0 / grid.n_steps)
             for k, s in enumerate(frames, 1):
                 x = z.get(j - k)
-                if x is None:
-                    continue
-                if zj is None:
-                    zj = _comm(s, x)
-                else:
-                    zj += s @ x
-                    zj -= x @ s
+                if x is not None:
+                    zj = _comm(s, x, zj)
+            if m == 1 and j < len(frames):
+                zj = _comm_h0(frames[j], h0, zj)
             if zj is None:
                 z.pop(j, None)
             else:
@@ -254,7 +268,7 @@ def _transformed(n: int, frames: list[np.ndarray], h_orders: dict,
                 z[j] = zj
         z.pop(m - 2, None)
         if n in z:
-            out += z[n]
+            out += z.pop(n)  # no later pass reads the top order
     return out
 
 
@@ -262,9 +276,9 @@ def h_extra(n: int, frames: list[np.ndarray], h_orders: dict,
             h0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """The order-n extra Hamiltonian generated by the frame change.
 
-    ``frames`` lists S^(1), S^(2), ... as (T, d, d) samples (orders beyond
-    what order n consumes are ignored); ``h_orders`` maps order -> control
-    Hamiltonian stack.  Frame derivatives use 4th-order finite differences.
+    ``frames`` lists Hermitian (T, d, d) samples of S^(1), S^(2), ... (those
+    beyond order n are ignored), ``h_orders`` maps order -> Hermitian control
+    stack and ``h0`` is diagonal; frame derivatives are 4th-order differences.
     H_extra^(n) is the order-n transform with S^(1..n) and H^(0..n-1).
     """
     if n not in (0, 1, 2, 3):
@@ -329,15 +343,10 @@ def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
     """
     if order < 0 or order > 2:
         raise ValueError("constraint residuals implemented for orders 0..2")
-    ds, hs, frames = _expansion(spec, variant, params, grid, order)
-    m = _transformed(order, frames, hs, ds.h0, grid)
-
-    if order == 1 and spec.topology is Topology.LADDER:
-        s_next = frame_second_order(spec, variant, params, grid)
-    else:
-        s_next = _recursion_frame(ds, m)
-    h0b = np.broadcast_to(ds.h0 + 0j, m.shape)
-    heff = m + 1j * _comm(s_next, h0b)
+    ds, _, _, step = _expansion(spec, variant, params, grid, order)
+    for _ in range(order):
+        step()
+    heff = step()
 
     g, _ = _bars(params, _tbar(grid))
     targets = (g, 0.0, 0.0) if order == 0 else (0.0, 0.0, 0.0)
@@ -348,7 +357,9 @@ def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
 def h_extra_report(spec: SystemSpec, variant, params: GaussianParams,
                    grid: TimeGrid, order: int) -> ExpansionReport:
     """Qubit-block and coupling maxima of H_extra^(n) alone."""
-    ds, hs, frames = _expansion(spec, variant, params, grid, order)
+    ds, hs, frames, step = _expansion(spec, variant, params, grid, order)
+    for _ in range(order):
+        step()
     hx_n = h_extra(order, frames, hs, ds.h0, grid)
     mismatch, coupling = _component_maxima(ds, hx_n)
     return ExpansionReport(mismatch, coupling)
@@ -366,15 +377,14 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
     """
     if order < 0 or order > 3:
         raise ValueError("series comparison implemented for orders 0..3")
-    ds, hs, frames = _expansion(spec, variant, params, grid, order + 1)
-    eps = _epsilon(spec, params.t_g)
-    s_total = sum(eps ** (m + 1) * frames[m] for m in range(order + 1))
+    eps = 1.0 / (params.t_g * spec.delta2)
+    ds, hs, frames, step = _expansion(spec, variant, params, grid, order)
+    series = ds.h0 / eps
+    for m in range(order + 1):
+        series = series + eps ** m * step()
+    s_total = sum(eps ** (m + 1) * s for m, s in enumerate(frames))
+    del hs, frames, step  # not held through the exact transform
 
     cs = controls_for(spec, variant, params)
     exact = h_eff_exact(spec, cs, s_total, grid)
-
-    series = np.broadcast_to(ds.h0 + 0j, s_total.shape) / eps
-    for m in range(order + 1):
-        heff_m = _transformed(m, frames[:m + 1], hs, ds.h0, grid)
-        series = series + eps ** m * heff_m
     return float(np.max(np.abs(exact - series)))

@@ -12,10 +12,9 @@ from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
                         build_intermediate_sno, build_sno, build_star,
                         converge, effective_lambda, gate_error, gaussian,
                         ideal_not, phase_ramp, propagate)
-from drag_forge.adiabatic import (constraint_residuals, control_orders,
-                                  frames_for, h_extra, h_extra_report,
-                                  series_vs_exact_deviation, _dimless,
-                                  _h_stacks)
+from drag_forge.adiabatic import (constraint_residuals, frames_for, h_extra,
+                                  h_extra_report, series_vs_exact_deviation,
+                                  _expansion)
 from drag_forge.dressing import CavitySpec, dressed_params, lambda_sno
 from drag_forge.model import SystemSpec, Topology, generators
 from drag_forge.optimizer import OptimizeTask, optimize
@@ -107,11 +106,9 @@ def test_criterion_3_second_order_supremacy(sno5):
 def test_criterion_4_expansion_verification(sno5):
     params = GaussianParams.for_not(1.0)
     grid = TimeGrid(params.t_g, 4096)
-    ds = _dimless(sno5)
 
     # (a) zeroth order vanishes identically
-    hs = _h_stacks(ds, control_orders(sno5, DragVariant.DRAG1, params, grid),
-                   0)
+    ds, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, params, grid, 0)
     a_ok = float(np.max(np.abs(h_extra(0, [], hs, ds.h0, grid)))) == 0.0
 
     # (b) published first-order solution satisfies the no-leakage conditions

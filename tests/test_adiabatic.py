@@ -8,7 +8,8 @@ from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
 from drag_forge.adiabatic import (constraint_residuals, control_orders,
                                   frame_second_order, frames_for, h_eff_exact,
                                   h_extra, series_vs_exact_deviation,
-                                  _dimless, _h_stacks, _recursion_frame)
+                                  _comm, _comm_h0, _component_maxima,
+                                  _expansion, _recursion_frame, _transformed)
 from drag_forge.pulses import GaussianEnvelope
 
 FIRST_ORDER = [DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
@@ -75,10 +76,8 @@ class TestSecondOrderFrameIdentity:
         # analytic second-order coefficients; 4096 nodes keep the finite
         # difference truncation below the identity tolerance
         grid = TimeGrid(not_params.t_g, 4096)
-        ds = _dimless(sno5)
         for v in FIRST_ORDER:
-            orders = control_orders(sno5, v, not_params, grid)
-            hs = _h_stacks(ds, orders, 1)
+            ds, hs, _, _ = _expansion(sno5, v, not_params, grid, 1)
             s1 = frames_for(sno5, v, not_params, grid, 1)[0]
             m = h_extra(1, [s1], hs, ds.h0, grid) + hs[1]
             s2_recursion = _recursion_frame(ds, m)
@@ -97,16 +96,12 @@ class TestSecondOrderFrameIdentity:
 
 class TestHExtra:
     def test_order_zero_is_zero(self, sno5, not_params, grid):
-        ds = _dimless(sno5)
-        hs = _h_stacks(ds, control_orders(sno5, DragVariant.DRAG1, not_params,
-                                          grid), 0)
+        ds, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params, grid, 0)
         out = h_extra(0, [], hs, ds.h0, grid)
         assert np.max(np.abs(out)) == 0.0
 
     def test_vanishing_frame_gives_zero(self, sno5, not_params, grid):
-        ds = _dimless(sno5)
-        hs = _h_stacks(ds, control_orders(sno5, DragVariant.DRAG1, not_params,
-                                          grid), 1)
+        ds, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params, grid, 1)
         s1 = np.zeros((grid.n_steps + 1, 5, 5), dtype=complex)
         out = h_extra(1, [s1], hs, ds.h0, grid)
         assert np.max(np.abs(out)) == 0.0
@@ -114,17 +109,13 @@ class TestHExtra:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_hermitian_stacks(self, sno5, not_params, grid, order):
         frames = frames_for(sno5, DragVariant.OPTIMAL1, not_params, grid, order)
-        ds = _dimless(sno5)
-        hs = _h_stacks(ds, control_orders(sno5, DragVariant.OPTIMAL1,
-                                          not_params, grid),
-                       order)
+        ds, hs, _, _ = _expansion(sno5, DragVariant.OPTIMAL1, not_params,
+                                  grid, order)
         out = h_extra(order, frames, hs, ds.h0, grid)
         assert np.max(np.abs(out - out.conj().swapaxes(-1, -2))) < 1e-12
 
     def test_missing_frames_rejected(self, sno5, not_params, grid):
-        ds = _dimless(sno5)
-        hs = _h_stacks(ds, control_orders(sno5, DragVariant.DRAG1, not_params,
-                                          grid), 2)
+        ds, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params, grid, 2)
         with pytest.raises(ValueError, match="needs frames"):
             h_extra(2, [np.zeros((grid.n_steps + 1, 5, 5), complex)], hs,
                     ds.h0, grid)
@@ -134,7 +125,6 @@ class TestHExtra:
         # Tr[H_extra^(2) sigma_x01] of each first-order variant equals minus
         # its published cubic in-phase correction
         grid = TimeGrid(not_params.t_g, 4096)
-        ds = _dimless(sno5)
         env = GaussianEnvelope(not_params)
         gbar = not_params.t_g * env.value(grid.nodes())
         lam1sq = 2.0
@@ -145,7 +135,7 @@ class TestHExtra:
         }
         for v, a3 in cases.items():
             frames = frames_for(sno5, v, not_params, grid, 2)
-            hs = _h_stacks(ds, control_orders(sno5, v, not_params, grid), 2)
+            ds, hs, _, _ = _expansion(sno5, v, not_params, grid, 2)
             hx2 = h_extra(2, frames, hs, ds.h0, grid)
             trace_x = 2.0 * np.real(hx2[:, 0, 1])
             np.testing.assert_allclose(trace_x, -a3 * gbar ** 3, atol=1e-10)
@@ -293,10 +283,99 @@ class TestOrderScaling:
         assert abs(math.log2(devs[0] / devs[1]) - 4.0) < 0.3
 
 
+def _hermitian_stack(rng, d, t=4097):
+    a = rng.normal(size=(t, d, d)) + 1j * rng.normal(size=(t, d, d))
+    return a + a.conj().swapaxes(-1, -2)
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestCommutatorForms:
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_one_product_matches_two(self, rng, d):
+        a, b, acc = (_hermitian_stack(rng, d) for _ in range(3))
+        want = a @ b - b @ a
+        assert _max_rel(_comm(a, b), want) <= 1e-15
+        # the accumulating form adds the same commutator in place
+        assert _max_rel(_comm(a, b, acc.copy()), acc + want) <= 1e-15
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_diagonal_h0_is_element_wise(self, rng, d):
+        s, acc = _hermitian_stack(rng, d), _hermitian_stack(rng, d)
+        h0 = np.diag(rng.normal(size=d)) + 0j
+        want = s @ h0 - h0 @ s
+        assert _max_rel(_comm_h0(s, h0), want) <= 1e-15
+        assert _max_rel(_comm_h0(s, h0, acc.copy()), acc + want) <= 1e-15
+
+
+class TestHermitianPremise:
+    # the one-product commutators assume Hermitian frames and H stacks
+    @pytest.mark.parametrize("topology,variant", PUBLISHED)
+    def test_frames_and_h_stacks(self, request, not_params, topology,
+                                 variant):
+        spec = request.getfixturevalue(topology)
+        grid = TimeGrid(not_params.t_g, 512)
+        _, hs, _, _ = _expansion(spec, variant, not_params, grid, 3)
+        stacks = frames_for(spec, variant, not_params, grid, 3) \
+            + list(hs.values())
+        for x in stacks:
+            assert _max_rel(x.conj().swapaxes(-1, -2), x) <= 1e-13
+
+
+class TestReportsAgainstTwoProductRoute:
+    # references rebuild each order's transform with S^(n+1) included and
+    # [S, H0] as the dense two-product commutator
+    CASES = [("sno5", DragVariant.DRAG2, 3), ("star6", DragVariant.OPTIMAL1, 3),
+             ("inter5", DragVariant.OPTIMAL1, 2)]
+
+    @pytest.mark.parametrize("topology,variant,order", CASES)
+    def test_h_eff_per_order_and_series(self, request, not_params, grid,
+                                        topology, variant, order):
+        spec = request.getfixturevalue(topology)
+        ds, hs, frames, step = _expansion(spec, variant, not_params, grid,
+                                          order)
+        heffs = [step() for _ in range(order + 1)]
+        for n, heff in enumerate(heffs):
+            m = _transformed(n, frames[:n], hs, ds.h0, grid)
+            s = frames[n]
+            assert _max_rel(heff, m + 1j * (s @ ds.h0 - ds.h0 @ s)) <= 1e-12
+            assert _max_rel(
+                heff, _transformed(n, frames[:n + 1], hs, ds.h0, grid)) <= 1e-12
+
+        eps = 1.0 / (not_params.t_g * spec.delta2)
+        series = ds.h0 / eps + sum(
+            eps ** n * _transformed(n, frames[:n + 1], hs, ds.h0, grid)
+            for n in range(order + 1))
+        s_total = sum(eps ** (n + 1) * s for n, s in enumerate(frames))
+        cs = build_controls(spec, variant, not_params)
+        want = float(np.max(np.abs(h_eff_exact(spec, cs, s_total, grid)
+                                   - series)))
+        got = series_vs_exact_deviation(spec, variant, not_params, grid,
+                                        order)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("topology,variant", [c[:2] for c in CASES])
+    def test_constraint_residuals(self, request, not_params, grid, topology,
+                                  variant):
+        spec = request.getfixturevalue(topology)
+        order = 2  # the highest order the residual reports implement
+        ds, hs, frames, step = _expansion(spec, variant, not_params, grid,
+                                          order)
+        for _ in range(order + 1):
+            step()
+        m = _transformed(order, frames[:order], hs, ds.h0, grid)
+        s = frames[order]
+        heff = m + 1j * (s @ ds.h0 - ds.h0 @ s)
+        mismatch, coupling = _component_maxima(ds, heff, (0.0, 0.0, 0.0))
+        got = constraint_residuals(spec, variant, not_params, grid, order)
+        assert got.qubit_mismatch == pytest.approx(mismatch, rel=1e-12)
+        assert got.coupling_residual == pytest.approx(coupling, rel=1e-12)
+
+
 def test_order_ranges_are_enforced(sno5, not_params, grid):
-    ds = _dimless(sno5)
-    hs = _h_stacks(ds, control_orders(sno5, DragVariant.DRAG2, not_params,
-                                      grid), 3)
+    ds, hs, _, _ = _expansion(sno5, DragVariant.DRAG2, not_params, grid, 3)
     frames = frames_for(sno5, DragVariant.DRAG2, not_params, grid, 4)
     for n in (-1, 4):
         with pytest.raises(ValueError, match="orders 0..3"):
