@@ -9,7 +9,8 @@ eps = 1/(t_g * delta2) the bookkeeping parameter.  The module evaluates
   order from one recursion in ad_S X = [S, X],
 * the exact effective Hamiltonian A^dag H A + i dA^dag/dt A, and
 * the per-order constraint residuals that the closed-form pulses claim
-  to satisfy, each order's transform built once per report.
+  to satisfy; a report builds the control set once, and each order's
+  transform at most once and only where it is read.
 
 Frames and Hamiltonians are Hermitian (T, d, d) samples on TimeGrid nodes
 and H0 is diagonal: [S, X] = P - P^dag takes one product P = SX, [S, H0]
@@ -24,12 +25,12 @@ import numpy as np
 from .model import (HamiltonianGenerators, SystemSpec, Topology, generators,
                     hamiltonian_at)
 from .propagator import TimeGrid, _sample_controls
-from .pulses import (Ansatz, ControlSet, DragVariant, GaussianEnvelope,
-                     GaussianParams, controls_for)
+from .pulses import (Ansatz, ControlSet, GaussianEnvelope, GaussianParams,
+                     controls_for)
 
 __all__ = ["ExpansionReport", "frame_second_order", "frames_for", "h_extra",
            "h_eff_exact", "constraint_residuals", "h_extra_report",
-           "control_orders", "series_vs_exact_deviation"]
+           "series_vs_exact_deviation"]
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class _Dimless:
     ctl: HamiltonianGenerators  # control generators, zero drift
     qubit_rows: tuple       # (row of level 0, row of level 1)
     leak: tuple             # ((row, delta_j/delta2), ...) for leakage levels
-    d: int
 
 
 def _dimless(spec: SystemSpec) -> _Dimless:
@@ -55,8 +55,7 @@ def _dimless(spec: SystemSpec) -> _Dimless:
     leak = tuple((spec.row(j), spec.delta[j] / d2) for j in spec.leakage_levels)
     ctl = HamiltonianGenerators(np.zeros_like(gen.h_drift), gen.h_z, gen.h_x,
                                 gen.h_y, gen.levels)
-    return _Dimless(np.asarray(gen.h_drift) / d2, ctl, spec.qubit_rows, leak,
-                    spec.d)
+    return _Dimless(np.asarray(gen.h_drift) / d2, ctl, spec.qubit_rows, leak)
 
 
 def _tbar(grid: TimeGrid) -> np.ndarray:
@@ -102,30 +101,6 @@ def _comm_h0(s, h0, acc=None):
     w = np.diagonal(h0)
     c = s * (w - w[:, None])
     return c if acc is None else np.add(acc, c, out=acc)
-
-
-# -- per-order control fields -------------------------------------------------
-
-def control_orders(spec: SystemSpec, variant, params: GaussianParams,
-                   grid: TimeGrid) -> dict[int, tuple]:
-    """Dimensionless control fields split by expansion order.
-
-    Returns {n: (omega_x_bar, omega_y_bar, delta_bar)} on the grid nodes;
-    orders with no contribution are omitted.  The coefficients are those
-    :func:`controls_for` records for the simulated pulse.
-    """
-    if isinstance(variant, Ansatz):
-        raise ValueError("the numeric ansatz has no order decomposition")
-    variant = DragVariant(variant)
-    rec = controls_for(spec, variant, params).params
-    g, dg = _bars(params, _tbar(grid))
-    zero = np.zeros_like(g)
-    orders = {0: (g, zero, zero)}
-    if variant is not DragVariant.GAUSSIAN0:
-        orders[1] = (zero, rec["b1"] * dg, rec["c2"] * g * g)
-        if rec["a3"] != 0.0:
-            orders[2] = (rec["a3"] * g ** 3, zero, zero)
-    return orders
 
 
 # -- frame generators ---------------------------------------------------------
@@ -184,45 +159,63 @@ def frame_second_order(spec: SystemSpec, variant, params: GaussianParams,
 
 def _expansion(spec: SystemSpec, variant, params: GaussianParams,
                grid: TimeGrid, upto: int):
-    """The dimensionless system, H^(0..upto), the frames and the order step.
+    """The dimensionless system, the control set, H^(0..upto), the frames
+    and the order step.
 
-    Returns (ds, hs, frames, step); each step() appends S^(n+1) to frames
-    S^(1..n) and returns H_eff^(n) = M + i[S^(n+1), H0].  M = H_extra^(n)
-    + H^(n), the order-n transform with S^(1..n), also fixes S^(n+1) (closed
-    forms where documented, else the recursion), so it is built once.
+    Returns (ds, cs, hs, frames, step); each step() appends S^(n+1) to
+    frames S^(1..n) and returns a function giving H_eff^(n) = M + i[S^(n+1),
+    H0].  M = H_extra^(n) + H^(n) is the order-n transform with S^(1..n); a
+    recursion frame is solved from it, so it is built once, and where a
+    closed form fixes S^(n+1) it is built only if H_eff^(n) is read.
     """
     if isinstance(variant, Ansatz):
         raise ValueError("the numeric ansatz has no documented frame")
     ds = _dimless(spec)
-    orders = control_orders(spec, variant, params, grid)
-    hs = {n: hamiltonian_at(ds.ctl, oz, ox, oy)
-          for n, (ox, oy, oz) in orders.items() if n <= upto}
-    gbar = orders[0][0]
+    cs = controls_for(spec, variant, params)
+    b1, c2, a3 = (cs.params[k] for k in ("b1", "c2", "a3"))
+    gbar, dg = _bars(params, _tbar(grid))
+    zero = np.zeros_like(gbar)
+    # (delta, omega_x, omega_y) of each order; orders with no field left out
+    fields = {0: (zero, gbar, zero)}
+    if b1 or c2:
+        fields[1] = (c2 * gbar * gbar, zero, b1 * dg)
+    if a3:
+        fields[2] = (zero, a3 * gbar ** 3, zero)
+    hs = {n: hamiltonian_at(ds.ctl, *f) for n, f in fields.items() if n <= upto}
     frames: list[np.ndarray] = []
 
     def step():
-        n = len(frames)
-        m = _transformed(n, frames, hs, ds.h0, grid)
+        n, prior = len(frames), frames[:]
         if n == 1 and spec.topology is Topology.LADDER:
-            s = frame_second_order(spec, variant, params, grid)
+            m, s = None, frame_second_order(spec, variant, params, grid)
         else:
+            m = _transformed(n, prior, hs, ds.h0, grid)
             s = _recursion_frame(ds, m)
         if n == 0:
             # the free element s_y01 = coeff * G_bar is fixed by the quadrature
             # field, omega_y_bar^(1) = 2 d(s_y01)/dt, so coeff = b1 / 2
-            coeff = controls_for(spec, variant, params).params["b1"] / 2.0
+            coeff = b1 / 2.0
             q0, q1 = ds.qubit_rows
             s[:, q0, q1] += -1j * coeff * gbar
             s[:, q1, q0] += 1j * coeff * gbar
         frames.append(s)
-        return _comm_h0(s, 1j * ds.h0, m)  # M + [S, i H0] = M + i[S, H0]
-    return ds, hs, frames, step
+
+        def h_eff():
+            # M + i[S, H0] is formed in M's place, so M is let go after use
+            # and a second call builds it again
+            nonlocal m
+            if m is None:
+                m = _transformed(n, prior, hs, ds.h0, grid)
+            out, m = _comm_h0(s, 1j * ds.h0, m), None
+            return out
+        return h_eff
+    return ds, cs, hs, frames, step
 
 
 def frames_for(spec: SystemSpec, variant, params: GaussianParams,
                grid: TimeGrid, upto: int) -> list[np.ndarray]:
     """S^(1..upto) samples: closed forms where documented, else recursion."""
-    _, _, frames, step = _expansion(spec, variant, params, grid, upto)
+    *_, frames, step = _expansion(spec, variant, params, grid, upto)
     for _ in range(upto):
         step()
     return frames
@@ -343,10 +336,10 @@ def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
     """
     if order < 0 or order > 2:
         raise ValueError("constraint residuals implemented for orders 0..2")
-    ds, _, _, step = _expansion(spec, variant, params, grid, order)
+    ds, *_, step = _expansion(spec, variant, params, grid, order)
     for _ in range(order):
         step()
-    heff = step()
+    heff = step()()
 
     g, _ = _bars(params, _tbar(grid))
     targets = (g, 0.0, 0.0) if order == 0 else (0.0, 0.0, 0.0)
@@ -357,7 +350,7 @@ def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
 def h_extra_report(spec: SystemSpec, variant, params: GaussianParams,
                    grid: TimeGrid, order: int) -> ExpansionReport:
     """Qubit-block and coupling maxima of H_extra^(n) alone."""
-    ds, hs, frames, step = _expansion(spec, variant, params, grid, order)
+    ds, _, hs, frames, step = _expansion(spec, variant, params, grid, order)
     for _ in range(order):
         step()
     hx_n = h_extra(order, frames, hs, ds.h0, grid)
@@ -378,13 +371,12 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
     if order < 0 or order > 3:
         raise ValueError("series comparison implemented for orders 0..3")
     eps = 1.0 / (params.t_g * spec.delta2)
-    ds, hs, frames, step = _expansion(spec, variant, params, grid, order)
+    ds, cs, hs, frames, step = _expansion(spec, variant, params, grid, order)
     series = ds.h0 / eps
     for m in range(order + 1):
-        series = series + eps ** m * step()
+        series = series + eps ** m * step()()
     s_total = sum(eps ** (m + 1) * s for m, s in enumerate(frames))
     del hs, frames, step  # not held through the exact transform
 
-    cs = controls_for(spec, variant, params)
     exact = h_eff_exact(spec, cs, s_total, grid)
     return float(np.max(np.abs(exact - series)))

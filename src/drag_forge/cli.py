@@ -61,10 +61,12 @@ def preset_config(name: str) -> dict:
 
 def _build_system(doc: dict) -> SystemSpec:
     kind = doc.get("kind")
-    if kind == "sno":
-        return build_sno(int(doc["d"]), float(doc["delta2"]))
-    if kind == "intermediate_sno":
-        return build_intermediate_sno(int(doc["d"]), float(doc["delta2"]))
+    if kind in ("sno", "intermediate_sno"):
+        d = doc["d"]
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise ValueError(f"d must be an integer, got {d!r}")
+        build = build_sno if kind == "sno" else build_intermediate_sno
+        return build(d, float(doc["delta2"]))
     if kind == "star":
         return build_star([float(v) for v in doc["delta"]],
                           [float(v) for v in doc["lambda"]])
@@ -149,14 +151,18 @@ def _validate_config(cfg: dict, n_steps=None) -> dict:
 def _sweep_point(args) -> tuple:
     system_doc, variant, sigma, area, tg_factor, n_steps = args
     spec = _build_system(system_doc)
-    params = GaussianParams(area, sigma, tg_factor * sigma)
-    cs = controls_for(spec, DragVariant(variant), params)
     uid = ideal_not(spec.d, spec.qubit_rows)
-    if n_steps == "auto":
-        u, used = converge(spec, cs, params.t_g, 1e-9)
-    else:
-        u = propagate(spec, cs, TimeGrid(params.t_g, n_steps))
-        used = n_steps
+    try:  # finite config values can still give unusable pulses
+        params = GaussianParams(area, sigma, tg_factor * sigma)
+        cs = controls_for(spec, DragVariant(variant), params)
+        if n_steps == "auto":
+            u, used = converge(spec, cs, params.t_g, 1e-9)
+        else:
+            u = propagate(spec, cs, TimeGrid(params.t_g, n_steps))
+            used = n_steps
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"sigma={sigma!r}, area={area!r}, "
+                          f"tg_factor={tg_factor!r}: {exc}") from None
     return sigma, variant, gate_error(u, uid, spec.qubit_rows), used
 
 
@@ -284,6 +290,15 @@ def _check_jobs(jobs) -> None:
         raise ConfigError(f"jobs: must be an integer >= 1, got {jobs!r}")
 
 
+def _make_out_dir(out_dir) -> Path:
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:  # a file in the way
+        raise ConfigError(f"out: {exc}") from None
+    return out_dir
+
+
 def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
     """Execute a named preset; returns the primary output path.
 
@@ -299,8 +314,7 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
         raise ConfigError(f"n_steps: must be an integer >= 16, got {n_steps!r}")
     if name not in ("fig5a", "fig5b", "fig9", "pop-traces"):
         cfg = _validate_config(preset_config(name), n_steps)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(out_dir)
     if name == "fig5a":
         return _run_fig5("fig5a", out_dir, delta0_free=False)
     if name == "fig5b":
@@ -315,12 +329,13 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
 def run_config(path, out_dir, jobs: int = 1, n_steps=None) -> Path:
     """Execute a sweep described by a JSON config file."""
     _check_jobs(jobs)
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"{path}: {exc}") from None
     cfg = _validate_config(cfg, n_steps)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return _run_sweep(cfg, out_dir, jobs)
+    return _run_sweep(cfg, _make_out_dir(out_dir), jobs)
 
 
 def _int_arg(low: int, auto: bool = False):
@@ -371,9 +386,6 @@ def main(argv=None) -> int:
             return 2
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

@@ -319,18 +319,15 @@ def spec_from_json(text: str) -> SystemSpec:
     """Parse a SystemSpec; keys it does not read are ignored."""
     doc = json.loads(text)
     topology = Topology(doc["topology"])
-    d = int(doc["d"])
-    raw_delta, raw_lam = doc["delta"], doc["lambda"]
-    if topology is Topology.INTERMEDIATE:
-        delta = {int(k): float(v) for k, v in raw_delta.items()}
-        lam = {int(k): float(v) for k, v in raw_lam.items()}
-    else:
-        if isinstance(raw_delta, dict):
-            delta = {int(k): float(v) for k, v in raw_delta.items()}
-        else:
-            delta = {j: float(v) for j, v in enumerate(raw_delta)}
-        if isinstance(raw_lam, dict):
-            lam = {int(k): float(v) for k, v in raw_lam.items()}
-        else:
-            lam = {k: float(v) for k, v in enumerate(raw_lam)}
-    return SystemSpec(topology, d, delta, lam)
+    d = doc["d"]
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ValueError(f"d must be an integer, got {d!r}")
+
+    def indexed(key):  # a map of labels, or a list from label 0 unless signed
+        raw = doc[key]
+        if isinstance(raw, dict):
+            return {int(k): float(v) for k, v in raw.items()}
+        if isinstance(raw, list) and topology is not Topology.INTERMEDIATE:
+            return {k: float(v) for k, v in enumerate(raw)}
+        raise ValueError(f"{key} of the {topology.value} spec cannot be {raw!r}")
+    return SystemSpec(topology, d, indexed("delta"), indexed("lambda"))

@@ -19,6 +19,11 @@ from .pulses import Ansatz, GaussianParams, build_controls
 
 __all__ = ["OptimizeTask", "OptimizeResult", "optimize"]
 
+_TOL = 1e-10  # simplex diameter that ends one Nelder-Mead run
+_RESTARTS = 3  # perturbed restarts from the best point after the first run
+# expansion, contraction and shrink factors; the reflection factor is 1
+_GAMMA, _RHO, _SHRINK = 2.0, 0.5, 0.5
+
 
 @dataclass(frozen=True)
 class OptimizeTask:
@@ -34,9 +39,7 @@ class OptimizeTask:
     params: GaussianParams
     mask: tuple[bool, bool, bool, bool]
     x0: tuple[float, float, float, float] = (1.0, 0.0, 0.0, 0.0)
-    tol: float = 1e-10
     max_evals: int = 400
-    n_restarts: int = 3
     seed: int = 0
     prop_tol: float = 1e-9
 
@@ -45,14 +48,10 @@ class OptimizeTask:
             raise ValueError("mask and x0 must have four entries")
         if not any(self.mask):
             raise ValueError("at least one parameter must be free")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         if self.prop_tol <= 0:  # step doubling would run to its cap
             raise ValueError("prop_tol must be positive")
         if self.max_evals < 1:  # the result must come from an evaluation
             raise ValueError("max_evals must be >= 1")
-        if self.n_restarts < 0:
-            raise ValueError("n_restarts must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,13 @@ def optimize(task: OptimizeTask) -> OptimizeResult:
     converged = False
     try:
         objective(best_x)
-        for restart in range(task.n_restarts + 1):
+        for restart in range(_RESTARTS + 1):
             if restart == 0:
                 start = best_x.copy()
             else:
                 scale = np.where(np.abs(best_x) > 0, 0.05 * np.abs(best_x), 0.05)
                 start = best_x + rng.normal(0.0, 1.0, len(free)) * scale
-            _nelder_mead(objective, start, task.tol)
+            _nelder_mead(objective, start)
             converged = True
     except _BudgetSpent:
         pass
@@ -133,11 +132,10 @@ def optimize(task: OptimizeTask) -> OptimizeResult:
                           evals, converged, n_steps)
 
 
-def _nelder_mead(f, x0: np.ndarray, tol: float,
-                 alpha=1.0, gamma=2.0, rho=0.5, shrink=0.5) -> None:
+def _nelder_mead(f, x0: np.ndarray) -> None:
     """Standard reflect/expand/contract/shrink simplex descent.
 
-    Runs until the simplex diameter drops below tol; ``f`` ends the search
+    Runs until the simplex diameter drops below _TOL; ``f`` ends the search
     early by raising, and keeps track of the best point itself.
     """
     m = len(x0)
@@ -153,28 +151,28 @@ def _nelder_mead(f, x0: np.ndarray, tol: float,
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         diam = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
-        if diam < tol:
+        if diam < _TOL:
             return
 
         centroid = np.mean(simplex[:-1], axis=0)
-        xr = centroid + alpha * (centroid - simplex[-1])
+        xr = centroid + (centroid - simplex[-1])
         fr = f(xr)
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = xr, fr
             continue
         if fr < values[0]:
-            xe = centroid + gamma * (centroid - simplex[-1])
+            xe = centroid + _GAMMA * (centroid - simplex[-1])
             fe = f(xe)
             if fe < fr:
                 simplex[-1], values[-1] = xe, fe
             else:
                 simplex[-1], values[-1] = xr, fr
             continue
-        xc = centroid + rho * (simplex[-1] - centroid)
+        xc = centroid + _RHO * (simplex[-1] - centroid)
         fc = f(xc)
         if fc < values[-1]:
             simplex[-1], values[-1] = xc, fc
             continue
         for i in range(1, m + 1):
-            simplex[i] = simplex[0] + shrink * (simplex[i] - simplex[0])
+            simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
             values[i] = f(simplex[i])

@@ -198,8 +198,11 @@ def populations(system, controls: ControlSet, grid: TimeGrid,
     return grid.nodes(), np.abs(prefix[:, :, gen.row(initial)]) ** 2
 
 
-def converge(system, controls: ControlSet, t_g: float, tol: float,
-             cap: int = 1 << 20) -> tuple[np.ndarray, int]:
+_STEP_CAP = 1 << 20  # the most steps step doubling tries
+
+
+def converge(system, controls: ControlSet, t_g: float,
+             tol: float) -> tuple[np.ndarray, int]:
     """Double the step count from 256 until the finer unitary is within tol.
 
     The error of U_2N is the Richardson estimate of fourth-order steps,
@@ -211,9 +214,9 @@ def converge(system, controls: ControlSet, t_g: float, tol: float,
     gen = _as_generators(system)
     n = 256
     u = propagate(gen, controls, TimeGrid(t_g, n))
-    while 2 * n <= cap:
+    while 2 * n <= _STEP_CAP:
         n *= 2
         u, coarse = propagate(gen, controls, TimeGrid(t_g, n)), u
         if np.max(np.abs(u - coarse)) / 15.0 < tol:
             return u, n
-    raise ConvergenceError(f"no convergence to {tol} within {cap} steps")
+    raise ConvergenceError(f"no convergence to {tol} within {_STEP_CAP} steps")

@@ -23,7 +23,6 @@ from .model import SystemSpec, Topology
 __all__ = [
     "GaussianParams",
     "GaussianEnvelope",
-    "gaussian",
     "DragVariant",
     "Ansatz",
     "ControlSet",
@@ -35,6 +34,7 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_NOT_TG_FACTOR = 4.0  # gate time of the NOT preset in units of sigma
 # numpy has no erf; the elementwise math.erf keeps scipy out of the runtime
 _erf = np.vectorize(math.erf, otypes=[float])
 
@@ -54,9 +54,9 @@ class GaussianParams:
             raise ValueError("area must be finite")
 
     @classmethod
-    def for_not(cls, sigma: float, tg_factor: float = 4.0) -> "GaussianParams":
-        """NOT-gate preset: area pi, gate time tg_factor * sigma."""
-        return cls(math.pi, sigma, tg_factor * sigma)
+    def for_not(cls, sigma: float) -> "GaussianParams":
+        """NOT-gate preset: area pi, gate time 4 sigma."""
+        return cls(math.pi, sigma, _NOT_TG_FACTOR * sigma)
 
 
 class GaussianEnvelope:
@@ -109,12 +109,6 @@ class GaussianEnvelope:
             _erf((t - self._mid) / s) - math.erf(-self._mid / s))
         p = self._pedestal
         return self._scale ** 2 * (ig2 - 2.0 * p * ig + p * p * t)
-
-
-def gaussian(params: GaussianParams, t):
-    """Envelope value and analytic time derivative at t (scalar or array)."""
-    env = GaussianEnvelope(params)
-    return env.value(t), env.d1(t)
 
 
 class DragVariant(str, Enum):

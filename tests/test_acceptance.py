@@ -10,7 +10,7 @@ import pytest
 from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
                         average_gate_fidelity, build_controls,
                         build_intermediate_sno, build_sno, build_star,
-                        converge, effective_lambda, gate_error, gaussian,
+                        converge, effective_lambda, gate_error,
                         ideal_not, phase_ramp, propagate)
 from drag_forge.adiabatic import (constraint_residuals, frames_for, h_extra,
                                   h_extra_report, series_vs_exact_deviation,
@@ -108,7 +108,7 @@ def test_criterion_4_expansion_verification(sno5):
     grid = TimeGrid(params.t_g, 4096)
 
     # (a) zeroth order vanishes identically
-    ds, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, params, grid, 0)
+    ds, _, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, params, grid, 0)
     a_ok = float(np.max(np.abs(h_extra(0, [], hs, ds.h0, grid)))) == 0.0
 
     # (b) published first-order solution satisfies the no-leakage conditions
@@ -256,7 +256,7 @@ def test_criterion_9_property_suites(sno5):
 
     from scipy.integrate import quad
     p = GaussianParams.for_not(0.7)
-    val, _ = quad(lambda t: float(gaussian(p, t)[0]), 0.0, p.t_g,
+    val, _ = quad(lambda t: float(GaussianEnvelope(p).value(t)), 0.0, p.t_g,
                   epsabs=1e-13, epsrel=1e-13)
     area_ok = abs(val - math.pi) < 1e-9 * math.pi
 

@@ -5,9 +5,10 @@ import pytest
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
                         build_controls, build_sno)
-from drag_forge.adiabatic import (constraint_residuals, control_orders,
-                                  frame_second_order, frames_for, h_eff_exact,
-                                  h_extra, series_vs_exact_deviation,
+from drag_forge import adiabatic
+from drag_forge.adiabatic import (constraint_residuals, frame_second_order,
+                                  frames_for, h_eff_exact, h_extra,
+                                  series_vs_exact_deviation,
                                   _comm, _comm_h0, _component_maxima,
                                   _expansion, _recursion_frame, _transformed)
 from drag_forge.pulses import GaussianEnvelope
@@ -77,7 +78,7 @@ class TestSecondOrderFrameIdentity:
         # difference truncation below the identity tolerance
         grid = TimeGrid(not_params.t_g, 4096)
         for v in FIRST_ORDER:
-            ds, hs, _, _ = _expansion(sno5, v, not_params, grid, 1)
+            ds, _, hs, _, _ = _expansion(sno5, v, not_params, grid, 1)
             s1 = frames_for(sno5, v, not_params, grid, 1)[0]
             m = h_extra(1, [s1], hs, ds.h0, grid) + hs[1]
             s2_recursion = _recursion_frame(ds, m)
@@ -91,17 +92,19 @@ class TestSecondOrderFrameIdentity:
     def test_second_order_variant_rejected_off_ladder(self, star6, not_params,
                                                       grid):
         with pytest.raises(ValueError, match="not available"):
-            control_orders(star6, DragVariant.DRAG2, not_params, grid)
+            frames_for(star6, DragVariant.DRAG2, not_params, grid, 1)
 
 
 class TestHExtra:
     def test_order_zero_is_zero(self, sno5, not_params, grid):
-        ds, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params, grid, 0)
+        ds, _, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params,
+                                     grid, 0)
         out = h_extra(0, [], hs, ds.h0, grid)
         assert np.max(np.abs(out)) == 0.0
 
     def test_vanishing_frame_gives_zero(self, sno5, not_params, grid):
-        ds, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params, grid, 1)
+        ds, _, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params,
+                                     grid, 1)
         s1 = np.zeros((grid.n_steps + 1, 5, 5), dtype=complex)
         out = h_extra(1, [s1], hs, ds.h0, grid)
         assert np.max(np.abs(out)) == 0.0
@@ -109,13 +112,14 @@ class TestHExtra:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_hermitian_stacks(self, sno5, not_params, grid, order):
         frames = frames_for(sno5, DragVariant.OPTIMAL1, not_params, grid, order)
-        ds, hs, _, _ = _expansion(sno5, DragVariant.OPTIMAL1, not_params,
-                                  grid, order)
+        ds, _, hs, _, _ = _expansion(sno5, DragVariant.OPTIMAL1, not_params,
+                                     grid, order)
         out = h_extra(order, frames, hs, ds.h0, grid)
         assert np.max(np.abs(out - out.conj().swapaxes(-1, -2))) < 1e-12
 
     def test_missing_frames_rejected(self, sno5, not_params, grid):
-        ds, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params, grid, 2)
+        ds, _, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params,
+                                     grid, 2)
         with pytest.raises(ValueError, match="needs frames"):
             h_extra(2, [np.zeros((grid.n_steps + 1, 5, 5), complex)], hs,
                     ds.h0, grid)
@@ -135,7 +139,7 @@ class TestHExtra:
         }
         for v, a3 in cases.items():
             frames = frames_for(sno5, v, not_params, grid, 2)
-            ds, hs, _, _ = _expansion(sno5, v, not_params, grid, 2)
+            ds, _, hs, _, _ = _expansion(sno5, v, not_params, grid, 2)
             hx2 = h_extra(2, frames, hs, ds.h0, grid)
             trace_x = 2.0 * np.real(hx2[:, 0, 1])
             np.testing.assert_allclose(trace_x, -a3 * gbar ** 3, atol=1e-10)
@@ -317,7 +321,7 @@ class TestHermitianPremise:
                                  variant):
         spec = request.getfixturevalue(topology)
         grid = TimeGrid(not_params.t_g, 512)
-        _, hs, _, _ = _expansion(spec, variant, not_params, grid, 3)
+        _, _, hs, _, _ = _expansion(spec, variant, not_params, grid, 3)
         stacks = frames_for(spec, variant, not_params, grid, 3) \
             + list(hs.values())
         for x in stacks:
@@ -334,9 +338,9 @@ class TestReportsAgainstTwoProductRoute:
     def test_h_eff_per_order_and_series(self, request, not_params, grid,
                                         topology, variant, order):
         spec = request.getfixturevalue(topology)
-        ds, hs, frames, step = _expansion(spec, variant, not_params, grid,
-                                          order)
-        heffs = [step() for _ in range(order + 1)]
+        ds, _, hs, frames, step = _expansion(spec, variant, not_params,
+                                             grid, order)
+        heffs = [step()() for _ in range(order + 1)]
         for n, heff in enumerate(heffs):
             m = _transformed(n, frames[:n], hs, ds.h0, grid)
             s = frames[n]
@@ -361,8 +365,8 @@ class TestReportsAgainstTwoProductRoute:
                                   variant):
         spec = request.getfixturevalue(topology)
         order = 2  # the highest order the residual reports implement
-        ds, hs, frames, step = _expansion(spec, variant, not_params, grid,
-                                          order)
+        ds, _, hs, frames, step = _expansion(spec, variant, not_params,
+                                             grid, order)
         for _ in range(order + 1):
             step()
         m = _transformed(order, frames[:order], hs, ds.h0, grid)
@@ -374,8 +378,43 @@ class TestReportsAgainstTwoProductRoute:
         assert got.coupling_residual == pytest.approx(coupling, rel=1e-12)
 
 
+class TestWorkPerReport:
+    def test_ladder_order_two_residual_skips_unread_transform(
+            self, monkeypatch, sno5, not_params, grid):
+        # the closed-form S^(2) needs no M^(1) and the report reads only
+        # H_eff^(2), so only M^(0) (for S^(1)) and M^(2) are built
+        built = []
+        real = adiabatic._transformed
+        monkeypatch.setattr(adiabatic, "_transformed",
+                            lambda n, *a: built.append(n) or real(n, *a))
+        constraint_residuals(sno5, DragVariant.DRAG1, not_params, grid, 2)
+        assert built == [0, 2]
+
+    def test_star_series_builds_one_control_set(self, monkeypatch, star6,
+                                                not_params, grid):
+        calls = []
+        real = adiabatic.controls_for
+        monkeypatch.setattr(adiabatic, "controls_for",
+                            lambda *a: calls.append(a) or real(*a))
+        series_vs_exact_deviation(star6, DragVariant.OPTIMAL1, not_params,
+                                  grid, 2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("topology", ["sno5", "star6"])
+    def test_h_eff_can_be_read_twice(self, request, not_params, grid,
+                                     topology):
+        # each call forms H_eff^(n) afresh, with M built by the step (order
+        # 0, recursion) or on demand (ladder order 1, closed-form S^(2))
+        spec = request.getfixturevalue(topology)
+        *_, step = _expansion(spec, DragVariant.OPTIMAL1, not_params, grid, 1)
+        for _ in range(2):
+            h_eff = step()
+            first = h_eff().copy()
+            assert np.array_equal(h_eff(), first)
+
+
 def test_order_ranges_are_enforced(sno5, not_params, grid):
-    ds, hs, _, _ = _expansion(sno5, DragVariant.DRAG2, not_params, grid, 3)
+    ds, _, hs, _, _ = _expansion(sno5, DragVariant.DRAG2, not_params, grid, 3)
     frames = frames_for(sno5, DragVariant.DRAG2, not_params, grid, 4)
     for n in (-1, 4):
         with pytest.raises(ValueError, match="orders 0..3"):

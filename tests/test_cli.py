@@ -83,14 +83,30 @@ class TestExitCodes:
         (["fig9", "--steps", "64"], {}, "--steps"),
         (["pop-traces", "--steps", "auto"], {}, "--steps"),
         (["fig3", "--jobs", "0"], {}, "--jobs"),
+        (["--config", "CFG"],
+         {"system": {"kind": "spec", "spec": {
+             "topology": "intermediate", "d": 5, "delta": 5.0,
+             "lambda": {"-2": 1.0, "-1": 1.0, "0": 1.0, "1": 1.0}}}},
+         "delta of the intermediate spec"),
+        (["--config", "CFG"],
+         {"system": {"kind": "sno", "d": 5.7, "delta2": -2 * math.pi}},
+         "d must be an integer, got 5.7"),
+        (["--config", "CFG"], None, "cfg.json"),
+        (["--config", "CFG"], b"\xff\xfe{}", "cfg.json"),
     ], ids=["config-steps-3", "preset-steps-abc", "pop-traces-steps-3",
             "sigma-string", "area-string", "tg_factor-null", "star-drag2",
             "fig5a-steps", "fig5b-steps-auto", "fig9-steps",
-            "pop-traces-steps-auto", "fig3-jobs-0"])
+            "pop-traces-steps-auto", "fig3-jobs-0", "spec-delta-number",
+            "d-fraction", "config-directory", "config-not-utf8"])
     def test_bad_input_exits_2(self, tmp_path, capsys, args, changes, expect):
-        cfg = dict(preset_config("gaussian-benchmark"), **changes)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        if changes is None:
+            path.mkdir()
+        elif isinstance(changes, bytes):
+            path.write_bytes(changes)
+        else:
+            cfg = dict(preset_config("gaussian-benchmark"), **changes)
+            path.write_text(json.dumps(cfg))
         argv = ["run"] + [str(path) if a == "CFG" else a for a in args]
         try:
             rc = main(argv + ["--out", str(tmp_path / "out")])
@@ -100,6 +116,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert expect in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("changes,expect", [
+        ({"sigma": [1e308]}, "sigma=1e+308"),
+        ({"area": 1e308}, "area=1e+308"),
+        ({"tg_factor": 1e-300}, "tg_factor=1e-300"),
+    ], ids=["sigma-overflow", "area-overflow", "tg_factor-underflow"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unusable_pulse_exits_2(self, tmp_path, capsys, changes, expect):
+        # finite values that pass the schema but give no finite pulse
+        cfg = dict(preset_config("gaussian-benchmark"), **changes)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert expect in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("kept")
+        assert main(["run", "fig9", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+        assert out.read_text() == "kept"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_steps_override_is_validated(self, tmp_path):
         from drag_forge.cli import ConfigError

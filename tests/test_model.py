@@ -205,6 +205,18 @@ class TestJsonRoundTrip:
                    "time_unit": 1.0, "topology": "ladder"}"""
         assert spec_from_json(text) == build_sno(3, -TWO_PI)
 
+    @pytest.mark.parametrize("make,key,value,match", [
+        (lambda: build_sno(3, -TWO_PI), "d", 3.5, "d must be an integer"),
+        (lambda: build_sno(3, -TWO_PI), "delta", 5.0, "delta of the ladder"),
+        (lambda: build_intermediate_sno(5, -TWO_PI), "lambda", [1.0] * 4,
+         "lambda of the intermediate"),
+    ], ids=["d-fraction", "ladder-delta-number", "intermediate-lambda-list"])
+    def test_rejects_malformed_fields(self, make, key, value, match):
+        import json
+        doc = dict(json.loads(spec_to_json(make())), **{key: value})
+        with pytest.raises(ValueError, match=match):
+            spec_from_json(json.dumps(doc))
+
     def test_intermediate_uses_signed_map(self, inter5):
         import json
         doc = json.loads(spec_to_json(inter5))

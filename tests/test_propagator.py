@@ -6,7 +6,7 @@ import pytest
 
 from drag_forge import (Ansatz, ConvergenceError, DragVariant, GaussianParams,
                         TimeGrid, build_controls, build_sno, controls_for,
-                        converge, populations, propagate)
+                        converge, populations, propagate, propagator)
 from drag_forge.model import (HamiltonianGenerators, generators,
                               hamiltonian_at, sigma_x, sigma_y)
 from drag_forge.propagator import _expm1, _ordered_product, _step_exponents
@@ -164,10 +164,11 @@ class TestConverge:
         with pytest.raises(ValueError, match="positive"):
             converge(sno3, _constant_controls(1.0), 1.0, 0.0)
 
-    def test_cap_raises(self, sno5, not_params):
+    def test_cap_raises(self, sno5, not_params, monkeypatch):
+        monkeypatch.setattr(propagator, "_STEP_CAP", 4096)
         cs = build_controls(sno5, DragVariant.GAUSSIAN0, not_params)
-        with pytest.raises(ConvergenceError, match="within"):
-            converge(sno5, cs, not_params.t_g, 1e-16, cap=4096)
+        with pytest.raises(ConvergenceError, match="within 4096 steps"):
+            converge(sno5, cs, not_params.t_g, 1e-16)
 
 
 def test_against_ode_solver_oracle(sno5):

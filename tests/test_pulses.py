@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, build_controls,
-                        build_sno, effective_lambda, gaussian, phase_ramp)
+                        build_sno, effective_lambda, phase_ramp)
 from drag_forge.pulses import ControlSet, GaussianEnvelope, controls_for
 
 TWO_PI = 2.0 * math.pi
@@ -14,8 +14,8 @@ TWO_PI = 2.0 * math.pi
 class TestGaussianEnvelope:
     def test_vanishes_at_boundaries(self):
         p = GaussianParams.for_not(0.5)
-        v0, _ = gaussian(p, 0.0)
-        vg, _ = gaussian(p, p.t_g)
+        env = GaussianEnvelope(p)
+        v0, vg = env.value(0.0), env.value(p.t_g)
         assert v0 == pytest.approx(0.0, abs=1e-15)
         assert vg == pytest.approx(0.0, abs=1e-15)
 
@@ -47,11 +47,11 @@ class TestGaussianEnvelope:
             assert float(env.int_value_squared(t)) == pytest.approx(want2, abs=1e-10)
 
     def test_rejects_out_of_range(self):
-        p = GaussianParams.for_not(0.5)
+        env = GaussianEnvelope(GaussianParams.for_not(0.5))
         with pytest.raises(ValueError, match="outside"):
-            gaussian(p, -0.1)
+            env.value(-0.1)
         with pytest.raises(ValueError, match="outside"):
-            gaussian(p, p.t_g + 0.1)
+            env.d1(env.params.t_g + 0.1)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -135,8 +135,10 @@ class TestLadderVariants:
             assert float(cs.delta(not_params.t_g)) == pytest.approx(0.0, abs=1e-14)
 
     def test_gaussian_scalar_and_array_agree(self, not_params):
-        v_scalar, d_scalar = gaussian(not_params, 1.3)
-        v_arr, d_arr = gaussian(not_params, np.array([1.3, 2.0]))
+        env = GaussianEnvelope(not_params)
+        v_scalar, d_scalar = env.value(1.3), env.d1(1.3)
+        ts = np.array([1.3, 2.0])
+        v_arr, d_arr = env.value(ts), env.d1(ts)
         assert float(v_scalar) == v_arr[0]
         assert float(d_scalar) == d_arr[0]
 
