@@ -9,8 +9,10 @@ eps = 1/(t_g * delta2) the bookkeeping parameter.  The module evaluates
   order from one recursion in ad_S X = [S, X],
 * the exact effective Hamiltonian A^dag H A + i dA^dag/dt A, and
 * the per-order constraint residuals that the closed-form pulses claim
-  to satisfy; a report builds the control set once, and each order's
-  transform at most once and only where it is read.
+  to satisfy: one loop builds S^(1), S^(2), ... from one control set, each
+  order's transform at most once and H_eff^(n) only for the orders a report
+  reads; where a closed form fixes S^(n+1) (the ladder at n = 1), the
+  order-n transform is built only if n is read, and then before S^(n+1).
 
 Frames and Hamiltonians are Hermitian (T, d, d) samples on TimeGrid nodes
 and H0 is diagonal: [S, X] = P - P^dag takes one product P = SX, [S, H0]
@@ -25,8 +27,8 @@ import numpy as np
 from .model import (HamiltonianGenerators, SystemSpec, Topology, generators,
                     hamiltonian_at)
 from .propagator import TimeGrid, _sample_controls
-from .pulses import (Ansatz, ControlSet, GaussianEnvelope, GaussianParams,
-                     controls_for)
+from .pulses import (Ansatz, ControlSet, DragVariant, GaussianEnvelope,
+                     GaussianParams, controls_for, first_order_coefficients)
 
 __all__ = ["ExpansionReport", "frame_second_order", "frames_for", "h_extra",
            "h_eff_exact", "constraint_residuals", "h_extra_report",
@@ -140,7 +142,7 @@ def frame_second_order(spec: SystemSpec, variant, params: GaussianParams,
         raise ValueError("the numeric ansatz has no documented frame")
     g, dg = _bars(params, _tbar(grid))
     # free s_y01 coefficient: omega_y_bar^(1) = 2 d(s_y01)/dt gives b1 / 2
-    sa = controls_for(spec, variant, params).params["b1"] / 2.0
+    sa = first_order_coefficients(spec, DragVariant(variant))[0] / 2.0
     lam1 = spec.lam[1]
     s2 = np.zeros((g.shape[0], spec.d, spec.d), dtype=complex)
 
@@ -158,15 +160,15 @@ def frame_second_order(spec: SystemSpec, variant, params: GaussianParams,
 
 
 def _expansion(spec: SystemSpec, variant, params: GaussianParams,
-               grid: TimeGrid, upto: int):
-    """The dimensionless system, the control set, H^(0..upto), the frames
-    and the order step.
+               grid: TimeGrid, upto: int, read=()):
+    """The expansion through order ``upto``: (ds, cs, hs, frames, heffs).
 
-    Returns (ds, cs, hs, frames, step); each step() appends S^(n+1) to
-    frames S^(1..n) and returns a function giving H_eff^(n) = M + i[S^(n+1),
-    H0].  M = H_extra^(n) + H^(n) is the order-n transform with S^(1..n); a
-    recursion frame is solved from it, so it is built once, and where a
-    closed form fixes S^(n+1) it is built only if H_eff^(n) is read.
+    Builds the control set once, H^(0..upto) and the frames S^(1..upto+1)
+    in order, and heffs[n] = H_eff^(n) = M + i[S^(n+1), H0] for each n in
+    ``read``.  M = H_extra^(n) + H^(n) is the order-n transform with
+    S^(1..n); a recursion frame is solved from it, and where a closed form
+    fixes S^(n+1) (the ladder at n = 1) M is built only if n is read, and
+    then before S^(n+1).
     """
     if isinstance(variant, Ansatz):
         raise ValueError("the numeric ansatz has no documented frame")
@@ -182,15 +184,15 @@ def _expansion(spec: SystemSpec, variant, params: GaussianParams,
     if a3:
         fields[2] = (zero, a3 * gbar ** 3, zero)
     hs = {n: hamiltonian_at(ds.ctl, *f) for n, f in fields.items() if n <= upto}
+    del zero, dg, fields  # not held through the transforms
     frames: list[np.ndarray] = []
-
-    def step():
-        n, prior = len(frames), frames[:]
-        if n == 1 and spec.topology is Topology.LADDER:
-            m, s = None, frame_second_order(spec, variant, params, grid)
-        else:
-            m = _transformed(n, prior, hs, ds.h0, grid)
-            s = _recursion_frame(ds, m)
+    heffs = {}
+    for n in range(upto + 1):
+        closed = n == 1 and spec.topology is Topology.LADDER
+        m = (None if closed and n not in read
+             else _transformed(n, frames, hs, ds.h0, grid))
+        s = (frame_second_order(spec, variant, params, grid) if closed
+             else _recursion_frame(ds, m))
         if n == 0:
             # the free element s_y01 = coeff * G_bar is fixed by the quadrature
             # field, omega_y_bar^(1) = 2 d(s_y01)/dt, so coeff = b1 / 2
@@ -199,26 +201,16 @@ def _expansion(spec: SystemSpec, variant, params: GaussianParams,
             s[:, q0, q1] += -1j * coeff * gbar
             s[:, q1, q0] += 1j * coeff * gbar
         frames.append(s)
-
-        def h_eff():
-            # M + i[S, H0] is formed in M's place, so M is let go after use
-            # and a second call builds it again
-            nonlocal m
-            if m is None:
-                m = _transformed(n, prior, hs, ds.h0, grid)
-            out, m = _comm_h0(s, 1j * ds.h0, m), None
-            return out
-        return h_eff
-    return ds, cs, hs, frames, step
+        if n in read:  # formed in M's place
+            heffs[n] = _comm_h0(s, 1j * ds.h0, m)
+        del m
+    return ds, cs, hs, frames, heffs
 
 
 def frames_for(spec: SystemSpec, variant, params: GaussianParams,
                grid: TimeGrid, upto: int) -> list[np.ndarray]:
     """S^(1..upto) samples: closed forms where documented, else recursion."""
-    *_, frames, step = _expansion(spec, variant, params, grid, upto)
-    for _ in range(upto):
-        step()
-    return frames
+    return _expansion(spec, variant, params, grid, upto - 1)[3]
 
 
 def _transformed(n: int, frames: list[np.ndarray], h_orders: dict,
@@ -336,26 +328,20 @@ def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
     """
     if order < 0 or order > 2:
         raise ValueError("constraint residuals implemented for orders 0..2")
-    ds, *_, step = _expansion(spec, variant, params, grid, order)
-    for _ in range(order):
-        step()
-    heff = step()()
+    ds, *_, heffs = _expansion(spec, variant, params, grid, order, (order,))
+    heff = heffs.pop(order)
 
     g, _ = _bars(params, _tbar(grid))
     targets = (g, 0.0, 0.0) if order == 0 else (0.0, 0.0, 0.0)
-    mismatch, coupling = _component_maxima(ds, heff, targets)
-    return ExpansionReport(mismatch, coupling)
+    return ExpansionReport(*_component_maxima(ds, heff, targets))
 
 
 def h_extra_report(spec: SystemSpec, variant, params: GaussianParams,
                    grid: TimeGrid, order: int) -> ExpansionReport:
     """Qubit-block and coupling maxima of H_extra^(n) alone."""
-    ds, _, hs, frames, step = _expansion(spec, variant, params, grid, order)
-    for _ in range(order):
-        step()
+    ds, _, hs, frames, _ = _expansion(spec, variant, params, grid, order - 1)
     hx_n = h_extra(order, frames, hs, ds.h0, grid)
-    mismatch, coupling = _component_maxima(ds, hx_n)
-    return ExpansionReport(mismatch, coupling)
+    return ExpansionReport(*_component_maxima(ds, hx_n))
 
 
 def series_vs_exact_deviation(spec: SystemSpec, variant,
@@ -371,12 +357,13 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
     if order < 0 or order > 3:
         raise ValueError("series comparison implemented for orders 0..3")
     eps = 1.0 / (params.t_g * spec.delta2)
-    ds, cs, hs, frames, step = _expansion(spec, variant, params, grid, order)
+    ds, cs, hs, frames, heffs = _expansion(spec, variant, params, grid, order,
+                                           range(order + 1))
     series = ds.h0 / eps
     for m in range(order + 1):
-        series = series + eps ** m * step()()
+        series = series + eps ** m * heffs.pop(m)
     s_total = sum(eps ** (m + 1) * s for m, s in enumerate(frames))
-    del hs, frames, step  # not held through the exact transform
+    del hs, frames  # not held through the exact transform
 
     exact = h_eff_exact(spec, cs, s_total, grid)
     return float(np.max(np.abs(exact - series)))

@@ -11,11 +11,14 @@ value, 3 numerical convergence failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .dressing import lambda_sno
@@ -35,28 +38,27 @@ _SECOND_ORDER_SET = ["gaussian0", "z_only2", "y_only2", "drag2", "optimal1"]
 _MULTI_SET = ["gaussian0", "z_only1", "y_only1", "optimal1"]
 
 _SIGMA_GRID = [round(0.2 * k, 10) for k in range(2, 11)]  # 0.4 .. 2.0
+_SNO5 = {"kind": "sno", "d": 5, "delta2": _DELTA2}
+
+# sweep presets: name -> (system, variants, sigma grid)
+_SWEEPS = {
+    "gaussian-benchmark": (_SNO5, ["gaussian0"], [1.0 / 3.0, 2.0 / 3.0, 1.5]),
+    "fig3": (_SNO5, _FIRST_ORDER_SET, _SIGMA_GRID),
+    "fig4": (_SNO5, _SECOND_ORDER_SET, _SIGMA_GRID),
+    "fig7": (dict(_SNO5, kind="intermediate_sno"), _MULTI_SET, _SIGMA_GRID),
+    "fig8": ({"kind": "star",
+              "delta": [_DELTA2, 2 * _DELTA2, 3 * _DELTA2, 4 * _DELTA2],
+              "lambda": [1.0, 1.0, 1.0, 1.0]},
+             _MULTI_SET, _SIGMA_GRID),
+}
 
 
 def preset_config(name: str) -> dict:
     """Plain-dict sweep config of a named preset (sweep presets only)."""
-    sno = {"kind": "sno", "d": 5, "delta2": _DELTA2}
-    sweeps = {
-        "gaussian-benchmark": (sno, ["gaussian0"], [1.0 / 3.0, 2.0 / 3.0, 1.5]),
-        "fig3": (sno, _FIRST_ORDER_SET, _SIGMA_GRID),
-        "fig4": (sno, _SECOND_ORDER_SET, _SIGMA_GRID),
-        "fig7": ({"kind": "intermediate_sno", "d": 5, "delta2": _DELTA2},
-                 _MULTI_SET, _SIGMA_GRID),
-        "fig8": ({"kind": "star",
-                  "delta": [_DELTA2, 2 * _DELTA2, 3 * _DELTA2, 4 * _DELTA2],
-                  "lambda": [1.0, 1.0, 1.0, 1.0]},
-                 _MULTI_SET, _SIGMA_GRID),
-    }
-    if name not in sweeps:
-        raise KeyError(name)
-    system, variants, sigma = sweeps[name]
-    return {"name": name, "system": dict(system), "variants": list(variants),
-            "sigma": list(sigma), "area": math.pi, "tg_factor": 4.0,
-            "n_steps": 4096}
+    system, variants, sigma = _SWEEPS[name]
+    return copy.deepcopy({"name": name, "system": system, "variants": variants,
+                          "sigma": sigma, "area": math.pi, "tg_factor": 4.0,
+                          "n_steps": 4096})
 
 
 def _build_system(doc: dict) -> SystemSpec:
@@ -152,15 +154,18 @@ def _sweep_point(args) -> tuple:
     system_doc, variant, sigma, area, tg_factor, n_steps = args
     spec = _build_system(system_doc)
     uid = ideal_not(spec.d, spec.qubit_rows)
-    try:  # finite config values can still give unusable pulses
-        params = GaussianParams(area, sigma, tg_factor * sigma)
-        cs = controls_for(spec, DragVariant(variant), params)
-        if n_steps == "auto":
-            u, used = converge(spec, cs, params.t_g, 1e-9)
-        else:
-            u = propagate(spec, cs, TimeGrid(params.t_g, n_steps))
-            used = n_steps
-    except (OverflowError, ValueError) as exc:
+    # finite config values can still give unusable pulses; Gaussian tails
+    # underflow legitimately at a large tg_factor
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            params = GaussianParams(area, sigma, tg_factor * sigma)
+            cs = controls_for(spec, DragVariant(variant), params)
+            if n_steps == "auto":
+                u, used = converge(spec, cs, params.t_g, 1e-9)
+            else:
+                u = propagate(spec, cs, TimeGrid(params.t_g, n_steps))
+                used = n_steps
+    except (ArithmeticError, ValueError) as exc:
         raise ConfigError(f"sigma={sigma!r}, area={area!r}, "
                           f"tg_factor={tg_factor!r}: {exc}") from None
     return sigma, variant, gate_error(u, uid, spec.qubit_rows), used
@@ -187,6 +192,14 @@ def _write_manifest(out_dir: Path, name: str, **fields) -> Path:
     return path
 
 
+def _write_table(out_dir: Path, name: str, header: str, table,
+                 **fields) -> Path:
+    """``<name>.csv`` plus the manifest that names it; returns the CSV path."""
+    path = _write_csv(out_dir / f"{name}.csv", name, header, table)
+    _write_manifest(out_dir, name, csv=path.name, **fields)
+    return path
+
+
 def _run_sweep(cfg: dict, out_dir: Path, jobs: int) -> Path:
     points = [(cfg["system"], v, s, cfg["area"], cfg["tg_factor"],
                cfg["n_steps"])
@@ -202,14 +215,10 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int) -> Path:
         raise ConvergenceError(f"{exc} (while sweeping {cfg['name']})")
     rows.sort(key=lambda r: (r[0], cfg["variants"].index(r[1])))
 
-    name = cfg["name"]
-    csv_path = _write_csv(out_dir / f"{name}.csv", name,
-                          "sigma,variant,gate_error,n_steps", rows)
-    _write_manifest(out_dir, name, config={k: cfg[k] for k in sorted(cfg)},
-                    csv=csv_path.name,
-                    rows=[{"sigma": s, "variant": v, "n_steps": used}
-                          for s, v, _, used in rows])
-    return csv_path
+    return _write_table(out_dir, cfg["name"], "sigma,variant,gate_error,n_steps",
+                        rows, config={k: cfg[k] for k in sorted(cfg)},
+                        rows=[{"sigma": s, "variant": v, "n_steps": used}
+                              for s, v, _, used in rows])
 
 
 # -- non-sweep presets --------------------------------------------------------
@@ -233,20 +242,14 @@ def _run_fig5(name: str, out_dir: Path, delta0_free: bool,
             task = OptimizeTask(spec, params, mask, max_evals=max_evals,
                                 prop_tol=prop_tol)
             rows.append((sigma, label, optimize(task)))
-    csv_path = _write_csv(
-        out_dir / f"{name}.csv", name,
-        "sigma,mask,alpha,beta,gamma,delta0,gate_error,n_evals",
-        [(s, lbl, *res.x, res.gate_error, res.n_evals) for s, lbl, res in rows])
-    _write_manifest(
-        out_dir, name,
-        config={"system": {"kind": "sno", "d": 5, "delta2": _DELTA2},
-                "sigma": list(sigmas), "masks": [lbl for lbl, _ in masks],
-                "max_evals": max_evals},
-        csv=csv_path.name,
+    return _write_table(
+        out_dir, name, "sigma,mask,alpha,beta,gamma,delta0,gate_error,n_evals",
+        [(s, lbl, *res.x, res.gate_error, res.n_evals) for s, lbl, res in rows],
+        config={"system": _SNO5, "sigma": list(sigmas),
+                "masks": [lbl for lbl, _ in masks], "max_evals": max_evals},
         rows=[{"sigma": s, "mask": lbl, "n_steps": res.n_steps,
                "n_evals": res.n_evals, "converged": res.converged}
               for s, lbl, res in rows])
-    return csv_path
 
 
 def _run_fig9(out_dir: Path) -> Path:
@@ -254,13 +257,10 @@ def _run_fig9(out_dir: Path) -> Path:
     guard = 0.02
     rows = [(r, lambda_sno(2, r), math.sqrt(2.0))
             for r in ratios if abs(r + 1.0) > guard]
-    csv_path = _write_csv(out_dir / "fig9.csv", "fig9",
-                          "ratio,lambda1_cavity,lambda1_direct", rows)
-    _write_manifest(out_dir, "fig9",
-                    config={"ratio_range": [-3.0, 3.0], "step": 0.01,
-                            "pole_guard": guard, "transition": 2},
-                    csv=csv_path.name, rows=len(rows))
-    return csv_path
+    return _write_table(out_dir, "fig9", "ratio,lambda1_cavity,lambda1_direct",
+                        rows, config={"ratio_range": [-3.0, 3.0], "step": 0.01,
+                                      "pole_guard": guard, "transition": 2},
+                        rows=len(rows))
 
 
 def _run_pop_traces(out_dir: Path, n_steps) -> Path:
@@ -276,13 +276,19 @@ def _run_pop_traces(out_dir: Path, n_steps) -> Path:
         files.append({"sigma": sigma, "csv": path.name, "n_steps": n_steps})
     return _write_manifest(
         out_dir, "pop-traces",
-        config={"system": {"kind": "sno", "d": 5, "delta2": _DELTA2},
-                "variant": "gaussian0", "initial_level": 0},
+        config={"system": _SNO5, "variant": "gaussian0", "initial_level": 0},
         files=files)
 
 
-PRESETS = ("gaussian-benchmark", "fig3", "fig4", "fig5a", "fig5b",
-           "fig7", "fig8", "fig9", "pop-traces")
+# presets that are not sweeps: name -> (runner(out_dir, n_steps), whether it
+# takes a step count; pop-traces does, as an integer)
+_RUNNERS = {
+    "fig5a": (lambda out, _: _run_fig5("fig5a", out, delta0_free=False), False),
+    "fig5b": (lambda out, _: _run_fig5("fig5b", out, delta0_free=True), False),
+    "fig9": (lambda out, _: _run_fig9(out), False),
+    "pop-traces": (lambda out, n: _run_pop_traces(out, n or 4096), True),
+}
+PRESETS = (*_SWEEPS, *_RUNNERS)
 
 
 def _check_jobs(jobs) -> None:
@@ -305,25 +311,17 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
     ``n_steps`` applies to the sweep presets and, as an integer, pop-traces.
     """
     _check_jobs(jobs)
-    if n_steps is not None and (name in ("fig5a", "fig5b", "fig9") or
-                                (name == "pop-traces" and n_steps == "auto")):
+    runner = _RUNNERS.get(name)
+    if runner is None:
+        cfg = _validate_config(preset_config(name), n_steps)
+        return _run_sweep(cfg, _make_out_dir(out_dir), jobs)
+    run, takes_steps = runner
+    if n_steps is not None and (not takes_steps or n_steps == "auto"):
         raise ConfigError(f"--steps: {name} does not take {n_steps!r} (sweep "
                           "presets take it, pop-traces as an integer)")
-    if name == "pop-traces" and n_steps is not None and (
-            not isinstance(n_steps, int) or n_steps < 16):
+    if n_steps is not None and (not isinstance(n_steps, int) or n_steps < 16):
         raise ConfigError(f"n_steps: must be an integer >= 16, got {n_steps!r}")
-    if name not in ("fig5a", "fig5b", "fig9", "pop-traces"):
-        cfg = _validate_config(preset_config(name), n_steps)
-    out_dir = _make_out_dir(out_dir)
-    if name == "fig5a":
-        return _run_fig5("fig5a", out_dir, delta0_free=False)
-    if name == "fig5b":
-        return _run_fig5("fig5b", out_dir, delta0_free=True)
-    if name == "fig9":
-        return _run_fig9(out_dir)
-    if name == "pop-traces":
-        return _run_pop_traces(out_dir, n_steps or 4096)
-    return _run_sweep(cfg, out_dir, jobs)
+    return run(_make_out_dir(out_dir), n_steps)
 
 
 def run_config(path, out_dir, jobs: int = 1, n_steps=None) -> Path:

@@ -161,6 +161,9 @@ class ControlSet:
 
     ``mirror`` marks omega_x, delta even and omega_y odd about t_g/2, so the
     propagator builds half the steps; only this module's builders set it.
+
+    ``params`` records the coefficients a1, a3, b1, c2, c0 of the form above,
+    which the frame expansion reads; a ramped set records its total_phase.
     """
 
     omega_x: Callable
@@ -174,8 +177,7 @@ class ControlSet:
 
 
 def _assemble(env: GaussianEnvelope, *, a1: float, a3: float, b1: float,
-              c2: float, c0: float, delta2: float, variant: str,
-              extra: dict | None = None) -> ControlSet:
+              c2: float, c0: float, delta2: float, variant: str) -> ControlSet:
     d2sq = delta2 * delta2
 
     def omega_x(t):
@@ -192,16 +194,9 @@ def _assemble(env: GaussianEnvelope, *, a1: float, a3: float, b1: float,
     def phi(t):
         return (c2 / delta2) * env.int_value_squared(t) + c0 * np.asarray(t, float)
 
-    record = {
-        "area": env.params.area, "sigma": env.params.sigma,
-        "t_g": env.params.t_g, "a1": a1, "a3": a3, "b1": b1,
-        "c2": c2, "c0": c0, "delta2": delta2,
-    }
-    if extra:
-        record.update(extra)
     # G is even about t_g/2 and dG/dt odd
     return ControlSet(omega_x, omega_y, delta, env.params.t_g, variant,
-                      record, phi, mirror=True)
+                      dict(a1=a1, a3=a3, b1=b1, c2=c2, c0=c0), phi, mirror=True)
 
 
 def first_order_coefficients(spec: SystemSpec, variant: DragVariant
@@ -279,24 +274,17 @@ def controls_for(spec: SystemSpec, variant, params: GaussianParams) -> ControlSe
     if isinstance(variant, Ansatz):
         return _assemble(env, a1=variant.alpha, a3=0.0, b1=-variant.beta,
                          c2=variant.gamma, c0=variant.delta0,
-                         delta2=spec.delta2, variant=variant.label,
-                         extra={"alpha": variant.alpha, "beta": variant.beta,
-                                "gamma": variant.gamma, "delta0": variant.delta0})
+                         delta2=spec.delta2, variant=variant.label)
     variant = DragVariant(variant)
-    if spec.topology is Topology.LADDER:
-        extra = {"lambda1": spec.lam[1]}
-    elif variant not in _MULTI_LEVEL_VARIANTS:
+    if (spec.topology is not Topology.LADDER
+            and variant not in _MULTI_LEVEL_VARIANTS):
         raise ValueError(
             f"{variant.value} is not available for {spec.topology.value} "
             "systems (only gaussian0, z_only1, y_only1, optimal1)")
-    elif spec.topology is Topology.STAR:
-        extra = {"lambda_tilde": effective_lambda(spec)}
-    else:
-        extra = {"lambda1": spec.lam[1], "lambda_m1": spec.lam[-1]}
     b1, c2 = first_order_coefficients(spec, variant)
     a3 = _cubic_coefficient(variant, spec.lam[1])
     return _assemble(env, a1=1.0, a3=a3, b1=b1, c2=c2, c0=0.0,
-                     delta2=spec.delta2, variant=variant.value, extra=extra)
+                     delta2=spec.delta2, variant=variant.value)
 
 
 build_controls = controls_for
@@ -343,4 +331,4 @@ def phase_ramp(cs: ControlSet) -> ControlSet:
 
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     return ControlSet(omega_x, omega_y, zero, cs.t_g, cs.variant + "+ramp",
-                      dict(cs.params, total_phase=float(cs.phi(cs.t_g))), zero)
+                      {"total_phase": float(cs.phi(cs.t_g))}, zero)

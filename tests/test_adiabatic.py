@@ -338,10 +338,10 @@ class TestReportsAgainstTwoProductRoute:
     def test_h_eff_per_order_and_series(self, request, not_params, grid,
                                         topology, variant, order):
         spec = request.getfixturevalue(topology)
-        ds, _, hs, frames, step = _expansion(spec, variant, not_params,
-                                             grid, order)
-        heffs = [step()() for _ in range(order + 1)]
-        for n, heff in enumerate(heffs):
+        ds, _, hs, frames, heffs = _expansion(spec, variant, not_params,
+                                              grid, order, range(order + 1))
+        assert sorted(heffs) == list(range(order + 1))
+        for n, heff in heffs.items():
             m = _transformed(n, frames[:n], hs, ds.h0, grid)
             s = frames[n]
             assert _max_rel(heff, m + 1j * (s @ ds.h0 - ds.h0 @ s)) <= 1e-12
@@ -365,10 +365,8 @@ class TestReportsAgainstTwoProductRoute:
                                   variant):
         spec = request.getfixturevalue(topology)
         order = 2  # the highest order the residual reports implement
-        ds, _, hs, frames, step = _expansion(spec, variant, not_params,
-                                             grid, order)
-        for _ in range(order + 1):
-            step()
+        ds, _, hs, frames, _ = _expansion(spec, variant, not_params, grid,
+                                          order)
         m = _transformed(order, frames[:order], hs, ds.h0, grid)
         s = frames[order]
         heff = m + 1j * (s @ ds.h0 - ds.h0 @ s)
@@ -390,27 +388,34 @@ class TestWorkPerReport:
         constraint_residuals(sno5, DragVariant.DRAG1, not_params, grid, 2)
         assert built == [0, 2]
 
-    def test_star_series_builds_one_control_set(self, monkeypatch, star6,
-                                                not_params, grid):
+    def test_ladder_order_one_residual_builds_m_before_closed_form(
+            self, monkeypatch, sno5, not_params, grid):
+        # H_eff^(1) is read, so M^(1) is built before the closed-form S^(2)
+        # and is not held alongside it
+        calls = []
+        real_t, real_s2 = adiabatic._transformed, adiabatic.frame_second_order
+        monkeypatch.setattr(adiabatic, "_transformed",
+                            lambda n, *a: calls.append(f"T{n}") or real_t(n, *a))
+        monkeypatch.setattr(adiabatic, "frame_second_order",
+                            lambda *a: calls.append("S2") or real_s2(*a))
+        constraint_residuals(sno5, DragVariant.DRAG1, not_params, grid, 1)
+        assert calls == ["T0", "T1", "S2"]
+
+    @pytest.mark.parametrize("report,topology", [
+        (series_vs_exact_deviation, "sno5"),
+        (series_vs_exact_deviation, "star6"),
+        (constraint_residuals, "sno5"),
+    ], ids=["series-sno5", "series-star6", "residual-sno5"])
+    def test_report_builds_one_control_set(self, monkeypatch, request,
+                                           not_params, grid, report,
+                                           topology):
+        spec = request.getfixturevalue(topology)
         calls = []
         real = adiabatic.controls_for
         monkeypatch.setattr(adiabatic, "controls_for",
                             lambda *a: calls.append(a) or real(*a))
-        series_vs_exact_deviation(star6, DragVariant.OPTIMAL1, not_params,
-                                  grid, 2)
+        report(spec, DragVariant.OPTIMAL1, not_params, grid, 2)
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("topology", ["sno5", "star6"])
-    def test_h_eff_can_be_read_twice(self, request, not_params, grid,
-                                     topology):
-        # each call forms H_eff^(n) afresh, with M built by the step (order
-        # 0, recursion) or on demand (ladder order 1, closed-form S^(2))
-        spec = request.getfixturevalue(topology)
-        *_, step = _expansion(spec, DragVariant.OPTIMAL1, not_params, grid, 1)
-        for _ in range(2):
-            h_eff = step()
-            first = h_eff().copy()
-            assert np.array_equal(h_eff(), first)
 
 
 def test_order_ranges_are_enforced(sno5, not_params, grid):

@@ -122,7 +122,7 @@ class TestExitCodes:
         ({"area": 1e308}, "area=1e+308"),
         ({"tg_factor": 1e-300}, "tg_factor=1e-300"),
     ], ids=["sigma-overflow", "area-overflow", "tg_factor-underflow"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unusable_pulse_exits_2(self, tmp_path, capsys, changes, expect):
         # finite values that pass the schema but give no finite pulse
         cfg = dict(preset_config("gaussian-benchmark"), **changes)

@@ -300,13 +300,3 @@ def test_controls_for_dispatch(sno5, inter5, star6, not_params):
     assert "ansatz" in controls_for(star6, Ansatz(1, 0, 0, 0), not_params).variant
     assert build_controls is controls_for
 
-
-def test_recorded_drive_weights(sno5, inter5, star6, not_params):
-    # each topology records the weights its closed forms were built from
-    lad = controls_for(sno5, DragVariant.DRAG2, not_params).params
-    assert lad["lambda1"] == sno5.lam[1] and "lambda_m1" not in lad
-    mid = controls_for(inter5, DragVariant.Z_ONLY1, not_params).params
-    assert (mid["lambda1"], mid["lambda_m1"]) == (inter5.lam[1], inter5.lam[-1])
-    star = controls_for(star6, DragVariant.Y_ONLY1, not_params).params
-    assert star["lambda_tilde"] == effective_lambda(star6)
-    assert "lambda1" not in star
