@@ -6,11 +6,12 @@ K = (H1 + H2)/2 + i (sqrt(3)/12) dt [H1, H2], H1 and H2 sampled at
 t_k + (1/2 -+ sqrt(3)/6) dt; the global error is fourth order in the step
 size.  H is linear in the controls, so A = -i dt K of every step is one
 real product of per-step coefficients with a fixed basis of the generators
-and their commutators.  exp(A) comes from a degree-8 Taylor polynomial,
-exact to round-off at the small ||A|| of a step (scaling and squaring
-covers larger ones), so no step needs an eigendecomposition.  Steps and
-products are kept as U - I: (I + B1)(I + B0) = I + (B1 + B0 + B1 B0)
-keeps the small step increments from being rounded against the identity.
+and their commutators.  Each step is shifted by the midpoint of its
+diagonal phases, and exp(A) comes from a degree-8 Taylor polynomial in
+three products (scaling and squaring past a 1-norm of 0.1), so no step
+needs an eigendecomposition.  Steps and products are kept as U - I:
+(I + B1)(I + B0) = I + (B1 + B0 + B1 B0) keeps the small step increments
+from being rounded against the identity.
 
 For a mirror-symmetric set (``ControlSet.mirror``), H(t_g - t) = conj H(t)
 makes step N-1-k the transpose of step k, so only the first half is built:
@@ -76,10 +77,18 @@ def _sample_controls(cs: ControlSet, ts: np.ndarray):
     return ox, oy, dl
 
 
-# the degree-8 Taylor polynomial is exact to round-off up to this 1-norm
-# (remainder below theta^9/9! ~ 5e-18); larger exponents are scaled
-_TAYLOR_THETA = 0.05
-_TAYLOR_COEFFS = [1.0 / math.factorial(k) for k in range(9)]
+# the largest 1-norm the degree-8 Taylor polynomial takes unscaled; its
+# remainder there, at most theta^9/9! ~ 2.8e-15 per step, is a phase error
+# on eigenvalues of modulus near theta; larger exponents are scaled
+_TAYLOR_THETA = 0.1
+# that polynomial in three products (Bader, Blanes & Casas, Mathematics 7,
+# 1174 (2019)): A2 = A A, A4 = A2 (x1 A + x2 A2),
+# A8 = (x3 A2 + A4)(x4 I + x5 A + x6 A2 + x7 A4), exp(A) - I ~ A + y2 A2 + A8
+_R177 = math.sqrt(177.0)
+_BBC_X = ((1.0 + _R177) / 132.0, (1.0 + _R177) / 528.0, 2.0 / 3.0,
+          (-271.0 + 29.0 * _R177) / 210.0, 11.0 * (-1.0 + _R177) / 840.0,
+          11.0 * (-9.0 + _R177) / 3360.0, (89.0 - _R177) / 2240.0)
+_BBC_Y2 = (857.0 - 58.0 * _R177) / 630.0
 # generator pairs (a, b), a < b, of the commutator terms, in basis order
 _PAIRS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
 
@@ -115,22 +124,50 @@ def _step_exponents(gen: HamiltonianGenerators, cs: ControlSet,
     return (coef @ _exponent_basis(gen)).view(complex).reshape(n, d, d)
 
 
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a stack of matrices."""
+    return np.einsum("...ii->...i", m)
+
+
 def _expm1(a: np.ndarray) -> np.ndarray:
-    """exp(A) - I for a stack of matrices: a degree-8 Taylor polynomial in
-    Paterson-Stockmeyer form (four batched products), after scaling A by
-    2^-s so that its largest 1-norm is at most theta, then s squarings
-    B <- 2B + B^2 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011))."""
+    """exp(A) - I for a stack of matrices; A itself is left as it is.
+
+    Each A_k is shifted to A_k - i c_k I, c_k the midpoint of Im diag A_k,
+    which takes the drift's common phase out of its 1-norm.  The shifted
+    stack is scaled by 2^-s so that its largest 1-norm is at most theta,
+    exp - I is the degree-8 Taylor polynomial in three batched products,
+    then come s squarings B <- 2B + B^2 (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)), and the shift goes back in the U - I form:
+    B = e^{ic} B' + (e^{ic} - 1) I, e^{ic} - 1 = -2 sin^2(c/2) + i sin c."""
+    a = a.astype(complex)  # a copy
+    diag = _diagonal(a)
+    c = 0.5 * (diag.imag.max(axis=-1) + diag.imag.min(axis=-1))
+    diag -= 1j * c[..., None]
     norm = float(np.abs(a).sum(axis=-2).max())
     s = max(0, math.frexp(norm / _TAYLOR_THETA)[1])
     if s:
-        a = a * 2.0 ** -s
-    c = _TAYLOR_COEFFS
+        a *= 2.0 ** -s
+    x1, x2, x3, x4, x5, x6, x7 = _BBC_X
+    # sums formed in place through one scratch stack t: with a fresh stack
+    # per term, a step at s = 0 took longer than the four-product form
+    t = np.empty_like(a)
     a2 = a @ a
-    b = c[7] * a + c[8] * a2
-    for k in (5, 3, 1):
-        b = c[k] * a + c[k + 1] * a2 + a2 @ b
+    a4 = a * x1
+    a4 += np.multiply(a2, x2, out=t)
+    a4 = a2 @ a4
+    p = a4 * x7
+    p += np.multiply(a2, x6, out=t)
+    p += np.multiply(a, x5, out=t)
+    _diagonal(p)[...] += x4
+    a4 += np.multiply(a2, x3, out=t)
+    b = np.matmul(a4, p, out=t)
+    b += np.multiply(a2, _BBC_Y2, out=a2)
+    b += a
     for _ in range(s):
         b = 2.0 * b + b @ b
+    b *= np.exp(1j * c)[..., None, None]
+    _diagonal(b)[...] += (-2.0 * np.sin(0.5 * c) ** 2
+                          + 1j * np.sin(c))[..., None]
     return b
 
 

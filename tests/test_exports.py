@@ -1,7 +1,9 @@
 """Every exported name resolves, so a removal that leaves a stale export
-fails here rather than in a user's ``import *``."""
+fails here rather than in a user's ``import *``; so does every name the
+benchmark's tracer wraps."""
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -28,3 +30,16 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(mod, alias.name), f"{node.module}.{alias.name}"
             assert hasattr(drag_forge, alias.asname or alias.name)
+
+
+def test_benchmark_trace_hooks_resolve():
+    # Tracer.install looks each (module, attribute) up with getattr, so a
+    # renamed function would crash every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.HOOKS
+    missing = [f"{mod}.{attr}" for mod, attr, *_ in tracing.HOOKS if not
+               hasattr(importlib.import_module(f"drag_forge.{mod}"), attr)]
+    assert missing == []

@@ -44,6 +44,15 @@ class TestPropagate:
         u = propagate(sno3, _constant_controls(1.0), TimeGrid(1.0, 64))
         np.testing.assert_allclose(u, np.eye(3), atol=1e-12)
 
+    def test_zero_controls_keep_qubit_block_at_identity(self, sno5):
+        # the per-step shift moves the drift's mean phase onto the qubit
+        # levels and takes it off again; a global shift would leave its
+        # rounding in U - I of order one (3.4e-14 here)
+        gen = generators(sno5)
+        u = propagate(gen, _constant_controls(8.0), TimeGrid(8.0, 4096))
+        q = [gen.row(0), gen.row(1)]
+        assert np.max(np.abs(u[np.ix_(q, q)] - np.eye(2))) <= 1e-15
+
     def test_two_level_pi_pulse(self):
         gen = _two_level_generators()
         t_g = 1.0
@@ -298,6 +307,35 @@ class TestTaylorStep:
         b = _expm1(a)
         assert np.max(np.abs(b + np.eye(6) - _eigh_exp(a))) <= 1e-14
 
+    def test_three_product_form_is_the_taylor_polynomial(self):
+        # compose A2, A4, A8 and B on polynomial coefficients in A
+        P = np.polynomial.polynomial
+        x1, x2, x3, x4, x5, x6, x7 = propagator._BBC_X
+        a, a2 = np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0])
+        a4 = P.polymul(a2, P.polyadd(x1 * a, x2 * a2))
+        a8 = P.polymul(P.polyadd(x3 * a2, a4),
+                       P.polyadd([x4], P.polyadd(x5 * a, P.polyadd(x6 * a2,
+                                                                  x7 * a4))))
+        b = P.polyadd(P.polyadd(a, propagator._BBC_Y2 * a2), a8)
+        taylor = [0.0] + [1.0 / math.factorial(k) for k in range(1, 9)]
+        assert len(b) == 9 and b[0] == 0.0
+        np.testing.assert_allclose(b, taylor, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("norm", [0.01, 0.3, 2.0, 20.0])
+    @pytest.mark.parametrize("d", [3, 5, 6, 9])
+    def test_large_scalar_diagonal(self, rng, d, norm):
+        # -4i norm I + X: the shift takes the scalar part off exactly, the
+        # rest may still need squarings; A is left as it was
+        x = rng.normal(size=(64, d, d)) + 1j * rng.normal(size=(64, d, d))
+        x = x - x.conj().swapaxes(-1, -2)
+        x *= norm / np.abs(x).sum(axis=-2).max()
+        a = x - 4j * norm * np.eye(d)
+        kept = a.copy()
+        b = _expm1(a)
+        np.testing.assert_array_equal(a, kept)
+        bound = 1e-14 * (1.0 + np.abs(a).sum(axis=-2).max())
+        assert np.max(np.abs(b + np.eye(d) - _eigh_exp(a))) <= bound
+
     @pytest.mark.parametrize("system,variant", [
         ("sno5", DragVariant.DRAG2), ("inter5", DragVariant.OPTIMAL1),
         ("star6", DragVariant.OPTIMAL1),
@@ -319,9 +357,13 @@ class TestTaylorStep:
         ("inter5", DragVariant.GAUSSIAN0, 0.4),
         ("inter5", DragVariant.GAUSSIAN0, 0.6),
         ("inter5", DragVariant.GAUSSIAN0, 1.6),
-        ("star6", DragVariant.GAUSSIAN0, 2.0)])
+        ("star6", DragVariant.GAUSSIAN0, 2.0)] + [
+        (system, variant, round(0.2 * k, 10)) for system, variant in (
+            ("sno5", DragVariant.DRAG2), ("inter5", DragVariant.OPTIMAL1),
+            ("star6", DragVariant.OPTIMAL1)) for k in range(2, 11)])
     def test_unitary_to_round_off(self, request, system, variant, sigma):
-        # fig7 / fig8 sweep points at the presets' 4096 steps
+        # fig3/fig4/fig7/fig8 sweep points (sigma 0.4 .. 2.0) at the
+        # presets' 4096 steps
         spec = request.getfixturevalue(system)
         p = GaussianParams.for_not(sigma)
         u = propagate(spec, controls_for(spec, variant, p),
