@@ -20,6 +20,7 @@ none.  S-derivatives use 4th-order finite differences.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +173,10 @@ def _expansion(spec: SystemSpec, variant, params: GaussianParams,
     """
     if isinstance(variant, Ansatz):
         raise ValueError("the numeric ansatz has no documented frame")
+    if not math.isclose(grid.t_g, params.t_g, rel_tol=1e-12):
+        # the exact route samples the controls on [0, grid.t_g]
+        raise ValueError(f"grid t_g={grid.t_g!r} differs from the pulse's "
+                         f"t_g={params.t_g!r}")
     ds = _dimless(spec)
     cs = controls_for(spec, variant, params)
     b1, c2, a3 = (cs.params[k] for k in ("b1", "c2", "a3"))

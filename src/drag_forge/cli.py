@@ -174,13 +174,12 @@ def _sweep_point(args) -> tuple:
 def _write_csv(path: Path, name: str, header: str, rows) -> Path:
     """CSV whose first line names ``<name>.manifest.json``.
 
-    Floats are written with repr (round-trip exact), everything else with str.
+    Values are written with str, which is repr (round-trip exact) for floats.
     """
     with open(path, "w") as fh:
         fh.write(f"# manifest: {name}.manifest.json\n{header}\n")
         for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
     return path
 
 
@@ -213,7 +212,6 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int) -> Path:
             rows = [_sweep_point(p) for p in points]
     except ConvergenceError as exc:
         raise ConvergenceError(f"{exc} (while sweeping {cfg['name']})")
-    rows.sort(key=lambda r: (r[0], cfg["variants"].index(r[1])))
 
     return _write_table(out_dir, cfg["name"], "sigma,variant,gate_error,n_steps",
                         rows, config={k: cfg[k] for k in sorted(cfg)},
@@ -272,7 +270,7 @@ def _run_pop_traces(out_dir: Path, n_steps) -> Path:
         cs = controls_for(spec, DragVariant.GAUSSIAN0, params)
         times, probs = populations(spec, cs, TimeGrid(params.t_g, n_steps), 0)
         path = _write_csv(out_dir / f"pop-traces-{i}.csv", "pop-traces", header,
-                          ([t, *p] for t, p in zip(times, probs)))
+                          np.column_stack([times, probs]).tolist())
         files.append({"sigma": sigma, "csv": path.name, "n_steps": n_steps})
     return _write_manifest(
         out_dir, "pop-traces",
@@ -293,7 +291,7 @@ PRESETS = (*_SWEEPS, *_RUNNERS)
 
 def _check_jobs(jobs) -> None:
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ConfigError(f"jobs: must be an integer >= 1, got {jobs!r}")
+        raise ConfigError(f"--jobs: must be an integer >= 1, got {jobs!r}")
 
 
 def _make_out_dir(out_dir) -> Path:
@@ -336,21 +334,18 @@ def run_config(path, out_dir, jobs: int = 1, n_steps=None) -> Path:
     return _run_sweep(cfg, _make_out_dir(out_dir), jobs)
 
 
-def _int_arg(low: int, auto: bool = False):
-    """argparse type: an integer >= low, or 'auto' where allowed."""
-    def parse(text: str):
-        if auto and text == "auto":
-            return text
-        try:
-            n = int(text)
-        except ValueError:
-            n = low - 1
-        if n < low:
-            tail = " or 'auto'" if auto else ""
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not an integer >= {low}{tail}")
-        return n
-    return parse
+def _steps_arg(text: str):
+    """argparse type of --steps: an integer >= 16 or 'auto'."""
+    if text == "auto":
+        return text
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 16:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer >= 16 or 'auto'")
+    return n
 
 
 def main(argv=None) -> int:
@@ -362,10 +357,10 @@ def main(argv=None) -> int:
     run = sub.add_parser("run", help="run a preset or a JSON sweep config")
     run.add_argument("preset", nargs="?", help=f"one of: {', '.join(PRESETS)}")
     run.add_argument("--config", help="path to a JSON sweep config")
-    run.add_argument("--jobs", type=_int_arg(1), default=1,
+    run.add_argument("--jobs", type=int, default=1,
                      help="parallel workers (integer >= 1)")
     run.add_argument("--out", default="results", help="output directory")
-    run.add_argument("--steps", type=_int_arg(16, auto=True), default=None,
+    run.add_argument("--steps", type=_steps_arg, default=None,
                      help="integrator steps per point (integer >= 16 or 'auto')")
     args = parser.parse_args(argv)
 

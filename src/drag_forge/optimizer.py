@@ -48,7 +48,7 @@ class OptimizeTask:
             raise ValueError("mask and x0 must have four entries")
         if not any(self.mask):
             raise ValueError("at least one parameter must be free")
-        if self.prop_tol <= 0:  # step doubling would run to its cap
+        if not self.prop_tol > 0:  # step doubling would run to its cap
             raise ValueError("prop_tol must be positive")
         if self.max_evals < 1:  # the result must come from an evaluation
             raise ValueError("max_evals must be >= 1")
@@ -114,7 +114,6 @@ def optimize(task: OptimizeTask) -> OptimizeResult:
     rng = np.random.default_rng(task.seed)
     converged = False
     try:
-        objective(best_x)
         for restart in range(_RESTARTS + 1):
             if restart == 0:
                 start = best_x.copy()

@@ -20,6 +20,7 @@ U = P^T P, or P^T U_mid P for odd N, with P the product of the first N//2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,11 @@ class TimeGrid:
     def __post_init__(self):
         if self.t_g <= 0:
             raise ValueError("t_g must be positive")
+        try:  # a float count would fail only at the first slice
+            operator.index(self.n_steps)
+        except TypeError:
+            raise ValueError(f"n_steps must be an integer, got "
+                             f"{self.n_steps!r}") from None
         if self.n_steps < 16:
             raise ValueError(f"n_steps must be >= 16, got {self.n_steps}")
 
@@ -109,6 +115,10 @@ def _step_exponents(gen: HamiltonianGenerators, cs: ControlSet,
     """A_k = -i dt K_k of the Magnus-4 steps, all N of them, or the first
     ceil(N/2) of a mirror set (the rest are their transposes in reverse
     order), as one real product of per-step coefficients and the basis."""
+    if not math.isclose(grid.t_g, cs.t_g, rel_tol=1e-12):
+        # the nodes and the mirror fold would cover the wrong interval
+        raise ValueError(f"grid t_g={grid.t_g!r} differs from the controls' "
+                         f"t_g={cs.t_g!r}")
     n = (grid.n_steps + 1) // 2 if cs.mirror else grid.n_steps
     dt = grid.dt
     offsets = np.array([[-dt], [dt]]) * (math.sqrt(3.0) / 6.0)  # Gauss nodes
@@ -246,7 +256,7 @@ def converge(system, controls: ControlSet, t_g: float,
     max|U_2N - U_N| / 15 element-wise; returns U_2N and 2N of the first
     pair whose estimate is below tol.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too: no estimate is below it
         raise ValueError("tol must be positive")
     gen = _as_generators(system)
     n = 256

@@ -320,27 +320,14 @@ def phase_ramp(cs: ControlSet) -> ControlSet:
     """
     if cs.phi is None:
         raise ValueError(f"{cs.variant}: phase_ramp needs the closed-form phi")
-    # (t, omega_x, omega_y, cos Phi, sin Phi) at the last sampled times: the
-    # propagator samples both channels at one time array, and Phi costs one
-    # math.erf per sample
-    last = [None]
-
-    def sampled(t):
-        t = np.asarray(t, dtype=float)
-        hit = last[0]
-        if hit is None or not np.array_equal(hit[0], t):
-            p = cs.phi(t)
-            hit = last[0] = (t.copy(), cs.omega_x(t), cs.omega_y(t),
-                             np.cos(p), np.sin(p))
-        return hit[1:]
 
     def omega_x(t):
-        ox, oy, cos, sin = sampled(t)
-        return ox * cos - oy * sin
+        p = cs.phi(t)
+        return cs.omega_x(t) * np.cos(p) - cs.omega_y(t) * np.sin(p)
 
     def omega_y(t):
-        ox, oy, cos, sin = sampled(t)
-        return oy * cos + ox * sin
+        p = cs.phi(t)
+        return cs.omega_y(t) * np.cos(p) + cs.omega_x(t) * np.sin(p)
 
     zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     return ControlSet(omega_x, omega_y, zero, cs.t_g, cs.variant + "+ramp",

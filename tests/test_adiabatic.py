@@ -250,6 +250,14 @@ class TestHEffExact:
                 sno5, DragVariant.OPTIMAL1, p, TimeGrid(tg, 2048), 0))
         assert devs[0] / devs[1] == pytest.approx(2.0, rel=0.1)
 
+    def test_series_rejects_grid_of_another_gate_time(self, sno5):
+        # the exact route would sample [0, 4] of a t_g = 8 pulse while the
+        # series covers all of it
+        p = GaussianParams.for_not(2.0)
+        with pytest.raises(ValueError, match="t_g"):
+            series_vs_exact_deviation(sno5, DragVariant.OPTIMAL1, p,
+                                      TimeGrid(4.0, 2048), 1)
+
 
 class TestOrderScaling:
     @pytest.mark.parametrize("order", [0, 1, 2])

@@ -27,7 +27,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least one"):
             OptimizeTask(sno5, fast_params, (False, False, False, False))
 
-    @pytest.mark.parametrize("prop_tol", [0.0, -1e-9])
+    @pytest.mark.parametrize("prop_tol", [0.0, -1e-9, math.nan])
     def test_bad_prop_tolerance_rejected(self, sno5, fast_params, prop_tol):
         # a step-doubling tolerance that can never be met would double the
         # grid to its 2^20 cap; only the construction is exercised here
@@ -126,6 +126,21 @@ def test_result_reports_budget(sno5, fast_params):
     assert isinstance(res, OptimizeResult)
     assert res.n_evals <= 25
     assert res.n_steps >= 256
+
+
+def test_initial_point_evaluated_once(sno5, fast_params, monkeypatch):
+    # the first simplex vertex is x0 itself; evaluating it beforehand as
+    # well would spend a second evaluation of the budget on it
+    import drag_forge.optimizer as optimizer
+
+    seen = []
+    real = optimizer.propagate
+    monkeypatch.setattr(optimizer, "propagate", lambda gen, cs, grid:
+                        seen.append(cs.params) or real(gen, cs, grid))
+    res = optimize(OptimizeTask(sno5, fast_params, (True, False, False, False),
+                                max_evals=10, prop_tol=1e-7))
+    assert len(seen) == res.n_evals == 10
+    assert seen[0] != seen[1]
 
 
 def test_generators_built_once_per_task(sno5, fast_params, monkeypatch):

@@ -31,6 +31,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="16"):
             TimeGrid(1.0, 8)
 
+    def test_rejects_non_integer_step_count(self):
+        # a float count would otherwise fail only at the first slice
+        with pytest.raises(ValueError, match="integer"):
+            TimeGrid(1.0, 4096.0)
+        assert TimeGrid(1.0, np.int64(64)).n_steps == 64
+
     def test_midpoints_and_nodes(self):
         g = TimeGrid(2.0, 16)
         assert g.dt == 0.125
@@ -92,6 +98,15 @@ class TestPropagate:
         u1 = propagate(sno5, first, TimeGrid(t_g / 2, 512))
         u2 = propagate(sno5, second, TimeGrid(t_g / 2, 512))
         np.testing.assert_allclose(u2 @ u1, full, atol=1e-12)
+
+    def test_rejects_grid_of_another_gate_time(self, sno5):
+        # the nodes and the mirror fold would cover [0, 2] of a t_g = 4 pulse
+        cs = controls_for(sno5, DragVariant.DRAG2, GaussianParams.for_not(1.0))
+        grid = TimeGrid(2.0, 4096)
+        with pytest.raises(ValueError, match="t_g"):
+            propagate(sno5, cs, grid)
+        with pytest.raises(ValueError, match="t_g"):
+            populations(sno5, cs, grid, 0)
 
     def test_rejects_non_finite_controls(self, sno3):
         bad = _constant_controls(1.0)
@@ -169,9 +184,12 @@ class TestConverge:
         assert n == 1024
         np.testing.assert_allclose(u.conj().T @ u, np.eye(5), atol=1e-10)
 
-    def test_rejects_bad_tolerance(self, sno3):
-        with pytest.raises(ValueError, match="positive"):
-            converge(sno3, _constant_controls(1.0), 1.0, 0.0)
+    def test_rejects_bad_tolerance(self, sno3, monkeypatch):
+        # no estimate is below NaN; a small cap makes a miss fail fast
+        monkeypatch.setattr(propagator, "_STEP_CAP", 4096)
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                converge(sno3, _constant_controls(1.0), 1.0, tol)
 
     def test_cap_raises(self, sno5, not_params, monkeypatch):
         monkeypatch.setattr(propagator, "_STEP_CAP", 4096)

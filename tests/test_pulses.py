@@ -285,22 +285,6 @@ class TestPhaseRamp:
         np.testing.assert_allclose(rcs.omega_y(ts), ox * np.sin(c * ts),
                                    atol=1e-12)
 
-    def test_evaluates_phi_once_per_time_array(self, sno5, not_params):
-        # both ramped channels at one time array share one Phi, which costs
-        # one math.erf per sample
-        cs = controls_for(sno5, DragVariant.DRAG2, not_params)
-        calls = []
-        counted = ControlSet(cs.omega_x, cs.omega_y, cs.delta, cs.t_g,
-                             cs.variant, cs.params,
-                             lambda t: calls.append(t) or cs.phi(t))
-        rcs, ref = phase_ramp(counted), phase_ramp(cs)
-        calls.clear()  # the total phase at construction
-        for n in (300, 301):
-            ts = np.linspace(0, not_params.t_g, n)
-            np.testing.assert_array_equal(rcs.omega_x(ts), ref.omega_x(ts))
-            np.testing.assert_array_equal(rcs.omega_y(ts), ref.omega_y(ts))
-        assert len(calls) == 2
-
     def test_rejects_set_without_phi(self, sno5, not_params):
         cs = build_controls(sno5, DragVariant.Z_ONLY1, not_params)
         stripped = ControlSet(cs.omega_x, cs.omega_y, cs.delta, cs.t_g,
