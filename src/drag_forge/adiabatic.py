@@ -279,19 +279,19 @@ def h_extra(n: int, frames: list[np.ndarray], h_orders: dict,
     return _transformed(n, frames[:n], below, h0, grid)
 
 
-def h_eff_exact(spec: SystemSpec, cs: ControlSet, s_total: np.ndarray,
-                grid: TimeGrid) -> np.ndarray:
+def h_eff_exact(spec: SystemSpec, cs: ControlSet,
+                s_total: np.ndarray) -> np.ndarray:
     """Exact effective Hamiltonian A^dag H A + i dA^dag/dt A, dimensionless.
 
     ``s_total`` holds Hermitian samples of the summed frame generator on
-    the grid nodes; A = exp(-i S) per sample, with the derivative term
-    computed by 4th-order finite differences of A itself.
+    evenly spaced nodes of [0, cs.t_g]; A = exp(-i S) per sample, with the
+    derivative term computed by 4th-order finite differences of A itself.
     """
-    ox, oy, dl = _sample_controls(cs, grid.nodes())
-    hbar = grid.t_g * hamiltonian_at(generators(spec), dl, ox, oy)
+    ox, oy, dl = _sample_controls(cs, np.linspace(0.0, cs.t_g, len(s_total)))
+    hbar = cs.t_g * hamiltonian_at(generators(spec), dl, ox, oy)
     w, v = np.linalg.eigh(s_total)
     a = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    da = _fd4(a, 1.0 / grid.n_steps)
+    da = _fd4(a, 1.0 / (len(s_total) - 1))
     return a.conj().swapaxes(-1, -2) @ hbar @ a \
         + 1j * da.conj().swapaxes(-1, -2) @ a
 
@@ -299,15 +299,13 @@ def h_eff_exact(spec: SystemSpec, cs: ControlSet, s_total: np.ndarray,
 # -- residual reports ---------------------------------------------------------
 
 def _component_maxima(ds: _Dimless, m_stack: np.ndarray,
-                      targets=None) -> tuple[dict, float]:
+                      targets=(0.0, 0.0, 0.0)) -> tuple[dict, float]:
     """Qubit-block trace mismatches and the worst qubit/leak coupling trace."""
     q0, q1 = ds.qubit_rows
-    tx = 2.0 * np.real(m_stack[:, q0, q1])
-    ty = -2.0 * np.imag(m_stack[:, q0, q1])
-    tz = np.real(m_stack[:, q0, q0] - m_stack[:, q1, q1])
-    if targets is not None:
-        gx, gy, gz = targets
-        tx, ty, tz = tx - gx, ty - gy, tz - gz
+    gx, gy, gz = targets
+    tx = 2.0 * np.real(m_stack[:, q0, q1]) - gx
+    ty = -2.0 * np.imag(m_stack[:, q0, q1]) - gy
+    tz = np.real(m_stack[:, q0, q0] - m_stack[:, q1, q1]) - gz
     mismatch = {"x": float(np.max(np.abs(tx))),
                 "y": float(np.max(np.abs(ty))),
                 "z": float(np.max(np.abs(tz)))}
@@ -370,5 +368,5 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
     s_total = sum(eps ** (m + 1) * s for m, s in enumerate(frames))
     del hs, frames  # not held through the exact transform
 
-    exact = h_eff_exact(spec, cs, s_total, grid)
+    exact = h_eff_exact(spec, cs, s_total)
     return float(np.max(np.abs(exact - series)))

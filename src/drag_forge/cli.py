@@ -114,12 +114,8 @@ def _validate_config(cfg: dict, n_steps=None) -> dict:
     if not isinstance(variants, list) or not variants:
         fail("variants", "must be a non-empty list")
     for i, v in enumerate(variants):
-        try:
-            variant = DragVariant(v)
-        except ValueError:
-            fail(f"variants[{i}]", f"unknown variant {v!r}")
-        try:  # some variants exist only for some topologies
-            controls_for(spec, variant, GaussianParams.for_not(1.0))
+        try:  # unknown names, and variants that exist only on some topologies
+            controls_for(spec, v, GaussianParams.for_not(1.0))
         except ValueError as exc:
             fail(f"variants[{i}]", str(exc))
     sig = cfg["sigma"]
@@ -159,7 +155,7 @@ def _sweep_point(args) -> tuple:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             params = GaussianParams(area, sigma, tg_factor * sigma)
-            cs = controls_for(spec, DragVariant(variant), params)
+            cs = controls_for(spec, variant, params)
             if n_steps == "auto":
                 u, used = converge(spec, cs, params.t_g, 1e-9)
             else:
@@ -311,6 +307,9 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
     _check_jobs(jobs)
     runner = _RUNNERS.get(name)
     if runner is None:
+        if name not in _SWEEPS:
+            raise ConfigError(f"unknown preset {name!r}; available: "
+                              f"{', '.join(PRESETS)}")
         cfg = _validate_config(preset_config(name), n_steps)
         return _run_sweep(cfg, _make_out_dir(out_dir), jobs)
     run, takes_steps = runner
@@ -368,10 +367,6 @@ def main(argv=None) -> int:
         if args.config:
             out = run_config(args.config, args.out, args.jobs, args.steps)
         elif args.preset:
-            if args.preset not in PRESETS:
-                print(f"unknown preset {args.preset!r}; available: "
-                      f"{', '.join(PRESETS)}", file=sys.stderr)
-                return 2
             out = run_preset(args.preset, args.out, args.jobs, args.steps)
         else:
             print("nothing to run: give a preset name or --config",

@@ -42,8 +42,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.t_g <= 0:
-            raise ValueError("t_g must be positive")
+        if not self.t_g > 0:  # NaN fails this too
+            raise ValueError(f"t_g must be positive, got {self.t_g!r}")
         try:  # a float count would fail only at the first slice
             operator.index(self.n_steps)
         except TypeError:

@@ -122,11 +122,20 @@ class DragVariant(str, Enum):
     DRAG2 = "drag2"
 
 
-# second-order variants share the first-order fields of their base variant
-_SECOND_ORDER_BASE = {
-    DragVariant.Z_ONLY2: DragVariant.Z_ONLY1,
-    DragVariant.Y_ONLY2: DragVariant.Y_ONLY1,
-    DragVariant.DRAG2: DragVariant.DRAG1,
+# (b1, c2, a3) of each named variant from the (S, Lam) of _table_row.  A
+# second-order variant keeps its first-order base's (b1, c2) and adds a3, in
+# lam ** 2: on some ladders s = lam * lam differs from lam ** 2 in the last bit.
+_VARIANT_TABLE = {
+    DragVariant.GAUSSIAN0: lambda s, lam: (0.0, 0.0, 0.0),
+    DragVariant.Z_ONLY1: lambda s, lam: (0.0, s / 4.0, 0.0),
+    DragVariant.Y_ONLY1: lambda s, lam: (-s / 4.0, 0.0, 0.0),
+    DragVariant.OPTIMAL1: lambda s, lam: (-lam / 2.0, (s - 2.0 * lam) / 4.0, 0.0),
+    DragVariant.DRAG1: lambda s, lam: (-1.0, (s - 4.0) / 4.0, 0.0),
+    DragVariant.Z_ONLY2: lambda s, lam: (0.0, s / 4.0, lam ** 2 / 8.0),
+    DragVariant.Y_ONLY2: lambda s, lam: (
+        -s / 4.0, 0.0, -lam ** 2 * (lam ** 2 - 4.0) / 32.0),
+    DragVariant.DRAG2: lambda s, lam: (
+        -1.0, (s - 4.0) / 4.0, (lam ** 2 - 4.0) / 8.0),
 }
 
 
@@ -199,14 +208,13 @@ def _assemble(env: GaussianEnvelope, *, a1: float, a3: float, b1: float,
                       dict(a1=a1, a3=a3, b1=b1, c2=c2, c0=c0), phi, mirror=True)
 
 
-def first_order_coefficients(spec: SystemSpec, variant: DragVariant
-                             ) -> tuple[float, float]:
-    """(b1, c2) of a named variant on the given system.
+def _table_row(spec: SystemSpec, variant: DragVariant
+               ) -> tuple[float, float, float]:
+    """(b1, c2, a3) of a named variant on the given system.
 
-    b1 scales the derivative quadrature (omega_y = b1 * dG / delta2) and c2
-    the quadratic detuning (delta = c2 * G^2 / delta2).  Second-order
-    variants return their base first-order fields; the cubic in-phase
-    correction is handled separately.
+    b1 scales the derivative quadrature (omega_y = b1 * dG / delta2), c2
+    the quadratic detuning (delta = c2 * G^2 / delta2) and a3 the cubic
+    in-phase term of the second-order variants; the others have a3 = 0.
 
     The ladder closed forms follow the single-leakage derivation; star
     systems substitute the effective single-channel weight lambda-tilde
@@ -215,47 +223,30 @@ def first_order_coefficients(spec: SystemSpec, variant: DragVariant
 
         S      = lam1^2 - (delta2/delta_-1) * lam_-1^2      (Stark bracket)
         Lam    = sqrt(lam1^2 + (delta2/delta_-1)^2 * lam_-1^2)
-        Z-only : b1 = 0,      c2 = S/4
-        Y-only : b1 = -S/4,   c2 = 0
+        Z-only : b1 = 0,      c2 = S/4,          a3 = Lam^2/8
+        Y-only : b1 = -S/4,   c2 = 0,            a3 = -Lam^2 (Lam^2 - 4)/32
         optimal: b1 = -Lam/2, c2 = (S - 2*Lam)/4
+        DRAG   : b1 = -1,     c2 = (S - 4)/4,    a3 = (Lam^2 - 4)/8
 
     which reduce to the ladder forms when lam_-1 = 0.
     """
-    base = _SECOND_ORDER_BASE.get(variant, variant)
-    if spec.topology is Topology.LADDER:
-        lam1 = spec.lam[1]
-        stark, big = lam1 * lam1, lam1
-    elif spec.topology is Topology.STAR:
-        lt = effective_lambda(spec)
-        stark, big = lt * lt, lt
+    if spec.topology is Topology.STAR:
+        lam1 = effective_lambda(spec)
     else:
         lam1 = spec.lam[1]
+    stark, big = lam1 * lam1, lam1
+    if spec.topology is Topology.INTERMEDIATE:
         lam_m1 = spec.lam[-1]
         r = spec.delta2 / spec.delta[-1]
         stark = lam1 * lam1 - r * lam_m1 * lam_m1
         big = math.sqrt(lam1 * lam1 + r * r * lam_m1 * lam_m1)
-
-    if base is DragVariant.GAUSSIAN0:
-        return 0.0, 0.0
-    if base is DragVariant.Z_ONLY1:
-        return 0.0, stark / 4.0
-    if base is DragVariant.Y_ONLY1:
-        return -stark / 4.0, 0.0
-    if base is DragVariant.OPTIMAL1:
-        return -big / 2.0, (stark - 2.0 * big) / 4.0
-    if base is DragVariant.DRAG1:
-        return -1.0, (stark - 4.0) / 4.0
-    raise ValueError(f"no first-order coefficients for {variant}")
+    return _VARIANT_TABLE[variant](stark, big)
 
 
-def _cubic_coefficient(variant: DragVariant, lam1: float) -> float:
-    if variant is DragVariant.Z_ONLY2:
-        return lam1 ** 2 / 8.0
-    if variant is DragVariant.Y_ONLY2:
-        return -lam1 ** 2 * (lam1 ** 2 - 4.0) / 32.0
-    if variant is DragVariant.DRAG2:
-        return (lam1 ** 2 - 4.0) / 8.0
-    return 0.0
+def first_order_coefficients(spec: SystemSpec, variant: DragVariant
+                             ) -> tuple[float, float]:
+    """(b1, c2) of a named variant: the first two columns of its table row."""
+    return _table_row(spec, DragVariant(variant))[:2]
 
 
 _MULTI_LEVEL_VARIANTS = (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
@@ -281,8 +272,7 @@ def controls_for(spec: SystemSpec, variant, params: GaussianParams) -> ControlSe
         raise ValueError(
             f"{variant.value} is not available for {spec.topology.value} "
             "systems (only gaussian0, z_only1, y_only1, optimal1)")
-    b1, c2 = first_order_coefficients(spec, variant)
-    a3 = _cubic_coefficient(variant, spec.lam[1])
+    b1, c2, a3 = _table_row(spec, variant)
     return _assemble(env, a1=1.0, a3=a3, b1=b1, c2=c2, c0=0.0,
                      delta2=spec.delta2, variant=variant.value)
 

@@ -199,14 +199,17 @@ class TestConstraintResiduals:
 
 
 class TestHEffExact:
-    def test_zero_frame_returns_hamiltonian(self, sno5, not_params, grid):
-        cs = build_controls(sno5, DragVariant.DRAG1, not_params)
-        s = np.zeros((grid.n_steps + 1, 5, 5), dtype=complex)
-        heff = h_eff_exact(sno5, cs, s, grid)
+    @pytest.mark.parametrize("sigma", [1.0, 2.0], ids=["t_g4", "t_g8"])
+    def test_zero_frame_returns_hamiltonian(self, sno5, sigma):
+        # the samples sit on [0, cs.t_g] and scale by cs.t_g, whatever t_g is
+        params = GaussianParams.for_not(sigma)
+        cs = build_controls(sno5, DragVariant.DRAG1, params)
+        s = np.zeros((2049, 5, 5), dtype=complex)
+        heff = h_eff_exact(sno5, cs, s)
         from drag_forge.model import generators
         gen = generators(sno5)
-        tn = grid.nodes()
-        want = not_params.t_g * (
+        tn = TimeGrid(params.t_g, 2048).nodes()
+        want = params.t_g * (
             gen.h_drift[None]
             + np.asarray(cs.delta(tn))[:, None, None] * gen.h_z[None]
             + 0.5 * np.asarray(cs.omega_x(tn))[:, None, None] * gen.h_x[None]
@@ -219,11 +222,10 @@ class TestHEffExact:
         mk = lambda c: (lambda t: np.full_like(np.asarray(t, dtype=float), c))
         zero = mk(0.0)
         cs = ControlSet(mk(0.8), zero, mk(0.1), 1.0, "const")
-        grid = TimeGrid(1.0, 256)
         s_const = np.zeros((257, 3, 3), dtype=complex)
         s_const[:, 0, 2] = 0.3 - 0.1j
         s_const[:, 2, 0] = 0.3 + 0.1j
-        heff = h_eff_exact(sno3, cs, s_const, grid)
+        heff = h_eff_exact(sno3, cs, s_const)
         w, v = np.linalg.eigh(s_const[0])
         a = (v * np.exp(-1j * w)[None, :]) @ v.conj().T
         from drag_forge.model import generators, hamiltonian_at
@@ -235,10 +237,9 @@ class TestHEffExact:
         from drag_forge.pulses import ControlSet
         mk = lambda c: (lambda t: np.full_like(np.asarray(t, dtype=float), c))
         cs = ControlSet(mk(0.8), mk(np.nan), mk(0.1), 1.0, "bad")
-        grid = TimeGrid(1.0, 64)
         s = np.zeros((65, 3, 3), dtype=complex)
         with pytest.raises(ValueError, match="non-finite omega_y"):
-            h_eff_exact(sno3, cs, s, grid)
+            h_eff_exact(sno3, cs, s)
 
     def test_first_order_remainder_scales_quadratically(self, sno5):
         # Richardson-style check: halving epsilon (doubling t_g) divides the
@@ -362,7 +363,7 @@ class TestReportsAgainstTwoProductRoute:
             for n in range(order + 1))
         s_total = sum(eps ** (n + 1) * s for n, s in enumerate(frames))
         cs = build_controls(spec, variant, not_params)
-        want = float(np.max(np.abs(h_eff_exact(spec, cs, s_total, grid)
+        want = float(np.max(np.abs(h_eff_exact(spec, cs, s_total)
                                    - series)))
         got = series_vs_exact_deviation(spec, variant, not_params, grid,
                                         order)

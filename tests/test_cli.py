@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import drag_forge
-from drag_forge.cli import main, preset_config, run_config, run_preset
+from drag_forge.cli import (ConfigError, main, preset_config, run_config,
+                            run_preset)
 
 
 def test_runtime_imports_no_scipy():
@@ -53,6 +54,12 @@ class TestExitCodes:
         assert rc == 2
         assert "gaussian-benchmark" in capsys.readouterr().err
 
+    def test_run_preset_rejects_unknown_name(self, tmp_path):
+        # the public API names the preset instead of raising a bare KeyError
+        with pytest.raises(ConfigError, match="unknown preset 'nosuch'.*fig9"):
+            run_preset("nosuch", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_target_exits_2(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 2
 
@@ -78,6 +85,8 @@ class TestExitCodes:
         (["--config", "CFG"],
          {"system": {"kind": "star", "delta": [-2 * math.pi], "lambda": [1.0]},
           "variants": ["gaussian0", "drag2"]}, "variants[1]"),
+        (["--config", "CFG"], {"variants": ["gaussian0", "nope"]},
+         "variants[1]"),
         (["fig5a", "--steps", "64"], {}, "--steps"),
         (["fig5b", "--steps", "auto"], {}, "--steps"),
         (["fig9", "--steps", "64"], {}, "--steps"),
@@ -95,6 +104,7 @@ class TestExitCodes:
         (["--config", "CFG"], b"\xff\xfe{}", "cfg.json"),
     ], ids=["config-steps-3", "preset-steps-abc", "pop-traces-steps-3",
             "sigma-string", "area-string", "tg_factor-null", "star-drag2",
+            "variants-unknown",
             "fig5a-steps", "fig5b-steps-auto", "fig9-steps",
             "pop-traces-steps-auto", "fig3-jobs-0", "spec-delta-number",
             "d-fraction", "config-directory", "config-not-utf8"])

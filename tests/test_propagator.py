@@ -31,6 +31,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="16"):
             TimeGrid(1.0, 8)
 
+    @pytest.mark.parametrize("t_g", [0.0, -1.0, float("nan")])
+    def test_rejects_bad_gate_time(self, t_g):
+        # NaN would otherwise fail only later, as a gate-time mismatch
+        with pytest.raises(ValueError, match="t_g must be positive"):
+            TimeGrid(t_g, 64)
+
     def test_rejects_non_integer_step_count(self):
         # a float count would otherwise fail only at the first slice
         with pytest.raises(ValueError, match="integer"):

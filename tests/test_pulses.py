@@ -6,7 +6,8 @@ from scipy.integrate import quad
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, build_controls,
                         build_sno, effective_lambda, phase_ramp)
-from drag_forge.pulses import ControlSet, GaussianEnvelope, controls_for
+from drag_forge.pulses import (ControlSet, GaussianEnvelope, controls_for,
+                               first_order_coefficients)
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,12 +113,20 @@ class TestLadderVariants:
             np.testing.assert_array_equal(a.delta(ts), b.delta(ts))
             assert np.max(np.abs(a.omega_x(ts) - b.omega_x(ts))) > 0
 
-    def test_drag2_cubic_term(self, sno5, not_params):
-        cs1 = build_controls(sno5, DragVariant.DRAG1, not_params)
-        cs2 = build_controls(sno5, DragVariant.DRAG2, not_params)
+    @pytest.mark.parametrize("v1,v2,a3", [
+        (DragVariant.Z_ONLY1, DragVariant.Z_ONLY2, lambda l2: l2 / 8),
+        (DragVariant.Y_ONLY1, DragVariant.Y_ONLY2,
+         lambda l2: -l2 * (l2 - 4) / 32),
+        (DragVariant.DRAG1, DragVariant.DRAG2, lambda l2: (l2 - 4) / 8),
+    ], ids=["z_only2", "y_only2", "drag2"])
+    def test_cubic_term(self, sno5, not_params, v1, v2, a3):
+        # omega_x gains a3 * G^3 / delta2^2 over the first-order base
+        cs1 = build_controls(sno5, v1, not_params)
+        cs2 = build_controls(sno5, v2, not_params)
         env = GaussianEnvelope(not_params)
         ts = np.linspace(0, not_params.t_g, 101)
-        want = (2.0 - 4.0) * env.value(ts) ** 3 / (8 * TWO_PI ** 2)
+        want = a3(2.0) * env.value(ts) ** 3 / TWO_PI ** 2
+        assert np.max(np.abs(want)) > 1e-3
         np.testing.assert_allclose(cs2.omega_x(ts) - cs1.omega_x(ts), want,
                                    atol=1e-13)
 
@@ -145,6 +154,13 @@ class TestLadderVariants:
     def test_analytic_variant_rejects_non_ladder(self, star6, not_params):
         with pytest.raises(ValueError, match="not available for star"):
             build_controls(star6, DragVariant.DRAG1, not_params)
+
+    def test_unknown_variant_name_rejected(self, sno5, not_params):
+        # both table readers raise ValueError, never a bare KeyError
+        with pytest.raises(ValueError, match="nope"):
+            build_controls(sno5, "nope", not_params)
+        with pytest.raises(ValueError, match="nope"):
+            first_order_coefficients(sno5, "nope")
 
 
 class TestAnsatz:
