@@ -28,12 +28,11 @@ import numpy as np
 from .model import (HamiltonianGenerators, SystemSpec, Topology, generators,
                     hamiltonian_at)
 from .propagator import TimeGrid, _sample_controls
-from .pulses import (Ansatz, ControlSet, DragVariant, GaussianEnvelope,
-                     GaussianParams, controls_for, first_order_coefficients)
+from .pulses import (Ansatz, ControlSet, GaussianEnvelope, GaussianParams,
+                     controls_for)
 
-__all__ = ["ExpansionReport", "frame_second_order", "frames_for", "h_extra",
-           "h_eff_exact", "constraint_residuals", "h_extra_report",
-           "series_vs_exact_deviation"]
+__all__ = ["ExpansionReport", "frames_for", "h_eff_exact",
+           "constraint_residuals", "h_extra_report", "series_vs_exact_deviation"]
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,8 @@ def _recursion_frame(ds: _Dimless, m_stack: np.ndarray) -> np.ndarray:
     return s
 
 
-def frame_second_order(spec: SystemSpec, variant, params: GaussianParams,
-                       grid: TimeGrid) -> np.ndarray:
+def _frame_second_order(spec: SystemSpec, sa: float, g: np.ndarray,
+                        dg: np.ndarray) -> np.ndarray:
     """Closed-form S^(2)(t) samples, (T, d, d), for the ladder variants.
 
     Obtained by substituting S^(1) into the order-1 no-leakage conditions:
@@ -134,16 +133,10 @@ def frame_second_order(spec: SystemSpec, variant, params: GaussianParams,
         s2_x12 = +(lam1 / 2) (1 + 2 sa) dG
         s2_y13 = +(lam1 lam2 / (4 dbar3)) G^2     (d >= 4)
 
-    with sa the variant's free s_y01 coefficient.  Kept independent of the
+    with sa the variant's free s_y01 coefficient and (g, dg) the
+    dimensionless envelope and its derivative.  Kept independent of the
     recursion solver so the residual checks exercise two separate routes.
     """
-    if spec.topology is not Topology.LADDER:
-        raise ValueError("closed-form S^(2) is available for ladder systems only")
-    if isinstance(variant, Ansatz):
-        raise ValueError("the numeric ansatz has no documented frame")
-    g, dg = _bars(params, _tbar(grid))
-    # free s_y01 coefficient: omega_y_bar^(1) = 2 d(s_y01)/dt gives b1 / 2
-    sa = first_order_coefficients(spec, DragVariant(variant))[0] / 2.0
     lam1 = spec.lam[1]
     s2 = np.zeros((g.shape[0], spec.d, spec.d), dtype=complex)
 
@@ -189,22 +182,22 @@ def _expansion(spec: SystemSpec, variant, params: GaussianParams,
     if a3:
         fields[2] = (zero, a3 * gbar ** 3, zero)
     hs = {n: hamiltonian_at(ds.ctl, *f) for n, f in fields.items() if n <= upto}
-    del zero, dg, fields  # not held through the transforms
+    del zero, fields  # not held through the transforms
+    # the free element s_y01 = sa * G_bar of S^(1) is fixed by the quadrature
+    # field, omega_y_bar^(1) = 2 d(s_y01)/dt, so sa = b1 / 2; S^(2) reads it too
+    sa = b1 / 2.0
     frames: list[np.ndarray] = []
     heffs = {}
     for n in range(upto + 1):
         closed = n == 1 and spec.topology is Topology.LADDER
         m = (None if closed and n not in read
              else _transformed(n, frames, hs, ds.h0, grid))
-        s = (frame_second_order(spec, variant, params, grid) if closed
+        s = (_frame_second_order(spec, sa, gbar, dg) if closed
              else _recursion_frame(ds, m))
         if n == 0:
-            # the free element s_y01 = coeff * G_bar is fixed by the quadrature
-            # field, omega_y_bar^(1) = 2 d(s_y01)/dt, so coeff = b1 / 2
-            coeff = b1 / 2.0
             q0, q1 = ds.qubit_rows
-            s[:, q0, q1] += -1j * coeff * gbar
-            s[:, q1, q0] += 1j * coeff * gbar
+            s[:, q0, q1] += -1j * sa * gbar
+            s[:, q1, q0] += 1j * sa * gbar
         frames.append(s)
         if n in read:  # formed in M's place
             heffs[n] = _comm_h0(s, 1j * ds.h0, m)
@@ -262,23 +255,6 @@ def _transformed(n: int, frames: list[np.ndarray], h_orders: dict,
     return out
 
 
-def h_extra(n: int, frames: list[np.ndarray], h_orders: dict,
-            h0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """The order-n extra Hamiltonian generated by the frame change.
-
-    ``frames`` lists Hermitian (T, d, d) samples of S^(1), S^(2), ... (those
-    beyond order n are ignored), ``h_orders`` maps order -> Hermitian control
-    stack and ``h0`` is diagonal; frame derivatives are 4th-order differences.
-    H_extra^(n) is the order-n transform with S^(1..n) and H^(0..n-1).
-    """
-    if n not in (0, 1, 2, 3):
-        raise ValueError("h_extra implements orders 0..3")
-    if len(frames) < n:
-        raise ValueError(f"order {n} needs frames up to S^({n})")
-    below = {k: h for k, h in h_orders.items() if k < n}
-    return _transformed(n, frames[:n], below, h0, grid)
-
-
 def h_eff_exact(spec: SystemSpec, cs: ControlSet,
                 s_total: np.ndarray) -> np.ndarray:
     """Exact effective Hamiltonian A^dag H A + i dA^dag/dt A, dimensionless.
@@ -287,6 +263,8 @@ def h_eff_exact(spec: SystemSpec, cs: ControlSet,
     evenly spaced nodes of [0, cs.t_g]; A = exp(-i S) per sample, with the
     derivative term computed by 4th-order finite differences of A itself.
     """
+    if len(s_total) < 5:  # the one-sided difference stencils span five nodes
+        raise ValueError(f"s_total needs at least 5 samples, got {len(s_total)}")
     ox, oy, dl = _sample_controls(cs, np.linspace(0.0, cs.t_g, len(s_total)))
     hbar = cs.t_g * hamiltonian_at(generators(spec), dl, ox, oy)
     w, v = np.linalg.eigh(s_total)
@@ -341,9 +319,12 @@ def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
 
 def h_extra_report(spec: SystemSpec, variant, params: GaussianParams,
                    grid: TimeGrid, order: int) -> ExpansionReport:
-    """Qubit-block and coupling maxima of H_extra^(n) alone."""
+    """Qubit-block and coupling maxima of H_extra^(n) alone: the order-n
+    transform with S^(1..n) and H^(0..n-1), as built through order n - 1."""
+    if order < 0 or order > 3:
+        raise ValueError("h_extra_report implemented for orders 0..3")
     ds, _, hs, frames, _ = _expansion(spec, variant, params, grid, order - 1)
-    hx_n = h_extra(order, frames, hs, ds.h0, grid)
+    hx_n = _transformed(order, frames, hs, ds.h0, grid)
     return ExpansionReport(*_component_maxima(ds, hx_n))
 
 

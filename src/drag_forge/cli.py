@@ -53,8 +53,15 @@ _SWEEPS = {
 }
 
 
+class ConfigError(ValueError):
+    pass
+
+
 def preset_config(name: str) -> dict:
     """Plain-dict sweep config of a named preset (sweep presets only)."""
+    if name not in _SWEEPS:
+        raise ConfigError(f"no sweep preset {name!r}; sweep presets: "
+                          f"{', '.join(_SWEEPS)}")
     system, variants, sigma = _SWEEPS[name]
     return copy.deepcopy({"name": name, "system": system, "variants": variants,
                           "sigma": sigma, "area": math.pi, "tg_factor": 4.0,
@@ -77,17 +84,13 @@ def _build_system(doc: dict) -> SystemSpec:
     raise ValueError(f"system.kind: unknown kind {kind!r}")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _is_number(x) -> bool:
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
             and math.isfinite(x))
 
 
-def _validate_config(cfg: dict, n_steps=None) -> dict:
-    """Checked copy of a sweep config with defaults filled in.
+def _validate_config(cfg: dict, n_steps=None) -> tuple[dict, SystemSpec]:
+    """Checked copy of a sweep config with defaults filled in, and its system.
 
     ``n_steps``, when given, overrides the config's own step count before
     the check, so an override is validated like any config value.
@@ -143,12 +146,11 @@ def _validate_config(cfg: dict, n_steps=None) -> dict:
             fail(key, f"must be a finite number, got {out[key]!r}")
     if out["tg_factor"] <= 0:
         fail("tg_factor", "must be positive")
-    return out
+    return out, spec
 
 
 def _sweep_point(args) -> tuple:
-    system_doc, variant, sigma, area, tg_factor, n_steps = args
-    spec = _build_system(system_doc)
+    spec, variant, sigma, area, tg_factor, n_steps = args
     uid = ideal_not(spec.d, spec.qubit_rows)
     # finite config values can still give unusable pulses; Gaussian tails
     # underflow legitimately at a large tg_factor
@@ -195,9 +197,8 @@ def _write_table(out_dir: Path, name: str, header: str, table,
     return path
 
 
-def _run_sweep(cfg: dict, out_dir: Path, jobs: int) -> Path:
-    points = [(cfg["system"], v, s, cfg["area"], cfg["tg_factor"],
-               cfg["n_steps"])
+def _run_sweep(cfg: dict, spec: SystemSpec, out_dir: Path, jobs: int) -> Path:
+    points = [(spec, v, s, cfg["area"], cfg["tg_factor"], cfg["n_steps"])
               for s in cfg["sigma"] for v in cfg["variants"]]
     workers = min(jobs, len(points))  # a pool forks all its workers at once
     try:
@@ -220,7 +221,7 @@ def _run_sweep(cfg: dict, out_dir: Path, jobs: int) -> Path:
 def _run_fig5(name: str, out_dir: Path, delta0_free: bool,
               sigmas=(0.5, 0.75, 1.0, 1.5), max_evals: int = 250,
               prop_tol: float = 1e-9) -> Path:
-    spec = build_sno(5, _DELTA2)
+    spec = _build_system(_SNO5)
     masks = [
         ("alpha", (True, False, False, False)),
         ("alpha+gamma", (True, False, True, False)),
@@ -258,7 +259,7 @@ def _run_fig9(out_dir: Path) -> Path:
 
 
 def _run_pop_traces(out_dir: Path, n_steps) -> Path:
-    spec = build_sno(5, _DELTA2)
+    spec = _build_system(_SNO5)
     header = "t," + ",".join(f"p{j}" for j in range(spec.d))
     files = []
     for i, sigma in enumerate((1.0 / 3.0, 2.0 / 3.0, 1.5), start=1):
@@ -310,8 +311,8 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
         if name not in _SWEEPS:
             raise ConfigError(f"unknown preset {name!r}; available: "
                               f"{', '.join(PRESETS)}")
-        cfg = _validate_config(preset_config(name), n_steps)
-        return _run_sweep(cfg, _make_out_dir(out_dir), jobs)
+        cfg, spec = _validate_config(preset_config(name), n_steps)
+        return _run_sweep(cfg, spec, _make_out_dir(out_dir), jobs)
     run, takes_steps = runner
     if n_steps is not None and (not takes_steps or n_steps == "auto"):
         raise ConfigError(f"--steps: {name} does not take {n_steps!r} (sweep "
@@ -329,8 +330,8 @@ def run_config(path, out_dir, jobs: int = 1, n_steps=None) -> Path:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ConfigError(f"{path}: {exc}") from None
-    cfg = _validate_config(cfg, n_steps)
-    return _run_sweep(cfg, _make_out_dir(out_dir), jobs)
+    cfg, spec = _validate_config(cfg, n_steps)
+    return _run_sweep(cfg, spec, _make_out_dir(out_dir), jobs)
 
 
 def _steps_arg(text: str):

@@ -113,15 +113,13 @@ def optimize(task: OptimizeTask) -> OptimizeResult:
 
     rng = np.random.default_rng(task.seed)
     converged = False
+    start = best_x
     try:
-        for restart in range(_RESTARTS + 1):
-            if restart == 0:
-                start = best_x.copy()
-            else:
-                scale = np.where(np.abs(best_x) > 0, 0.05 * np.abs(best_x), 0.05)
-                start = best_x + rng.normal(0.0, 1.0, len(free)) * scale
+        for _ in range(_RESTARTS + 1):
             _nelder_mead(objective, start)
             converged = True
+            scale = np.where(np.abs(best_x) > 0, 0.05 * np.abs(best_x), 0.05)
+            start = best_x + rng.normal(0.0, 1.0, len(free)) * scale
     except _BudgetSpent:
         pass
 

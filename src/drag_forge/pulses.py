@@ -81,10 +81,10 @@ class GaussianEnvelope:
     def _check(self, t):
         t = np.asarray(t, dtype=float)
         tol = 1e-9 * self.params.t_g
-        if np.any(t < -tol) or np.any(t > self.params.t_g + tol):
-            bad = t[(t < -tol) | (t > self.params.t_g + tol)]
+        bad = (t < -tol) | (t > self.params.t_g + tol)
+        if bad.any():
             raise ValueError(
-                f"t={float(np.ravel(bad)[0])} outside [0, {self.params.t_g}]")
+                f"t={float(t[bad][0])} outside [0, {self.params.t_g}]")
         return t
 
     def _gauss(self, t):

@@ -6,8 +6,8 @@ import pytest
 from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
                         build_controls, build_sno)
 from drag_forge import adiabatic
-from drag_forge.adiabatic import (constraint_residuals, frame_second_order,
-                                  frames_for, h_eff_exact, h_extra,
+from drag_forge.adiabatic import (constraint_residuals, frames_for,
+                                  h_eff_exact, h_extra_report,
                                   series_vs_exact_deviation,
                                   _comm, _comm_h0, _component_maxima,
                                   _expansion, _recursion_frame, _transformed)
@@ -25,6 +25,12 @@ PUBLISHED = ([("sno5", v) for v in DragVariant]
 @pytest.fixture
 def grid(not_params):
     return TimeGrid(not_params.t_g, 2048)
+
+
+def _h_extra(n, frames, h_orders, h0, grid):
+    # H_extra^(n): the order-n transform with S^(1..n) and H^(0..n-1)
+    below = {k: h for k, h in h_orders.items() if k < n}
+    return _transformed(n, frames[:n], below, h0, grid)
 
 
 class TestFrameFirstOrder:
@@ -79,15 +85,10 @@ class TestSecondOrderFrameIdentity:
         grid = TimeGrid(not_params.t_g, 4096)
         for v in FIRST_ORDER:
             ds, _, hs, _, _ = _expansion(sno5, v, not_params, grid, 1)
-            s1 = frames_for(sno5, v, not_params, grid, 1)[0]
-            m = h_extra(1, [s1], hs, ds.h0, grid) + hs[1]
+            s1, s2_analytic = frames_for(sno5, v, not_params, grid, 2)
+            m = _h_extra(1, [s1], hs, ds.h0, grid) + hs[1]
             s2_recursion = _recursion_frame(ds, m)
-            s2_analytic = frame_second_order(sno5, v, not_params, grid)
             assert np.max(np.abs(s2_recursion - s2_analytic)) < 1e-10
-
-    def test_non_ladder_rejected(self, star6, not_params, grid):
-        with pytest.raises(ValueError, match="ladder"):
-            frame_second_order(star6, DragVariant.Z_ONLY1, not_params, grid)
 
     def test_second_order_variant_rejected_off_ladder(self, star6, not_params,
                                                       grid):
@@ -99,14 +100,14 @@ class TestHExtra:
     def test_order_zero_is_zero(self, sno5, not_params, grid):
         ds, _, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params,
                                      grid, 0)
-        out = h_extra(0, [], hs, ds.h0, grid)
+        out = _h_extra(0, [], hs, ds.h0, grid)
         assert np.max(np.abs(out)) == 0.0
 
     def test_vanishing_frame_gives_zero(self, sno5, not_params, grid):
         ds, _, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params,
                                      grid, 1)
         s1 = np.zeros((grid.n_steps + 1, 5, 5), dtype=complex)
-        out = h_extra(1, [s1], hs, ds.h0, grid)
+        out = _h_extra(1, [s1], hs, ds.h0, grid)
         assert np.max(np.abs(out)) == 0.0
 
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -114,15 +115,8 @@ class TestHExtra:
         frames = frames_for(sno5, DragVariant.OPTIMAL1, not_params, grid, order)
         ds, _, hs, _, _ = _expansion(sno5, DragVariant.OPTIMAL1, not_params,
                                      grid, order)
-        out = h_extra(order, frames, hs, ds.h0, grid)
+        out = _h_extra(order, frames, hs, ds.h0, grid)
         assert np.max(np.abs(out - out.conj().swapaxes(-1, -2))) < 1e-12
-
-    def test_missing_frames_rejected(self, sno5, not_params, grid):
-        ds, _, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params,
-                                     grid, 2)
-        with pytest.raises(ValueError, match="needs frames"):
-            h_extra(2, [np.zeros((grid.n_steps + 1, 5, 5), complex)], hs,
-                    ds.h0, grid)
 
     def test_second_order_corrections_close_the_qubit_block(
             self, sno5, not_params):
@@ -140,7 +134,7 @@ class TestHExtra:
         for v, a3 in cases.items():
             frames = frames_for(sno5, v, not_params, grid, 2)
             ds, _, hs, _, _ = _expansion(sno5, v, not_params, grid, 2)
-            hx2 = h_extra(2, frames, hs, ds.h0, grid)
+            hx2 = _h_extra(2, frames, hs, ds.h0, grid)
             trace_x = 2.0 * np.real(hx2[:, 0, 1])
             np.testing.assert_allclose(trace_x, -a3 * gbar ** 3, atol=1e-10)
 
@@ -240,6 +234,13 @@ class TestHEffExact:
         s = np.zeros((65, 3, 3), dtype=complex)
         with pytest.raises(ValueError, match="non-finite omega_y"):
             h_eff_exact(sno3, cs, s)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_too_few_samples_rejected(self, sno3, n):
+        # the fourth-order differences of A need five nodes
+        cs = build_controls(sno3, DragVariant.DRAG1, GaussianParams.for_not(1.0))
+        with pytest.raises(ValueError, match="at least 5 samples, got %d" % n):
+            h_eff_exact(sno3, cs, np.zeros((n, 3, 3), dtype=complex))
 
     def test_first_order_remainder_scales_quadratically(self, sno5):
         # Richardson-style check: halving epsilon (doubling t_g) divides the
@@ -402,10 +403,10 @@ class TestWorkPerReport:
         # H_eff^(1) is read, so M^(1) is built before the closed-form S^(2)
         # and is not held alongside it
         calls = []
-        real_t, real_s2 = adiabatic._transformed, adiabatic.frame_second_order
+        real_t, real_s2 = adiabatic._transformed, adiabatic._frame_second_order
         monkeypatch.setattr(adiabatic, "_transformed",
                             lambda n, *a: calls.append(f"T{n}") or real_t(n, *a))
-        monkeypatch.setattr(adiabatic, "frame_second_order",
+        monkeypatch.setattr(adiabatic, "_frame_second_order",
                             lambda *a: calls.append("S2") or real_s2(*a))
         constraint_residuals(sno5, DragVariant.DRAG1, not_params, grid, 1)
         assert calls == ["T0", "T1", "S2"]
@@ -428,11 +429,9 @@ class TestWorkPerReport:
 
 
 def test_order_ranges_are_enforced(sno5, not_params, grid):
-    ds, _, hs, _, _ = _expansion(sno5, DragVariant.DRAG2, not_params, grid, 3)
-    frames = frames_for(sno5, DragVariant.DRAG2, not_params, grid, 4)
     for n in (-1, 4):
         with pytest.raises(ValueError, match="orders 0..3"):
-            h_extra(n, frames, hs, ds.h0, grid)
+            h_extra_report(sno5, DragVariant.DRAG2, not_params, grid, n)
     with pytest.raises(ValueError, match="orders 0..2"):
         constraint_residuals(sno5, DragVariant.DRAG2, not_params, grid, 3)
     with pytest.raises(ValueError, match="orders 0..3"):

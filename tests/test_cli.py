@@ -60,6 +60,13 @@ class TestExitCodes:
             run_preset("nosuch", tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["fig9", "fig5a", "pop-traces", "nosuch"])
+    def test_preset_config_rejects_non_sweep_name(self, name):
+        # only the sweep presets have a config; the error lists them
+        with pytest.raises(ConfigError, match=f"'{name}'.*gaussian-benchmark, "
+                                              "fig3, fig4, fig7, fig8$"):
+            preset_config(name)
+
     def test_missing_target_exits_2(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 2
 
@@ -102,12 +109,31 @@ class TestExitCodes:
          "d must be an integer, got 5.7"),
         (["--config", "CFG"], None, "cfg.json"),
         (["--config", "CFG"], b"\xff\xfe{}", "cfg.json"),
+        (["--config", "CFG"], {"system": {"kind": "ring"}},
+         "system: system.kind: unknown kind 'ring'"),
+        (["--config", "CFG"], b"[1, 2]", "$: config must be a JSON object"),
+        (["--config", "CFG"],
+         json.dumps({"name": "x", "system": {"kind": "sno", "d": 3,
+                                             "delta2": -1.0},
+                     "variants": ["gaussian0"]}).encode(),
+         "sigma: missing required field"),
+        (["--config", "CFG"], {"name": ""}, "name: must be a non-empty string"),
+        (["--config", "CFG"], {"system": [5]}, "system: must be an object"),
+        (["--config", "CFG"], {"system": {"kind": "sno", "d": 5}},
+         "system: invalid system: 'delta2'"),
+        (["--config", "CFG"], {"sigma": []}, "sigma: must be a non-empty list"),
+        (["--config", "CFG"], {"sigma": [-0.5, 0.5]},
+         "sigma: values must be positive"),
+        (["--config", "CFG"], {"tg_factor": 0}, "tg_factor: must be positive"),
     ], ids=["config-steps-3", "preset-steps-abc", "pop-traces-steps-3",
             "sigma-string", "area-string", "tg_factor-null", "star-drag2",
             "variants-unknown",
             "fig5a-steps", "fig5b-steps-auto", "fig9-steps",
             "pop-traces-steps-auto", "fig3-jobs-0", "spec-delta-number",
-            "d-fraction", "config-directory", "config-not-utf8"])
+            "d-fraction", "config-directory", "config-not-utf8",
+            "system-kind-unknown", "config-not-object", "field-missing",
+            "name-empty", "system-not-object", "system-key-missing",
+            "sigma-empty", "sigma-non-positive", "tg_factor-zero"])
     def test_bad_input_exits_2(self, tmp_path, capsys, args, changes, expect):
         path = tmp_path / "cfg.json"
         if changes is None:
@@ -252,6 +278,28 @@ class TestRunConfig:
         csv = run_config(path, tmp_path)
         rows = [line.split(",") for line in csv.read_text().splitlines()[2:]]
         assert float(rows[1][2]) < float(rows[0][2])  # corrected beats bare
+
+    def test_auto_steps_point_matches_converge(self, tmp_path):
+        # one n_steps "auto" point: the step count and gate error are those
+        # of the step-doubling policy at the sweep's 1e-9 tolerance
+        from drag_forge import (DragVariant, GaussianParams, build_controls,
+                                build_sno, converge, gate_error, ideal_not)
+        cfg = dict(preset_config("gaussian-benchmark"), sigma=[1.0],
+                   variants=["drag1"], n_steps="auto")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        csv = run_config(path, tmp_path / "out")
+        spec = build_sno(5, -2 * math.pi)
+        params = GaussianParams(math.pi, 1.0, 4.0)
+        u, used = converge(spec, build_controls(spec, DragVariant.DRAG1, params),
+                           params.t_g, 1e-9)
+        err = gate_error(u, ideal_not(spec.d, spec.qubit_rows), spec.qubit_rows)
+        assert csv.read_text().splitlines()[2] == f"1.0,drag1,{err!r},{used}"
+        doc = json.loads((tmp_path / "out" / "gaussian-benchmark.manifest.json")
+                         .read_text())
+        assert doc["rows"] == [{"sigma": 1.0, "variant": "drag1",
+                                "n_steps": used}]
+        assert doc["config"]["n_steps"] == "auto"
 
     def test_steps_override(self, tmp_path):
         cfg = preset_config("gaussian-benchmark")
