@@ -190,7 +190,11 @@ class HamiltonianGenerators:
         return len(self.levels)
 
     def row(self, level: int) -> int:
-        return self.levels.index(level)
+        try:
+            return self.levels.index(level)
+        except ValueError:
+            raise ValueError(f"no level {level!r} in this system; its levels "
+                             f"are {self.levels}") from None
 
 
 def build_sno(d: int, delta2: float) -> SystemSpec:

@@ -16,6 +16,20 @@ from being rounded against the identity.
 For a mirror-symmetric set (``ControlSet.mirror``), H(t_g - t) = conj H(t)
 makes step N-1-k the transpose of step k, so only the first half is built:
 U = P^T P, or P^T U_mid P for odd N, with P the product of the first N//2.
+
+The exponential and the ordered product run over blocks of ``_BLOCK``
+steps.  Each block is exponentiated in one per-call workspace and at once
+reduced to its part of the product, so no (N, d, d) stack of steps or of
+product levels is built.  A block's temporaries stay in cache, and a call
+reuses memory the allocator already holds: full-stack temporaries are large
+enough that the allocator hands them back to the system after each call,
+and the next call faults them in again page by page.  The block size moves
+no bit of the result.
+The product is one pairwise tree that pairs (2k, 2k + 1) at every level and
+carries an odd last factor up; with a power-of-two block, the tree of each
+aligned block is the subtree over its steps, and the tail block's tree is
+the tail's subtree.  The shift, the scaling and the shift's factors of the
+exponential are taken from the whole stack for the same reason.
 """
 from __future__ import annotations
 
@@ -120,6 +134,9 @@ def _step_exponents(gen: HamiltonianGenerators, cs: ControlSet,
         raise ValueError(f"grid t_g={grid.t_g!r} differs from the controls' "
                          f"t_g={cs.t_g!r}")
     n = (grid.n_steps + 1) // 2 if cs.mirror else grid.n_steps
+    # the stack first: the sampling temporaries then sit above it, and
+    # the block workspace reuses their memory once they are freed
+    out = np.empty((n, gen.d, gen.d), dtype=complex)
     dt = grid.dt
     offsets = np.array([[-dt], [dt]]) * (math.sqrt(3.0) / 6.0)  # Gauss nodes
     ox, oy, dl = _sample_controls(cs, grid.midpoints()[:n] + offsets)
@@ -130,8 +147,8 @@ def _step_exponents(gen: HamiltonianGenerators, cs: ControlSet,
     coef[:, :4] = (0.5 * dt) * (c1 + c2)
     for col, (a, b) in enumerate(_PAIRS, start=4):
         coef[:, col] = dt * dt * (c1[:, a] * c2[:, b] - c1[:, b] * c2[:, a])
-    d = gen.d
-    return (coef @ _exponent_basis(gen)).view(complex).reshape(n, d, d)
+    np.matmul(coef, _exponent_basis(gen), out=out.reshape(n, -1).view(float))
+    return out
 
 
 def _diagonal(m: np.ndarray) -> np.ndarray:
@@ -139,8 +156,19 @@ def _diagonal(m: np.ndarray) -> np.ndarray:
     return np.einsum("...ii->...i", m)
 
 
-def _expm1(a: np.ndarray) -> np.ndarray:
-    """exp(A) - I for a stack of matrices; A itself is left as it is.
+# steps per block of the exponential and the product; a power of two, so
+# that the block trees are subtrees of the one pairwise tree over all steps
+_BLOCK = 256
+
+
+def _expm1_blocks(a: np.ndarray):
+    """exp(A_k) - I block by block, for an (n, d, d) complex stack A.
+
+    Yields (lo, B, X), B[j] = exp(A[lo + j]) - I for the steps of one block
+    of ``_BLOCK`` (the last may be shorter), as a view of one workspace
+    that the next block overwrites, and X = A[lo:lo + len(B)], which the
+    block no longer needs: the caller may use it as scratch.  A is shifted
+    and scaled in place.
 
     Each A_k is shifted to A_k - i c_k I, c_k the midpoint of Im diag A_k,
     which takes the drift's common phase out of its 1-norm.  The shifted
@@ -148,37 +176,66 @@ def _expm1(a: np.ndarray) -> np.ndarray:
     exp - I is the degree-8 Taylor polynomial in three batched products,
     then come s squarings B <- 2B + B^2 (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 488 (2011)), and the shift goes back in the U - I form:
-    B = e^{ic} B' + (e^{ic} - 1) I, e^{ic} - 1 = -2 sin^2(c/2) + i sin c."""
-    a = a.astype(complex)  # a copy
-    diag = _diagonal(a)
-    c = 0.5 * (diag.imag.max(axis=-1) + diag.imag.min(axis=-1))
-    diag -= 1j * c[..., None]
-    norm = float(np.abs(a).sum(axis=-2).max())
+    B = e^{ic} B' + (e^{ic} - 1) I, e^{ic} - 1 = -2 sin^2(c/2) + i sin c.
+    c, s and the shift's factors come from the whole stack, so a step's
+    bits do not depend on the block it falls in."""
+    n, d = a.shape[0], a.shape[-1]
+    im = _diagonal(a).imag
+    hi, lo = im[:, 0].copy(), im[:, 0].copy()
+    for j in range(1, d):
+        np.maximum(hi, im[:, j], out=hi)
+        np.minimum(lo, im[:, j], out=lo)
+    c = 0.5 * (hi + lo)
+    _diagonal(a)[...] -= 1j * c[..., None]
+    m = min(n, _BLOCK)
+    work = np.empty((4, m, d, d), dtype=complex)
+    absa = work[0].reshape(-1).view(float)[:m * d * d].reshape(m, d, d)
+    norm = 0.0
+    for k in range(0, n, m):
+        x = a[k:k + m]
+        col = np.abs(x, out=absa[:len(x)]).sum(axis=-2)
+        norm = max(norm, float(col.max()))
     s = max(0, math.frexp(norm / _TAYLOR_THETA)[1])
-    if s:
-        a *= 2.0 ** -s
+    phase = np.exp(1j * c)[..., None, None]
+    shift = (-2.0 * np.sin(0.5 * c) ** 2 + 1j * np.sin(c))[..., None]
     x1, x2, x3, x4, x5, x6, x7 = _BBC_X
-    # sums formed in place through one scratch stack t: with a fresh stack
-    # per term, a step at s = 0 took longer than the four-product form
-    t = np.empty_like(a)
-    a2 = a @ a
-    a4 = a * x1
-    a4 += np.multiply(a2, x2, out=t)
-    a4 = a2 @ a4
-    p = a4 * x7
-    p += np.multiply(a2, x6, out=t)
-    p += np.multiply(a, x5, out=t)
-    _diagonal(p)[...] += x4
-    a4 += np.multiply(a2, x3, out=t)
-    b = np.matmul(a4, p, out=t)
-    b += np.multiply(a2, _BBC_Y2, out=a2)
-    b += a
-    for _ in range(s):
-        b = 2.0 * b + b @ b
-    b *= np.exp(1j * c)[..., None, None]
-    _diagonal(b)[...] += (-2.0 * np.sin(0.5 * c) ** 2
-                          + 1j * np.sin(c))[..., None]
-    return b
+    for k in range(0, n, m):
+        x = a[k:k + m]
+        w = len(x)
+        # four stacks per block, each sum formed in place through the
+        # scratch t: with a fresh stack per term, a step at s = 0 took
+        # longer than the four-product form
+        t, a2, a4, p = work[:, :w]
+        if s:
+            x *= 2.0 ** -s
+        np.matmul(x, x, out=a2)
+        np.multiply(x, x1, out=p)
+        p += np.multiply(a2, x2, out=t)
+        np.matmul(a2, p, out=a4)
+        np.multiply(a4, x7, out=p)
+        p += np.multiply(a2, x6, out=t)
+        p += np.multiply(x, x5, out=t)
+        _diagonal(p)[...] += x4
+        a4 += np.multiply(a2, x3, out=t)
+        b = np.matmul(a4, p, out=t)
+        b += np.multiply(a2, _BBC_Y2, out=a2)
+        b += x
+        for _ in range(s):
+            np.matmul(b, b, out=a4)
+            b *= 2.0
+            b += a4
+        b *= phase[k:k + w]
+        _diagonal(b)[...] += shift[k:k + w]
+        yield k, b, x
+
+
+def _expm1(a: np.ndarray) -> np.ndarray:
+    """exp(A) - I for an (n, d, d) stack; A itself is left as it is."""
+    a = a.astype(complex)  # a copy, shifted in place
+    out = np.empty_like(a)
+    for lo, b, _ in _expm1_blocks(a):
+        out[lo:lo + len(b)] = b
+    return out
 
 
 def _compose(b1: np.ndarray, b0: np.ndarray) -> np.ndarray:
@@ -186,14 +243,46 @@ def _compose(b1: np.ndarray, b0: np.ndarray) -> np.ndarray:
     return b1 + b0 + b1 @ b0
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    # pairwise reduction of U - I for U = (I + mats[-1]) ... (I + mats[0]);
-    # an odd last factor waits for the next level
-    while mats.shape[0] > 1:
-        n = mats.shape[0]
-        mats = np.concatenate([_compose(mats[1::2], mats[:n - 1:2]),
-                               mats[n - n % 2:]])
-    return mats[0]
+def _ordered_product(mats: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """U - I of U = (I + mats[-1]) ... (I + mats[0]) by a pairwise tree.
+
+    Each level composes the pairs (2k, 2k + 1); an odd last factor waits
+    for the next level.  ``scratch`` holds at least len(mats) matrices;
+    the levels alternate between it and ``mats``, whose contents are
+    overwritten."""
+    n = len(mats)
+    prod, src, dst = scratch[:n // 2], mats, scratch[n // 2:]
+    while n > 1:
+        h = n // 2
+        b0, b1 = src[:2 * h:2], src[1:2 * h:2]
+        np.matmul(b1, b0, out=prod[:h])
+        np.add(b1, b0, out=dst[:h])
+        dst[:h] += prod[:h]
+        if n % 2:
+            dst[h] = src[n - 1]
+        n = h + n % 2
+        src, dst = dst, src
+    return src[0]
+
+
+def _block_product(blocks, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """U - I of (I + B_{m-1}) ... (I + B_0) over the first m steps of
+    ``blocks`` ((lo, B, scratch) from ``_expm1_blocks``), and a copy of the
+    steps after them.
+
+    Each block is reduced as soon as it arrives, then the block results
+    are.  The tree pairs (2k, 2k + 1) at every level and carries an odd
+    last factor up, so with ``_BLOCK`` a power of two each aligned block's
+    tree is a subtree of the tree over all m steps, and the tail block's is
+    the tail's: the result is ``_ordered_product`` of the m steps, bit for
+    bit, without an (m, d, d) stack."""
+    parts, rest = [], None
+    for lo, b, spare in blocks:
+        rest = b[max(m - lo, 0):].copy()
+        if lo < m:
+            parts.append(_ordered_product(b[:m - lo], spare).copy())
+    parts = np.array(parts)
+    return _ordered_product(parts, np.empty_like(parts)), rest
 
 
 def _prefix_products(mats: np.ndarray) -> np.ndarray:
@@ -207,7 +296,7 @@ def _prefix_products(mats: np.ndarray) -> np.ndarray:
     out = np.empty_like(mats)
     out[0] = mats[0]
     out[1::2] = odd
-    out[2::2] = mats[2::2] @ odd[:(n - 1) // 2]
+    np.matmul(mats[2::2], odd[:(n - 1) // 2], out=out[2::2])
     return out
 
 
@@ -217,12 +306,12 @@ def propagate(system, controls: ControlSet, grid: TimeGrid) -> np.ndarray:
     ``system`` may be a SystemSpec or a prebuilt HamiltonianGenerators.
     """
     gen = _as_generators(system)
-    steps = _expm1(_step_exponents(gen, controls, grid))  # U_k - I
+    blocks = _expm1_blocks(_step_exponents(gen, controls, grid))  # U_k - I
     if not controls.mirror:
-        b = _ordered_product(steps)
+        b, _ = _block_product(blocks, grid.n_steps)
     else:
-        p = _ordered_product(steps[:grid.n_steps // 2])
-        q = _compose(steps[-1], p) if grid.n_steps % 2 else p
+        p, mid = _block_product(blocks, grid.n_steps // 2)
+        q = _compose(mid[0], p) if grid.n_steps % 2 else p
         b = _compose(p.T, q)
     return b + np.eye(gen.d)
 
@@ -236,13 +325,27 @@ def populations(system, controls: ControlSet, grid: TimeGrid,
     for intermediate systems).
     """
     gen = _as_generators(system)
-    steps = _expm1(_step_exponents(gen, controls, grid)) + np.eye(gen.d)
-    # the identity in front makes prefix k the evolution up to node k
-    factors = [np.eye(gen.d, dtype=complex)[None], steps]
+    row = gen.row(initial)  # a bad label fails before the evolution
+    prefix = _prefix_products(_factors(gen, controls, grid))
+    return grid.nodes(), np.abs(prefix[:, :, row]) ** 2
+
+
+def _factors(gen: HamiltonianGenerators, controls: ControlSet,
+             grid: TimeGrid) -> np.ndarray:
+    """The (N + 1, d, d) stack I, U_0, ..., U_{N-1}: the identity in front
+    makes prefix k the evolution up to node k.  The exponents and the
+    block workspace are gone once it returns."""
+    eye = np.eye(gen.d)
+    n = grid.n_steps
+    factors = np.empty((n + 1, gen.d, gen.d), dtype=complex)
+    factors[0] = eye
+    a = _step_exponents(gen, controls, grid)
+    for lo, b, _ in _expm1_blocks(a):
+        np.add(b, eye, out=factors[1 + lo:1 + lo + len(b)])
     if controls.mirror:
-        factors.append(steps[:grid.n_steps // 2][::-1].swapaxes(-1, -2))
-    prefix = _prefix_products(np.concatenate(factors))
-    return grid.nodes(), np.abs(prefix[:, :, gen.row(initial)]) ** 2
+        half = n // 2
+        factors[1 + len(a):] = factors[half:0:-1].swapaxes(-1, -2)
+    return factors
 
 
 _STEP_CAP = 1 << 20  # the most steps step doubling tries

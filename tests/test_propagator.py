@@ -9,7 +9,7 @@ from drag_forge import (Ansatz, ConvergenceError, DragVariant, GaussianParams,
                         converge, populations, propagate, propagator)
 from drag_forge.model import (HamiltonianGenerators, generators,
                               hamiltonian_at, sigma_x, sigma_y)
-from drag_forge.propagator import _expm1, _ordered_product, _step_exponents
+from drag_forge.propagator import _block_product, _expm1, _step_exponents
 from drag_forge.pulses import ControlSet, phase_ramp
 
 TWO_PI = 2.0 * math.pi
@@ -173,6 +173,17 @@ class TestPopulations:
         _, probs = populations(inter5, cs, TimeGrid(not_params.t_g, 256), 0)
         assert probs[0, inter5.row(0)] == 1.0
 
+    def test_unknown_initial_level_fails_before_the_evolution(
+            self, sno5, not_params, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("the controls were sampled")
+
+        monkeypatch.setattr(propagator, "_sample_controls", no_sampling)
+        cs = controls_for(sno5, DragVariant.DRAG2, not_params)
+        with pytest.raises(ValueError,
+                           match=r"no level 7 .* \(0, 1, 2, 3, 4\)"):
+            populations(sno5, cs, TimeGrid(not_params.t_g, 256), 7)
+
 
 class TestConverge:
     def test_time_independent_converges_immediately(self, sno3):
@@ -239,12 +250,23 @@ def test_unitarity_on_random_controls(sno5, rng):
     assert worst < 1e-10
 
 
+def _pairwise_tree(mats):
+    # the flat reference: U - I of (I + mats[-1]) ... (I + mats[0]), one
+    # batched level over the whole stack per halving, pairs (2k, 2k + 1),
+    # an odd last factor carried up
+    while len(mats) > 1:
+        n = len(mats)
+        b1, b0 = mats[1::2], mats[:n - 1:2]
+        mats = np.concatenate([b1 + b0 + b1 @ b0, mats[n - n % 2:]])
+    return mats[0]
+
+
 def _full_product(spec, cs, grid):
     # every step built and multiplied, whatever the set's symmetry; steps
     # and their product are kept as U - I
     steps = _expm1(_step_exponents(generators(spec),
                                    replace(cs, mirror=False), grid))
-    return _ordered_product(steps) + np.eye(spec.d)
+    return _pairwise_tree(steps) + np.eye(spec.d)
 
 
 _MIRROR_CASES = [
@@ -393,3 +415,64 @@ class TestTaylorStep:
         u = propagate(spec, controls_for(spec, variant, p),
                       TimeGrid(p.t_g, 4096))
         assert np.max(np.abs(u.conj().T @ u - np.eye(spec.d))) < 1e-13
+
+
+def _blocks_of(mats):
+    # (lo, B, scratch) blocks of _BLOCK steps, the way _expm1_blocks hands
+    # them over
+    size = propagator._BLOCK
+    return ((lo, mats[lo:lo + size].copy(), np.empty_like(mats[lo:lo + size]))
+            for lo in range(0, len(mats), size))
+
+
+class TestBlocks:
+    """The exponential and the product run over blocks of _BLOCK steps;
+    the block size must not move a bit of any result."""
+
+    @staticmethod
+    def _results(spec, cs, grid):
+        a = _step_exponents(generators(spec), cs, grid)
+        return (propagate(spec, cs, grid), populations(spec, cs, grid, 0)[1],
+                _expm1(a))
+
+    @pytest.mark.parametrize("block", [16, 8192])
+    @pytest.mark.parametrize("sigma,n_steps", [
+        (1.0, 16), (1.0, 17), (1.0, 255), (1.0, 257), (1.0, 1000),
+        (1.0, 4097), (0.3, 16)])
+    @pytest.mark.parametrize("ramped", [False, True])
+    def test_block_size_does_not_move_a_bit(self, sno5, monkeypatch, block,
+                                            sigma, n_steps, ramped):
+        p = GaussianParams.for_not(sigma)
+        cs = controls_for(sno5, DragVariant.DRAG2, p)
+        if ramped:
+            cs = phase_ramp(cs)
+        assert cs.mirror != ramped
+        grid = TimeGrid(p.t_g, n_steps)
+        if sigma == 0.3:  # a case that takes the squaring branch
+            a = _step_exponents(generators(sno5), cs, grid)
+            im = np.einsum("kii->ki", a).imag
+            c = 0.5 * (im.max(axis=-1) + im.min(axis=-1))
+            norms = np.abs(a - 1j * c[:, None, None] * np.eye(5)).sum(axis=-2)
+            assert norms.max() > propagator._TAYLOR_THETA
+        default = self._results(sno5, cs, grid)
+        monkeypatch.setattr(propagator, "_BLOCK", block)
+        for got, want in zip(self._results(sno5, cs, grid), default):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("block,sizes", [
+        (16, range(1, 71)),
+        (propagator._BLOCK, [propagator._BLOCK + k for k in (-1, 0, 1)]
+         + [2 * propagator._BLOCK + 3])])
+    def test_block_product_is_the_flat_tree(self, rng, monkeypatch, block,
+                                            sizes):
+        monkeypatch.setattr(propagator, "_BLOCK", block)
+        for n in sizes:
+            x = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+            mats = 0.3 * x
+            got, rest = _block_product(_blocks_of(mats), n)
+            np.testing.assert_array_equal(got, _pairwise_tree(mats))
+            assert rest.shape == (0, 4, 4)
+            if n > 1:  # the mirror set's middle step comes back as it was
+                got, rest = _block_product(_blocks_of(mats), n - 1)
+                np.testing.assert_array_equal(got, _pairwise_tree(mats[:-1]))
+                np.testing.assert_array_equal(rest, mats[-1:])
