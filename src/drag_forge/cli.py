@@ -303,7 +303,8 @@ def _make_out_dir(out_dir) -> Path:
 def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
     """Execute a named preset; returns the primary output path.
 
-    ``n_steps`` applies to the sweep presets and, as an integer, pop-traces.
+    ``n_steps`` applies to the sweep presets and, as an integer, pop-traces;
+    ``jobs`` other than 1 to the sweep presets only.
     """
     _check_jobs(jobs)
     runner = _RUNNERS.get(name)
@@ -314,6 +315,9 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
         cfg, spec = _validate_config(preset_config(name), n_steps)
         return _run_sweep(cfg, spec, _make_out_dir(out_dir), jobs)
     run, takes_steps = runner
+    if jobs != 1:
+        raise ConfigError(f"--jobs: {name} does not take {jobs!r} (sweep "
+                          "presets take it)")
     if n_steps is not None and (not takes_steps or n_steps == "auto"):
         raise ConfigError(f"--steps: {name} does not take {n_steps!r} (sweep "
                           "presets take it, pop-traces as an integer)")

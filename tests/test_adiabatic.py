@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from drag_forge.adiabatic import (constraint_residuals, frames_for,
                                   h_eff_exact, h_extra_report,
                                   series_vs_exact_deviation,
                                   _comm, _comm_h0, _component_maxima,
-                                  _expansion, _recursion_frame, _transformed)
+                                  _Expansion, _recursion_frame, _transformed,
+                                  _whole)
 from drag_forge.pulses import GaussianEnvelope
 
 FIRST_ORDER = [DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
@@ -27,10 +29,16 @@ def grid(not_params):
     return TimeGrid(not_params.t_g, 2048)
 
 
+def _expansion(spec, variant, params, grid, upto, read=()):
+    # the expansion on the whole grid as one window: (ds, cs, hs, frames, heffs)
+    ex = _Expansion(spec, variant, params, grid)
+    return (ex.ds, ex.cs, *ex.window(_whole(grid), upto, read))
+
+
 def _h_extra(n, frames, h_orders, h0, grid):
     # H_extra^(n): the order-n transform with S^(1..n) and H^(0..n-1)
     below = {k: h for k, h in h_orders.items() if k < n}
-    return _transformed(n, frames[:n], below, h0, grid)
+    return _transformed(n, frames[:n], below, h0, _whole(grid))
 
 
 class TestFrameFirstOrder:
@@ -351,16 +359,17 @@ class TestReportsAgainstTwoProductRoute:
         ds, _, hs, frames, heffs = _expansion(spec, variant, not_params,
                                               grid, order, range(order + 1))
         assert sorted(heffs) == list(range(order + 1))
+        win = _whole(grid)
         for n, heff in heffs.items():
-            m = _transformed(n, frames[:n], hs, ds.h0, grid)
+            m = _transformed(n, frames[:n], hs, ds.h0, win)
             s = frames[n]
             assert _max_rel(heff, m + 1j * (s @ ds.h0 - ds.h0 @ s)) <= 1e-12
             assert _max_rel(
-                heff, _transformed(n, frames[:n + 1], hs, ds.h0, grid)) <= 1e-12
+                heff, _transformed(n, frames[:n + 1], hs, ds.h0, win)) <= 1e-12
 
         eps = 1.0 / (not_params.t_g * spec.delta2)
         series = ds.h0 / eps + sum(
-            eps ** n * _transformed(n, frames[:n + 1], hs, ds.h0, grid)
+            eps ** n * _transformed(n, frames[:n + 1], hs, ds.h0, win)
             for n in range(order + 1))
         s_total = sum(eps ** (n + 1) * s for n, s in enumerate(frames))
         cs = build_controls(spec, variant, not_params)
@@ -377,16 +386,21 @@ class TestReportsAgainstTwoProductRoute:
         order = 2  # the highest order the residual reports implement
         ds, _, hs, frames, _ = _expansion(spec, variant, not_params, grid,
                                           order)
-        m = _transformed(order, frames[:order], hs, ds.h0, grid)
+        m = _transformed(order, frames[:order], hs, ds.h0, _whole(grid))
         s = frames[order]
         heff = m + 1j * (s @ ds.h0 - ds.h0 @ s)
-        mismatch, coupling = _component_maxima(ds, heff, (0.0, 0.0, 0.0))
+        x, y, z, coupling = _component_maxima(ds, heff)
         got = constraint_residuals(spec, variant, not_params, grid, order)
-        assert got.qubit_mismatch == pytest.approx(mismatch, rel=1e-12)
+        assert got.qubit_mismatch == pytest.approx({"x": x, "y": y, "z": z},
+                                                   rel=1e-12)
         assert got.coupling_residual == pytest.approx(coupling, rel=1e-12)
 
 
 class TestWorkPerReport:
+    # the 2049 nodes of the 2048-step grid make eight blocks of 256; the
+    # one node left over joins the last, and each block runs the same loop
+    BLOCKS = 8
+
     def test_ladder_order_two_residual_skips_unread_transform(
             self, monkeypatch, sno5, not_params, grid):
         # the closed-form S^(2) needs no M^(1) and the report reads only
@@ -396,7 +410,7 @@ class TestWorkPerReport:
         monkeypatch.setattr(adiabatic, "_transformed",
                             lambda n, *a: built.append(n) or real(n, *a))
         constraint_residuals(sno5, DragVariant.DRAG1, not_params, grid, 2)
-        assert built == [0, 2]
+        assert built == [0, 2] * self.BLOCKS
 
     def test_ladder_order_one_residual_builds_m_before_closed_form(
             self, monkeypatch, sno5, not_params, grid):
@@ -409,7 +423,7 @@ class TestWorkPerReport:
         monkeypatch.setattr(adiabatic, "_frame_second_order",
                             lambda *a: calls.append("S2") or real_s2(*a))
         constraint_residuals(sno5, DragVariant.DRAG1, not_params, grid, 1)
-        assert calls == ["T0", "T1", "S2"]
+        assert calls == ["T0", "T1", "S2"] * self.BLOCKS
 
     @pytest.mark.parametrize("report,topology", [
         (series_vs_exact_deviation, "sno5"),
@@ -426,6 +440,110 @@ class TestWorkPerReport:
                             lambda *a: calls.append(a) or real(*a))
         report(spec, DragVariant.OPTIMAL1, not_params, grid, 2)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("report", [constraint_residuals, h_extra_report,
+                                        series_vs_exact_deviation])
+    def test_report_builds_generators_once(self, monkeypatch, sno5,
+                                           not_params, grid, report):
+        # the exact route of the series reuses the expansion's generators
+        calls = []
+        real = adiabatic.generators
+        monkeypatch.setattr(adiabatic, "generators",
+                            lambda *a: calls.append(a) or real(*a))
+        report(sno5, DragVariant.OPTIMAL1, not_params, grid, 2)
+        assert len(calls) == 1
+
+
+class TestBlocks:
+    """The reports run over blocks of _BLOCK nodes, each widened by a halo
+    of two nodes per nested derivative; the block size must not move a bit
+    of any report.  Blocks of 5 and 7 nodes put an inner window edge within
+    a few nodes of every node, so a halo one node short breaks these."""
+
+    VARIANT = {"sno5": DragVariant.DRAG2, "inter5": DragVariant.OPTIMAL1,
+               "star6": DragVariant.OPTIMAL1}
+    REPORTS = {"residuals": (constraint_residuals, range(3)),
+               "h_extra": (h_extra_report, range(4)),
+               "series": (series_vs_exact_deviation, range(4))}
+
+    @staticmethod
+    def _stitched_frames(spec, variant, params, grid):
+        # S^(1..4) with each window's own nodes put in place
+        ex = _Expansion(spec, variant, params, grid)
+        out = None
+        for win in adiabatic._windows(grid, 3):  # S^(4) holds three
+            frames = ex.window(win, 3)[1]
+            if out is None:
+                t = grid.n_steps + 1
+                out = [np.empty((t,) + f.shape[1:], complex) for f in frames]
+            for o, f in zip(out, frames):
+                o[win.lo:win.hi][win.keep] = f[win.keep]
+        return out
+
+    # 134 nodes leave 4 over at 5 and 1 at 7 (joined to the block before)
+    # and 6 at 64 (a block of their own); 2049 and 4097 leave 1 over at
+    # 256.  The residuals run at the verify size, the series at the slope
+    # size; blocks of 5 and 7 on the long grids would take seconds.
+    @pytest.mark.parametrize("n_steps,blocks,reports", [
+        (133, (5, 7, 64), ("residuals", "h_extra", "series", "frames")),
+        (4096, (256,), ("residuals",)),
+        (2048, (256,), ("h_extra", "series"))])
+    @pytest.mark.parametrize("topology", ["sno5", "inter5", "star6"])
+    def test_block_size_does_not_move_a_bit(self, request, monkeypatch,
+                                            not_params, topology, n_steps,
+                                            blocks, reports):
+        spec, v = request.getfixturevalue(topology), self.VARIANT[topology]
+        grid = TimeGrid(not_params.t_g, n_steps)
+
+        def run():
+            got = {name: [report(spec, v, not_params, grid, n) for n in orders]
+                   for name, (report, orders) in self.REPORTS.items()
+                   if name in reports}
+            if "frames" in reports:
+                got["frames"] = self._stitched_frames(spec, v, not_params,
+                                                      grid)
+            return got
+
+        monkeypatch.setattr(adiabatic, "_BLOCK", n_steps + 2)
+        assert list(adiabatic._windows(grid, 4)) == [_whole(grid)]
+        want = run()
+        want_frames = want.pop("frames", [])
+        if want_frames:
+            for f, g in zip(want_frames, frames_for(spec, v, not_params,
+                                                    grid, 4)):
+                np.testing.assert_array_equal(f, g)
+        for block in blocks:
+            monkeypatch.setattr(adiabatic, "_BLOCK", block)
+            wins = list(adiabatic._windows(grid, 0))
+            kept = np.concatenate([np.arange(w.lo, w.hi)[w.keep]
+                                   for w in wins])
+            np.testing.assert_array_equal(kept, np.arange(n_steps + 1))
+            assert len(wins) > 1 and min(w.hi - w.lo for w in wins) >= 5
+            got = run()
+            got_frames = got.pop("frames", [])
+            assert len(got_frames) == len(want_frames)
+            for f, g in zip(got_frames, want_frames):
+                np.testing.assert_array_equal(f, g)
+            assert got == want
+
+    @pytest.mark.parametrize("report,order", [
+        (constraint_residuals, 2), (h_extra_report, 3),
+        (series_vs_exact_deviation, 3)])
+    def test_report_holds_no_grid_stack(self, sno5, not_params, report,
+                                        order):
+        # one (N + 1, d, d) stack at N = 4096 is 1.64 MB; evaluated on the
+        # whole grid at once these reports peaked at 16.5, 19.8 and 24.8 MB,
+        # over blocks of 256 nodes at 1.2, 1.8 and 2.4 MB
+        grid = TimeGrid(not_params.t_g, 4096)
+        stack = (grid.n_steps + 1) * 5 * 5 * 16
+        report(sno5, DragVariant.OPTIMAL1, not_params, grid, order)
+        tracemalloc.start()
+        try:
+            report(sno5, DragVariant.OPTIMAL1, not_params, grid, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * stack
 
 
 def test_order_ranges_are_enforced(sno5, not_params, grid):

@@ -99,6 +99,11 @@ class TestExitCodes:
         (["fig9", "--steps", "64"], {}, "--steps"),
         (["pop-traces", "--steps", "auto"], {}, "--steps"),
         (["fig3", "--jobs", "0"], {}, "--jobs"),
+        (["fig5a", "--jobs", "2"], {}, "--jobs: fig5a does not take 2"),
+        (["fig5b", "--jobs", "2"], {}, "--jobs: fig5b does not take 2"),
+        (["fig9", "--jobs", "2"], {}, "--jobs: fig9 does not take 2"),
+        (["pop-traces", "--jobs", "4"], {},
+         "--jobs: pop-traces does not take 4"),
         (["--config", "CFG"],
          {"system": {"kind": "spec", "spec": {
              "topology": "intermediate", "d": 5, "delta": 5.0,
@@ -129,7 +134,8 @@ class TestExitCodes:
             "sigma-string", "area-string", "tg_factor-null", "star-drag2",
             "variants-unknown",
             "fig5a-steps", "fig5b-steps-auto", "fig9-steps",
-            "pop-traces-steps-auto", "fig3-jobs-0", "spec-delta-number",
+            "pop-traces-steps-auto", "fig3-jobs-0", "fig5a-jobs",
+            "fig5b-jobs", "fig9-jobs", "pop-traces-jobs", "spec-delta-number",
             "d-fraction", "config-directory", "config-not-utf8",
             "system-kind-unknown", "config-not-object", "field-missing",
             "name-empty", "system-not-object", "system-key-missing",
