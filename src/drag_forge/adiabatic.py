@@ -36,8 +36,7 @@ import numpy as np
 from .model import (HamiltonianGenerators, SystemSpec, Topology, generators,
                     hamiltonian_at)
 from .propagator import _BLOCK, TimeGrid, _sample_controls
-from .pulses import (Ansatz, ControlSet, GaussianEnvelope, GaussianParams,
-                     controls_for)
+from .pulses import Ansatz, ControlSet, GaussianParams, controls_for
 
 __all__ = ["ExpansionReport", "frames_for", "h_eff_exact",
            "constraint_residuals", "h_extra_report", "series_vs_exact_deviation"]
@@ -77,14 +76,6 @@ def _dimless(spec: SystemSpec) -> _Dimless:
 
 def _tbar(grid: TimeGrid) -> np.ndarray:
     return np.linspace(0.0, 1.0, grid.n_steps + 1)
-
-
-def _bars(params: GaussianParams, tbar: np.ndarray):
-    """Dimensionless envelope and derivative w.r.t. the scaled time."""
-    env = GaussianEnvelope(params)
-    t = tbar * params.t_g
-    tg = params.t_g
-    return tg * env.value(t), tg * tg * env.d1(t)
 
 
 class _Window(NamedTuple):
@@ -223,7 +214,9 @@ class _Expansion:
         self.spec = spec
         self.ds = _dimless(spec)
         self.cs = controls_for(spec, variant, params)
-        self.gbar, self.dg = _bars(params, _tbar(grid))
+        tg = self.cs.t_g  # the envelope and its derivative in scaled time
+        g, dg = self.cs.envelope(_tbar(grid) * tg)
+        self.gbar, self.dg = tg * g, tg * tg * dg
 
     def window(self, win: _Window, upto: int, read=()):
         """The expansion through order ``upto`` on one window: (hs, frames,
@@ -237,7 +230,7 @@ class _Expansion:
         then before S^(n+1).
         """
         ds = self.ds
-        b1, c2, a3 = (self.cs.params[k] for k in ("b1", "c2", "a3"))
+        b1, c2, a3 = self.cs.b1, self.cs.c2, self.cs.a3
         gbar, dg = self.gbar[win.lo:win.hi], self.dg[win.lo:win.hi]
         zero = np.zeros_like(gbar)
         # (delta, omega_x, omega_y) of each order; orders with no field left out

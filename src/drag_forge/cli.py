@@ -103,8 +103,11 @@ def _validate_config(cfg: dict, n_steps=None) -> tuple[dict, SystemSpec]:
     for key in ("name", "system", "variants", "sigma"):
         if key not in cfg:
             fail(key, "missing required field")
-    if not isinstance(cfg["name"], str) or not cfg["name"]:
+    name = cfg["name"]
+    if not isinstance(name, str) or not name:
         fail("name", "must be a non-empty string")
+    if name in (".", "..") or "\0" in name or Path(name).name != name:
+        fail("name", f"must be a plain file name, got {name!r}")
     if not isinstance(cfg["system"], dict):
         fail("system", "must be an object")
     try:

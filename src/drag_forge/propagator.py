@@ -86,15 +86,13 @@ def _as_generators(system) -> HamiltonianGenerators:
 
 
 def _sample_controls(cs: ControlSet, ts: np.ndarray):
-    ox = np.broadcast_to(np.asarray(cs.omega_x(ts), dtype=float), ts.shape)
-    oy = np.broadcast_to(np.asarray(cs.omega_y(ts), dtype=float), ts.shape)
-    dl = np.broadcast_to(np.asarray(cs.delta(ts), dtype=float), ts.shape)
-    for name, arr in (("omega_x", ox), ("omega_y", oy), ("delta", dl)):
+    samples = cs.channels(ts)
+    for name, arr in zip(("omega_x", "omega_y", "delta"), samples):
         bad = ~np.isfinite(arr)
         if bad.any():
             raise ValueError(
                 f"non-finite {name} sample at t={ts[bad][0]!r}")
-    return ox, oy, dl
+    return samples
 
 
 # the largest 1-norm the degree-8 Taylor polynomial takes unscaled; its

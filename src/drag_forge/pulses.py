@@ -12,9 +12,8 @@ and the accumulated detuning phase in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -87,16 +86,18 @@ class GaussianEnvelope:
                 f"t={float(t[bad][0])} outside [0, {self.params.t_g}]")
         return t
 
-    def _gauss(self, t):
-        return np.exp(-((t - self._mid) ** 2) / (2.0 * self._s2))
+    def value_d1(self, t):
+        """(G, dG/dt) from one range check and one exponential."""
+        t = self._check(t)
+        gauss = np.exp(-((t - self._mid) ** 2) / (2.0 * self._s2))
+        return (self._scale * (gauss - self._pedestal),
+                self._scale * (-(t - self._mid) / self._s2) * gauss)
 
     def value(self, t):
-        t = self._check(t)
-        return self._scale * (self._gauss(t) - self._pedestal)
+        return self.value_d1(t)[0]
 
     def d1(self, t):
-        t = self._check(t)
-        return self._scale * (-(t - self._mid) / self._s2) * self._gauss(t)
+        return self.value_d1(t)[1]
 
     def int_value_squared(self, t):
         """Integral of the squared envelope from 0 to t (closed form)."""
@@ -161,51 +162,68 @@ class Ansatz:
 
 @dataclass(frozen=True)
 class ControlSet:
-    """Evaluable control waveforms on [0, t_g].
+    """One pulse of the family above as plain data, which pickles and
+    compares by value: its envelope, delta2, a1, a3, b1, c2, c0 and label.
 
-    ``phi`` is the accumulated detuning angle int_0^t delta(s) ds in closed
-    form.  Every set built by this module carries it (including the output
-    of :func:`phase_ramp`, whose phi is zero); :func:`phase_ramp` consumes it
-    and rejects a set without one.
-
-    ``mirror`` marks omega_x, delta even and omega_y odd about t_g/2, so the
-    propagator builds half the steps; only this module's builders set it.
-
-    ``params`` records the coefficients a1, a3, b1, c2, c0 of the form above,
-    which the frame expansion reads; a ramped set records its total_phase.
+    :meth:`channels` gives the three waveforms on [0, t_g] from one envelope
+    evaluation.  A set with ``ramp`` (see :func:`phase_ramp`) has delta = 0
+    and its drive rotated by the unramped set's ``phi``, once per sample.
+    ``mirror`` (``not ramp``) marks omega_x, delta even and omega_y odd
+    about t_g/2 (G is even, dG/dt odd), so the propagator builds half the
+    steps; the ramp's phase breaks that symmetry.
     """
 
-    omega_x: Callable
-    omega_y: Callable
-    delta: Callable
-    t_g: float
+    pulse: GaussianParams
+    delta2: float
+    a1: float
+    a3: float
+    b1: float
+    c2: float
+    c0: float
     variant: str
-    params: dict = field(default_factory=dict)
-    phi: Callable | None = None
-    mirror: bool = False
+    ramp: bool = False
 
+    @property
+    def t_g(self) -> float:
+        return self.pulse.t_g
 
-def _assemble(env: GaussianEnvelope, *, a1: float, a3: float, b1: float,
-              c2: float, c0: float, delta2: float, variant: str) -> ControlSet:
-    d2sq = delta2 * delta2
+    @property
+    def mirror(self) -> bool:
+        return not self.ramp
 
-    def omega_x(t):
-        g = env.value(t)
-        return a1 * g + (a3 / d2sq) * g ** 3
+    def envelope(self, t):
+        """(G, dG/dt) at times t."""
+        return GaussianEnvelope(self.pulse).value_d1(t)
 
-    def omega_y(t):
-        return (b1 / delta2) * env.d1(t)
+    def channels(self, t):
+        """(omega_x, omega_y, delta) at times t."""
+        g, dg = self.envelope(t)
+        d2 = self.delta2
+        ox = self.a1 * g + (self.a3 / (d2 * d2)) * g ** 3
+        oy = (self.b1 / d2) * dg
+        if not self.ramp:
+            return ox, oy, (self.c2 / d2) * g * g + self.c0
+        p = replace(self, ramp=False).phi(t)
+        cos, sin = np.cos(p), np.sin(p)
+        return ox * cos - oy * sin, oy * cos + ox * sin, np.zeros_like(g)
 
-    def delta(t):
-        g = env.value(t)
-        return (c2 / delta2) * g * g + c0
+    def omega_x(self, t):
+        return self.channels(t)[0]
 
-    def phi(t):
-        return (c2 / delta2) * env.int_value_squared(t) + c0 * np.asarray(t, float)
+    def omega_y(self, t):
+        return self.channels(t)[1]
 
-    # G is even about t_g/2 and dG/dt odd
-    return ControlSet(omega_x, omega_y, delta, env.params.t_g, variant,
-                      dict(a1=a1, a3=a3, b1=b1, c2=c2, c0=c0), phi, mirror=True)
+    def delta(self, t):
+        return self.channels(t)[2]
+
+    def phi(self, t):
+        """Phi(t) = int_0^t delta(s) ds in closed form."""
+        t = np.asarray(t, dtype=float)
+        if self.ramp:
+            return np.zeros_like(t)
+        return ((self.c2 / self.delta2)
+                * GaussianEnvelope(self.pulse).int_value_squared(t)
+                + self.c0 * t)
 
 
 def _table_row(spec: SystemSpec, variant: DragVariant
@@ -261,11 +279,10 @@ def controls_for(spec: SystemSpec, variant, params: GaussianParams) -> ControlSe
     ones with lam1 -> lambda-tilde, since all its channels collapse onto one
     effective transition of that weight.
     """
-    env = GaussianEnvelope(params)
     if isinstance(variant, Ansatz):
-        return _assemble(env, a1=variant.alpha, a3=0.0, b1=-variant.beta,
-                         c2=variant.gamma, c0=variant.delta0,
-                         delta2=spec.delta2, variant=variant.label)
+        return ControlSet(params, spec.delta2, a1=variant.alpha, a3=0.0,
+                          b1=-variant.beta, c2=variant.gamma,
+                          c0=variant.delta0, variant=variant.label)
     variant = DragVariant(variant)
     if (spec.topology is not Topology.LADDER
             and variant not in _MULTI_LEVEL_VARIANTS):
@@ -273,8 +290,8 @@ def controls_for(spec: SystemSpec, variant, params: GaussianParams) -> ControlSe
             f"{variant.value} is not available for {spec.topology.value} "
             "systems (only gaussian0, z_only1, y_only1, optimal1)")
     b1, c2, a3 = _table_row(spec, variant)
-    return _assemble(env, a1=1.0, a3=a3, b1=b1, c2=c2, c0=0.0,
-                     delta2=spec.delta2, variant=variant.value)
+    return ControlSet(params, spec.delta2, a1=1.0, a3=a3, b1=b1, c2=c2,
+                      c0=0.0, variant=variant.value)
 
 
 build_controls = controls_for
@@ -293,32 +310,19 @@ def effective_lambda(spec: SystemSpec) -> float:
 
 
 def phase_ramp(cs: ControlSet) -> ControlSet:
-    """Fold the detuning into a time-dependent drive phase.
+    """The set with its detuning folded into a time-dependent drive phase.
 
-    Returns controls with delta identically zero and
+    Returns ``cs`` with ``ramp`` set, whose channels are delta = 0 and
 
         omega_x'(t) = omega_x cos(Phi) - omega_y sin(Phi)
         omega_y'(t) = omega_y cos(Phi) + omega_x sin(Phi)
 
-    where Phi(t) = int_0^t delta(s) ds is the set's closed-form ``phi``
-    (a set without one raises ValueError).  The rotation direction is fixed by
-    the sign convention delta(t) = omega(t) - omega_d of the simulated
-    Hamiltonian: the ramped drive on a fixed-frequency system reproduces
-    the detuned evolution up to the final frame rotation,
+    where Phi(t) = int_0^t delta(s) ds is the set's closed-form ``phi``.  The
+    rotation direction is fixed by the sign convention delta(t) = omega(t) -
+    omega_d of the simulated Hamiltonian: the ramped drive on a
+    fixed-frequency system reproduces the detuned evolution up to the final
+    frame rotation,
 
         exp(-i Phi(t_g) h_z) U_ramped = U_detuned.
     """
-    if cs.phi is None:
-        raise ValueError(f"{cs.variant}: phase_ramp needs the closed-form phi")
-
-    def omega_x(t):
-        p = cs.phi(t)
-        return cs.omega_x(t) * np.cos(p) - cs.omega_y(t) * np.sin(p)
-
-    def omega_y(t):
-        p = cs.phi(t)
-        return cs.omega_y(t) * np.cos(p) + cs.omega_x(t) * np.sin(p)
-
-    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    return ControlSet(omega_x, omega_y, zero, cs.t_g, cs.variant + "+ramp",
-                      {"total_phase": float(cs.phi(cs.t_g))}, zero)
+    return replace(cs, ramp=True, variant=cs.variant + "+ramp")

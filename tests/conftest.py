@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -7,6 +9,32 @@ from drag_forge import (GaussianParams, build_intermediate_sno, build_sno,
                         build_star)
 
 TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class HandControls:
+    """Hand-made waveforms for the propagator and h_eff_exact: three
+    callables of t on [0, t_g], with no symmetry assumed, so every step is
+    built.  Wrapping a ControlSet's channels gives its full product."""
+
+    omega_x: Callable
+    omega_y: Callable
+    delta: Callable
+    t_g: float
+    mirror = False
+
+    @classmethod
+    def constant(cls, t_g, ox=0.0, oy=0.0, dl=0.0):
+        mk = lambda c: (lambda t: np.full_like(np.asarray(t, dtype=float), c))
+        return cls(mk(ox), mk(oy), mk(dl), t_g)
+
+    @classmethod
+    def of(cls, cs):
+        """A control set's own waveforms, without its mirror symmetry."""
+        return cls(cs.omega_x, cs.omega_y, cs.delta, cs.t_g)
+
+    def channels(self, t):
+        return self.omega_x(t), self.omega_y(t), self.delta(t)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import HandControls
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
                         build_controls, build_sno)
@@ -220,10 +221,7 @@ class TestHEffExact:
 
     def test_static_frame_is_conjugation(self, sno3):
         # constant S and constant H: the derivative term drops out
-        from drag_forge.pulses import ControlSet
-        mk = lambda c: (lambda t: np.full_like(np.asarray(t, dtype=float), c))
-        zero = mk(0.0)
-        cs = ControlSet(mk(0.8), zero, mk(0.1), 1.0, "const")
+        cs = HandControls.constant(1.0, ox=0.8, dl=0.1)
         s_const = np.zeros((257, 3, 3), dtype=complex)
         s_const[:, 0, 2] = 0.3 - 0.1j
         s_const[:, 2, 0] = 0.3 + 0.1j
@@ -236,9 +234,7 @@ class TestHEffExact:
         np.testing.assert_allclose(heff[128], want, atol=1e-10)
 
     def test_rejects_non_finite_controls(self, sno3):
-        from drag_forge.pulses import ControlSet
-        mk = lambda c: (lambda t: np.full_like(np.asarray(t, dtype=float), c))
-        cs = ControlSet(mk(0.8), mk(np.nan), mk(0.1), 1.0, "bad")
+        cs = HandControls.constant(1.0, ox=0.8, oy=np.nan, dl=0.1)
         s = np.zeros((65, 3, 3), dtype=complex)
         with pytest.raises(ValueError, match="non-finite omega_y"):
             h_eff_exact(sno3, cs, s)

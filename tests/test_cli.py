@@ -130,6 +130,16 @@ class TestExitCodes:
         (["--config", "CFG"], {"sigma": [-0.5, 0.5]},
          "sigma: values must be positive"),
         (["--config", "CFG"], {"tg_factor": 0}, "tg_factor: must be positive"),
+        (["--config", "CFG"], {"name": "/tmp/x"},
+         "name: must be a plain file name, got '/tmp/x'"),
+        (["--config", "CFG"], {"name": "../x"},
+         "name: must be a plain file name, got '../x'"),
+        (["--config", "CFG"], {"name": "a/b"},
+         "name: must be a plain file name, got 'a/b'"),
+        (["--config", "CFG"], {"name": ".."},
+         "name: must be a plain file name, got '..'"),
+        (["--config", "CFG"], {"name": "a\0b"},
+         "name: must be a plain file name, got 'a\\x00b'"),
     ], ids=["config-steps-3", "preset-steps-abc", "pop-traces-steps-3",
             "sigma-string", "area-string", "tg_factor-null", "star-drag2",
             "variants-unknown",
@@ -139,7 +149,9 @@ class TestExitCodes:
             "d-fraction", "config-directory", "config-not-utf8",
             "system-kind-unknown", "config-not-object", "field-missing",
             "name-empty", "system-not-object", "system-key-missing",
-            "sigma-empty", "sigma-non-positive", "tg_factor-zero"])
+            "sigma-empty", "sigma-non-positive", "tg_factor-zero",
+            "name-absolute", "name-parent", "name-separator", "name-dotdot",
+            "name-nul"])
     def test_bad_input_exits_2(self, tmp_path, capsys, args, changes, expect):
         path = tmp_path / "cfg.json"
         if changes is None:

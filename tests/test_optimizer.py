@@ -136,7 +136,7 @@ def test_initial_point_evaluated_once(sno5, fast_params, monkeypatch):
     seen = []
     real = optimizer.propagate
     monkeypatch.setattr(optimizer, "propagate", lambda gen, cs, grid:
-                        seen.append(cs.params) or real(gen, cs, grid))
+                        seen.append(cs) or real(gen, cs, grid))
     res = optimize(OptimizeTask(sno5, fast_params, (True, False, False, False),
                                 max_evals=10, prop_tol=1e-7))
     assert len(seen) == res.n_evals == 10

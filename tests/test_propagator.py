@@ -1,8 +1,8 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import HandControls
 
 from drag_forge import (Ansatz, ConvergenceError, DragVariant, GaussianParams,
                         TimeGrid, build_controls, build_sno, controls_for,
@@ -10,14 +10,9 @@ from drag_forge import (Ansatz, ConvergenceError, DragVariant, GaussianParams,
 from drag_forge.model import (HamiltonianGenerators, generators,
                               hamiltonian_at, sigma_x, sigma_y)
 from drag_forge.propagator import _block_product, _expm1, _step_exponents
-from drag_forge.pulses import ControlSet, phase_ramp
+from drag_forge.pulses import phase_ramp
 
 TWO_PI = 2.0 * math.pi
-
-
-def _constant_controls(t_g, ox=0.0, oy=0.0, dl=0.0):
-    mk = lambda c: (lambda t: np.full_like(np.asarray(t, dtype=float), c))
-    return ControlSet(mk(ox), mk(oy), mk(dl), t_g, "const")
 
 
 def _two_level_generators():
@@ -53,7 +48,7 @@ class TestTimeGrid:
 class TestPropagate:
     def test_drift_only_full_period_is_identity(self, sno3):
         # after t_g = 1 the drift phase of level 2 is exactly 2*pi
-        u = propagate(sno3, _constant_controls(1.0), TimeGrid(1.0, 64))
+        u = propagate(sno3, HandControls.constant(1.0), TimeGrid(1.0, 64))
         np.testing.assert_allclose(u, np.eye(3), atol=1e-12)
 
     def test_zero_controls_keep_qubit_block_at_identity(self, sno5):
@@ -61,14 +56,14 @@ class TestPropagate:
         # levels and takes it off again; a global shift would leave its
         # rounding in U - I of order one (3.4e-14 here)
         gen = generators(sno5)
-        u = propagate(gen, _constant_controls(8.0), TimeGrid(8.0, 4096))
+        u = propagate(gen, HandControls.constant(8.0), TimeGrid(8.0, 4096))
         q = [gen.row(0), gen.row(1)]
         assert np.max(np.abs(u[np.ix_(q, q)] - np.eye(2))) <= 1e-15
 
     def test_two_level_pi_pulse(self):
         gen = _two_level_generators()
         t_g = 1.0
-        u = propagate(gen, _constant_controls(t_g, ox=math.pi / t_g),
+        u = propagate(gen, HandControls.constant(t_g, ox=math.pi / t_g),
                       TimeGrid(t_g, 64))
         np.testing.assert_allclose(u, -1j * sigma_x(2, 0, 1), atol=1e-10)
         assert abs(u[0, 1]) == pytest.approx(1.0, abs=1e-10)
@@ -95,12 +90,12 @@ class TestPropagate:
         cs = build_controls(sno5, DragVariant.Z_ONLY1, not_params)
         t_g = not_params.t_g
         full = propagate(sno5, cs, TimeGrid(t_g, 1024))
-        first = ControlSet(cs.omega_x, cs.omega_y, cs.delta, t_g / 2, "first")
-        second = ControlSet(
+        first = HandControls(cs.omega_x, cs.omega_y, cs.delta, t_g / 2)
+        second = HandControls(
             lambda t: cs.omega_x(np.asarray(t) + t_g / 2),
             lambda t: cs.omega_y(np.asarray(t) + t_g / 2),
             lambda t: cs.delta(np.asarray(t) + t_g / 2),
-            t_g / 2, "second")
+            t_g / 2)
         u1 = propagate(sno5, first, TimeGrid(t_g / 2, 512))
         u2 = propagate(sno5, second, TimeGrid(t_g / 2, 512))
         np.testing.assert_allclose(u2 @ u1, full, atol=1e-12)
@@ -115,7 +110,7 @@ class TestPropagate:
             populations(sno5, cs, grid, 0)
 
     def test_rejects_non_finite_controls(self, sno3):
-        bad = _constant_controls(1.0)
+        bad = HandControls.constant(1.0)
         nan_at = 0.3
 
         def omega_x(t):
@@ -124,14 +119,14 @@ class TestPropagate:
             out[t > nan_at] = np.nan
             return out
 
-        cs = ControlSet(omega_x, bad.omega_y, bad.delta, 1.0, "bad")
+        cs = HandControls(omega_x, bad.omega_y, bad.delta, 1.0)
         with pytest.raises(ValueError, match="non-finite omega_x"):
             propagate(sno3, cs, TimeGrid(1.0, 64))
 
 
 class TestPopulations:
     def test_zero_controls_stay_put(self, sno5):
-        times, probs = populations(sno5, _constant_controls(1.0),
+        times, probs = populations(sno5, HandControls.constant(1.0),
                                    TimeGrid(1.0, 32), 0)
         assert probs.shape == (33, 5)
         np.testing.assert_allclose(probs[:, 0], 1.0, atol=1e-12)
@@ -156,16 +151,15 @@ class TestPopulations:
     @pytest.mark.parametrize("mirror", [True, False])
     def test_matches_step_by_step(self, sno5, not_params, n_steps, mirror):
         # the prefix-product trace against one matrix-vector step at a time
-        cs = replace(controls_for(sno5, DragVariant.DRAG2, not_params),
-                     mirror=mirror)
+        cs = controls_for(sno5, DragVariant.DRAG2, not_params)
+        hand = HandControls.of(cs)  # every step built
         grid = TimeGrid(not_params.t_g, n_steps)
         psi = np.eye(5, dtype=complex)[1]
         ref = [np.abs(psi) ** 2]
-        for step in _expm1(_step_exponents(generators(sno5),
-                                           replace(cs, mirror=False), grid)):
+        for step in _expm1(_step_exponents(generators(sno5), hand, grid)):
             psi = psi + step @ psi  # steps are kept as U - I
             ref.append(np.abs(psi) ** 2)
-        _, probs = populations(sno5, cs, grid, 1)
+        _, probs = populations(sno5, cs if mirror else hand, grid, 1)
         assert np.max(np.abs(probs - np.array(ref))) < 1e-13
 
     def test_signed_initial_level(self, inter5, not_params):
@@ -187,7 +181,7 @@ class TestPopulations:
 
 class TestConverge:
     def test_time_independent_converges_immediately(self, sno3):
-        u, n = converge(sno3, _constant_controls(1.0), 1.0, 1e-12)
+        u, n = converge(sno3, HandControls.constant(1.0), 1.0, 1e-12)
         assert n == 512  # first doubling already agrees exactly
         np.testing.assert_allclose(u, np.eye(3), atol=1e-12)
 
@@ -206,7 +200,7 @@ class TestConverge:
         monkeypatch.setattr(propagator, "_STEP_CAP", 4096)
         for tol in (0.0, math.nan):
             with pytest.raises(ValueError, match="positive"):
-                converge(sno3, _constant_controls(1.0), 1.0, tol)
+                converge(sno3, HandControls.constant(1.0), 1.0, tol)
 
     def test_cap_raises(self, sno5, not_params, monkeypatch):
         monkeypatch.setattr(propagator, "_STEP_CAP", 4096)
@@ -264,8 +258,8 @@ def _pairwise_tree(mats):
 def _full_product(spec, cs, grid):
     # every step built and multiplied, whatever the set's symmetry; steps
     # and their product are kept as U - I
-    steps = _expm1(_step_exponents(generators(spec),
-                                   replace(cs, mirror=False), grid))
+    steps = _expm1(_step_exponents(generators(spec), HandControls.of(cs),
+                                   grid))
     return _pairwise_tree(steps) + np.eye(spec.d)
 
 
@@ -293,16 +287,13 @@ class TestMirrorProduct:
     def test_ramped_and_hand_built_sets_take_full_product(self, sno5,
                                                           not_params):
         cs = controls_for(sno5, DragVariant.DRAG2, not_params)
-        hand = ControlSet(cs.omega_x, cs.omega_y, cs.delta, cs.t_g, "hand")
+        hand = HandControls.of(cs)
         ramped = phase_ramp(cs)
         grid = TimeGrid(not_params.t_g, 512)
         for s in (hand, ramped):
             assert not s.mirror
             np.testing.assert_array_equal(propagate(sno5, s, grid),
                                           _full_product(sno5, s, grid))
-        # the ramp breaks the symmetry: the half product would be wrong
-        wrong = propagate(sno5, replace(ramped, mirror=True), grid)
-        assert np.max(np.abs(wrong - propagate(sno5, ramped, grid))) > 1e-3
 
 
 def test_magnus4_against_ode_solver(sno5):
@@ -391,7 +382,7 @@ class TestTaylorStep:
         spec = request.getfixturevalue(system)
         gen = generators(spec)
         p = GaussianParams.for_not(0.6)
-        cs = replace(controls_for(spec, variant, p), mirror=False)
+        cs = HandControls.of(controls_for(spec, variant, p))
         grid = TimeGrid(p.t_g, 256)
         ref = _two_h_exponent(gen, cs, grid)
         assert np.max(np.abs(_step_exponents(gen, cs, grid) - ref)) <= 1e-13

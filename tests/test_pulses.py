@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import quad
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, build_controls,
                         build_sno, effective_lambda, phase_ramp)
-from drag_forge.pulses import (ControlSet, GaussianEnvelope, controls_for,
+from drag_forge.pulses import (GaussianEnvelope, controls_for,
                                first_order_coefficients)
 
 TWO_PI = 2.0 * math.pi
@@ -301,12 +302,24 @@ class TestPhaseRamp:
         np.testing.assert_allclose(rcs.omega_y(ts), ox * np.sin(c * ts),
                                    atol=1e-12)
 
-    def test_rejects_set_without_phi(self, sno5, not_params):
-        cs = build_controls(sno5, DragVariant.Z_ONLY1, not_params)
-        stripped = ControlSet(cs.omega_x, cs.omega_y, cs.delta, cs.t_g,
-                              cs.variant, cs.params, None)
-        with pytest.raises(ValueError, match="closed-form phi"):
-            phase_ramp(stripped)
+
+def test_control_set_is_a_record(sno5, not_params):
+    # plain data: a set pickles to an equal set, its one channel method is
+    # what the single-channel methods return, and mirror is derived
+    ts = np.linspace(0, not_params.t_g, 301)
+    for variant in (DragVariant.DRAG2, Ansatz(1.02, 0.4, -0.3, 0.25)):
+        cs = controls_for(sno5, variant, not_params)
+        for s in (cs, phase_ramp(cs)):
+            back = pickle.loads(pickle.dumps(s))
+            assert back == s and back is not s
+            chans = s.channels(ts)
+            for got, want in zip(back.channels(ts), chans):
+                np.testing.assert_array_equal(got, want)
+            for got, want in zip((s.omega_x(ts), s.omega_y(ts),
+                                  s.delta(ts)), chans):
+                np.testing.assert_array_equal(got, want)
+            assert s.mirror is not s.ramp
+        assert not cs.ramp and phase_ramp(cs).ramp
 
 
 def test_controls_for_dispatch(sno5, inter5, star6, not_params):
