@@ -108,6 +108,8 @@ def _validate_config(cfg: dict, n_steps=None) -> tuple[dict, SystemSpec]:
         fail("name", "must be a non-empty string")
     if name in (".", "..") or "\0" in name or Path(name).name != name:
         fail("name", f"must be a plain file name, got {name!r}")
+    if len(f"{name}.manifest.json".encode(errors="surrogatepass")) > 255:
+        fail("name", "too long: <name>.manifest.json exceeds 255 bytes")
     if not isinstance(cfg["system"], dict):
         fail("system", "must be an object")
     try:

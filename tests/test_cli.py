@@ -140,6 +140,8 @@ class TestExitCodes:
          "name: must be a plain file name, got '..'"),
         (["--config", "CFG"], {"name": "a\0b"},
          "name: must be a plain file name, got 'a\\x00b'"),
+        (["--config", "CFG"], {"name": "x" * 300},
+         "name: too long: <name>.manifest.json exceeds 255 bytes"),
     ], ids=["config-steps-3", "preset-steps-abc", "pop-traces-steps-3",
             "sigma-string", "area-string", "tg_factor-null", "star-drag2",
             "variants-unknown",
@@ -151,7 +153,7 @@ class TestExitCodes:
             "name-empty", "system-not-object", "system-key-missing",
             "sigma-empty", "sigma-non-positive", "tg_factor-zero",
             "name-absolute", "name-parent", "name-separator", "name-dotdot",
-            "name-nul"])
+            "name-nul", "name-too-long"])
     def test_bad_input_exits_2(self, tmp_path, capsys, args, changes, expect):
         path = tmp_path / "cfg.json"
         if changes is None:

@@ -46,7 +46,7 @@ class TestValidation:
 
 class TestAlphaOnly:
     def test_matches_scan_oracle(self, sno5, fast_params):
-        # brute-force 1-D scan over alpha before trusting the simplex
+        # brute-force 1-D scan over alpha before trusting the search
         task = OptimizeTask(sno5, fast_params, (True, False, False, False),
                             max_evals=120, prop_tol=1e-7)
         res = optimize(task)
@@ -110,8 +110,8 @@ class TestInvariants:
         assert res.x[3] == 0.0
 
     def test_non_finite_objective_treated_as_inf(self, sno5, fast_params):
-        # huge coefficients overflow the cubic term; vertices get rejected
-        # rather than crashing the search
+        # huge coefficients overflow the cubic term; such points get
+        # rejected rather than crashing the search
         x0 = (1.0, 0.0, 0.0, 0.0)
         task = OptimizeTask(sno5, fast_params, (True, False, False, False),
                             x0=x0, max_evals=30, prop_tol=1e-7)
@@ -129,8 +129,8 @@ def test_result_reports_budget(sno5, fast_params):
 
 
 def test_initial_point_evaluated_once(sno5, fast_params, monkeypatch):
-    # the first simplex vertex is x0 itself; evaluating it beforehand as
-    # well would spend a second evaluation of the budget on it
+    # the search starts from x0 itself; evaluating it beforehand as well
+    # would spend a second evaluation of the budget on it
     import drag_forge.optimizer as optimizer
 
     seen = []
@@ -139,8 +139,80 @@ def test_initial_point_evaluated_once(sno5, fast_params, monkeypatch):
                         seen.append(cs) or real(gen, cs, grid))
     res = optimize(OptimizeTask(sno5, fast_params, (True, False, False, False),
                                 max_evals=10, prop_tol=1e-7))
-    assert len(seen) == res.n_evals == 10
-    assert seen[0] != seen[1]
+
+    def coefficients(cs):
+        return cs.a1, cs.a3, cs.b1, cs.c2, cs.c0
+
+    points = [coefficients(cs) for cs in seen]
+    assert len(points) == res.n_evals
+    assert points[0] == coefficients(build_controls(
+        sno5, Ansatz(1.0, 0.0, 0.0, 0.0), fast_params))
+    assert points.count(points[0]) == 1
+
+
+class TestSearch:
+    def test_converged_meets_stop_test(self, sno5, fast_params):
+        # converged promises g^T H g / 2 <= 1e-9 f at the returned point;
+        # check it with central differences and a difference Hessian made
+        # here, not with the search's own model
+        mask = (True, False, True, False)
+        res = optimize(OptimizeTask(sno5, fast_params, mask, max_evals=100,
+                                    prop_tol=1e-7))
+        assert res.converged
+
+        def f(x):
+            return _fixed_grid_error(sno5, x, fast_params, res.n_steps)
+
+        x = np.array(res.x)
+        axes = np.eye(4)[list(mask)]
+        h, k = 1e-5, 1e-4
+        g = np.array([(f(x + h * a) - f(x - h * a)) / (2 * h) for a in axes])
+        hess = np.array([[(f(x + k * a + k * b) - f(x + k * a - k * b)
+                           - f(x - k * a + k * b) + f(x - k * a - k * b))
+                          / (4 * k * k) for b in axes] for a in axes])
+        assert np.all(np.linalg.eigvalsh(hess) > 0)
+        assert g @ np.linalg.solve(hess, g) / 2 <= 1e-9 * res.gate_error
+
+    def test_budget_cut_returns_best_seen(self, sno5, fast_params,
+                                          monkeypatch):
+        import drag_forge.optimizer as optimizer
+
+        values = []
+        real = optimizer.gate_error
+        monkeypatch.setattr(optimizer, "gate_error", lambda *a:
+                            values.append(real(*a)) or values[-1])
+        res = optimize(OptimizeTask(sno5, fast_params,
+                                    (True, True, False, False),
+                                    max_evals=7, prop_tol=1e-7))
+        assert res.n_evals == len(values) == 7
+        assert res.gate_error == min(values)
+        assert not res.converged
+
+    @pytest.mark.parametrize("mask,x0", [
+        ((True, False, True, False), (1.0, 0.0, 0.0, 0.0)),
+        ((False, True, False, True), (1.01, 0.2, 0.125, 0.0)),
+    ])
+    def test_reported_error_is_a_fresh_evaluation(self, sno5, fast_params,
+                                                  mask, x0):
+        res = optimize(OptimizeTask(sno5, fast_params, mask, x0=x0,
+                                    max_evals=40, prop_tol=1e-7))
+        assert res.gate_error == _fixed_grid_error(sno5, res.x, fast_params,
+                                                   res.n_steps)
+
+
+def test_nested_masks_at_sigma_1(sno5):
+    # fig5's rows at sigma = 1: the four-free mask holds the optimum of
+    # alpha+gamma+delta0 (fig5b) and of alpha+beta+gamma (fig5a) as
+    # feasible points on the same grid, so its row can be no worse
+    params = GaussianParams.for_not(1.0)
+
+    def row(mask):
+        return optimize(OptimizeTask(sno5, params, mask, max_evals=250,
+                                     prop_tol=1e-9))
+
+    full = row((True, True, True, True))
+    assert full.gate_error <= row((True, False, True, True)).gate_error
+    assert full.gate_error <= row((True, True, True, False)).gate_error
 
 
 def test_generators_built_once_per_task(sno5, fast_params, monkeypatch):
