@@ -14,29 +14,30 @@ eps = 1/(t_g * delta2) the bookkeeping parameter.  The module evaluates
   reads; where a closed form fixes S^(n+1) (the ladder at n = 1), the
   order-n transform is built only if n is read, and then before S^(n+1).
 
-Frames and Hamiltonians are Hermitian (T, d, d) samples on TimeGrid nodes
-and H0 is diagonal: [S, X] = P - P^dag takes one product P = SX, [S, H0]
-none.  S-derivatives use 4th-order finite differences.
-
-Every quantity is pointwise in the node except those differences, so the
-reports run over blocks of ``_BLOCK`` nodes (the propagator's block), each
-widened by a halo of two nodes per nested derivative and folded into the
-report's maxima; no report holds an (N + 1, d, d) stack, and each value is
-bit-identical to the whole grid's.  ``frames_for`` and ``h_eff_exact``
-return whole stacks and evaluate the grid as one window.
+Every frame and Hamiltonian of the expansion is a polynomial in the scaled
+envelope derivatives gbar^(k) = t_g^(k+1) d^kG/dt^k with constant (d, d)
+coefficients (``_Poly``): the controls are a1 gbar, a3 gbar^3, b1 gbar' and
+c2 gbar^2, and H0 is constant.  Commutators multiply monomials, [S, H0] is
+element-wise for the diagonal H0, and d/dt maps gbar^(k) to gbar^(k+1)
+exactly.  The loop runs on polynomials; only each report's final polynomial
+is sampled on the grid's nodes.  The residual reports sample the qubit-block
+and qubit/leak entries on the whole grid; the series samples S, dS/dt and
+the series over blocks of ``_BLOCK`` nodes (the propagator's block), and
+takes dA/dt from the Daleckii-Krein formula, so every value is pointwise in
+the node.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .model import (HamiltonianGenerators, SystemSpec, Topology, generators,
                     hamiltonian_at)
 from .propagator import _BLOCK, TimeGrid, _sample_controls
-from .pulses import Ansatz, ControlSet, GaussianParams, controls_for
+from .pulses import (Ansatz, ControlSet, GaussianEnvelope, GaussianParams,
+                     controls_for)
 
 __all__ = ["ExpansionReport", "frames_for", "h_eff_exact",
            "constraint_residuals", "h_extra_report", "series_vs_exact_deviation"]
@@ -52,9 +53,8 @@ class ExpansionReport:
 
 @dataclass(frozen=True)
 class _Dimless:
-    gen: HamiltonianGenerators  # the generators as built, for the exact route
+    gen: HamiltonianGenerators  # the generators as built
     h0: np.ndarray          # drift / delta2
-    ctl: HamiltonianGenerators  # control generators, zero drift
     qubit_rows: tuple       # (row of level 0, row of level 1)
     # the qubit/leakage couplings (q, l): rows q, rows l, delta_l/delta2
     q: np.ndarray
@@ -68,107 +68,78 @@ def _dimless(spec: SystemSpec) -> _Dimless:
     pairs = [(q, spec.row(j), spec.delta[j] / d2) for q in spec.qubit_rows
              for j in spec.leakage_levels]
     q, l, dbar = (np.array(c) for c in zip(*pairs))
-    ctl = HamiltonianGenerators(np.zeros_like(gen.h_drift), gen.h_z, gen.h_x,
-                                gen.h_y, gen.levels)
-    return _Dimless(gen, np.asarray(gen.h_drift) / d2, ctl, spec.qubit_rows,
+    return _Dimless(gen, np.asarray(gen.h_drift) / d2, spec.qubit_rows,
                     q, l, dbar)
 
 
-def _tbar(grid: TimeGrid) -> np.ndarray:
-    return np.linspace(0.0, 1.0, grid.n_steps + 1)
+class _Poly(dict):
+    """A polynomial in gbar, gbar', gbar'', ... with (d, d) coefficients.
 
-
-class _Window(NamedTuple):
-    """Grid nodes [lo, hi), h apart in scaled time; ``keep`` selects the
-    block's own nodes among them, the rest is halo."""
-
-    lo: int
-    hi: int
-    keep: slice
-    h: float
-
-
-def _whole(grid: TimeGrid) -> _Window:
-    n = grid.n_steps + 1
-    return _Window(0, n, slice(0, n), 1.0 / grid.n_steps)
-
-
-def _windows(grid: TimeGrid, depth: int):
-    """The grid's nodes in blocks of ``_BLOCK``, each widened by 2*depth.
-
-    ``_fd4`` reads two nodes on each side, and at an inner window edge its
-    one-sided stencil differs from the whole grid's central one; so each
-    nested derivative spoils two more nodes in from that edge, and a
-    quantity with ``depth`` nested derivatives is exact on the block.  A
-    last block shorter than the stencils' five nodes joins the one before.
+    Maps each monomial, the sorted tuple of its factors' derivative orders
+    k (() is the constant), to its coefficient; a missing monomial has a
+    zero coefficient, so the empty polynomial is zero.
     """
-    n = grid.n_steps + 1
-    cuts = list(range(0, n, _BLOCK)) + [n]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] < 5:
-        del cuts[-2]
-    halo = 2 * depth
-    for a, b in zip(cuts, cuts[1:]):
-        lo, hi = max(a - halo, 0), min(b + halo, n)
-        yield _Window(lo, hi, slice(a - lo, b - lo), 1.0 / grid.n_steps)
+
+    @staticmethod
+    def of(terms) -> "_Poly":
+        """The sum of (monomial, coefficient) terms."""
+        out = _Poly()
+        for m, c in terms:
+            out[m] = out[m] + c if m in out else c
+        return out
+
+    def __add__(self, other: "_Poly") -> "_Poly":
+        return _Poly.of([*self.items(), *other.items()])
+
+    def __rmul__(self, c) -> "_Poly":
+        return _Poly({m: c * a for m, a in self.items()})
+
+    def comm(self, other: "_Poly") -> "_Poly":
+        """[self, other] of Hermitian coefficients, each term P - P^dag of
+        one product P = ab."""
+        return _Poly.of((tuple(sorted(m + n)), (p := a @ b) - p.conj().T)
+                        for m, a in self.items() for n, b in other.items())
+
+    def comm_h0(self, h0: np.ndarray) -> "_Poly":
+        """[self, H0] for the diagonal H0 = diag(w): entries C_ij (w_j - w_i)."""
+        w = np.diagonal(h0)
+        return _Poly({m: a * (w - w[:, None]) for m, a in self.items()})
+
+    def dt(self) -> "_Poly":
+        """d/dt by the product rule, gbar^(k) -> gbar^(k+1)."""
+        return _Poly.of((tuple(sorted(m[:i] + (k + 1,) + m[i + 1:])), a)
+                        for m, a in self.items() for i, k in enumerate(m))
 
 
-def _fd4(f: np.ndarray, h: float) -> np.ndarray:
-    """4th-order finite differences along axis 0, one-sided at the ends."""
-    out = np.empty_like(f)
-    # ((-f[i+2] + 8 f[i+1]) - 8 f[i-1]) + f[i-2], then / 12h, in place:
-    # this order of the operations fixes every bit of the result
-    mid = np.negative(f[4:], out=out[2:-2])
-    tmp = np.multiply(8.0, f[3:-1])
-    mid += tmp
-    mid -= np.multiply(8.0, f[1:-3], out=tmp)
-    mid += f[:-4]
-    mid /= 12.0 * h
-    out[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2]
-              + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    out[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2]
-              - 6.0 * f[3] + f[4]) / (12.0 * h)
-    out[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3]
-               + 6.0 * f[-4] - f[-5]) / (12.0 * h)
-    out[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3]
-               - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
+def _sample(terms, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out + sum of monomial(t) * coefficient over (monomial, coefficient)
+    terms, on the nodes of g, the (k, node) samples of gbar^(k)."""
+    for m, c in terms:
+        x = np.prod(g[list(m)], axis=0)
+        out += x.reshape(x.shape + (1,) * (out.ndim - 1)) * c
     return out
-
-
-def _comm(a, b, acc=None):
-    """[a, b] of Hermitian a, b as P - P^dag, P = ab; added in place to acc."""
-    p = a @ b
-    q = p.swapaxes(-1, -2).copy()  # contiguous: no strided ufunc buffer
-    if acc is not None:
-        p = np.add(acc, p, out=acc)
-    return np.subtract(p, np.conjugate(q, out=q), out=p)
-
-
-def _comm_h0(s, h0, acc=None):
-    """acc + [S, H0] for the diagonal H0 = diag(w): S_ij (w_j - w_i)."""
-    w = np.diagonal(h0)
-    c = s * (w - w[:, None])
-    return c if acc is None else np.add(acc, c, out=acc)
 
 
 # -- frame generators ---------------------------------------------------------
 
-def _recursion_frame(ds: _Dimless, m_stack: np.ndarray) -> np.ndarray:
+def _recursion_frame(ds: _Dimless, m: _Poly) -> _Poly:
     """Constrained part of S^(n+1) from the no-leakage conditions.
 
     With M = H_extra^(n) + H^(n), the (q, l) entry of M + i[S^(n+1), H0]
     must vanish for each qubit row q and leakage row l; since H0 has no
-    qubit-block weight this solves entry-wise to
+    qubit-block weight this solves entry-wise, per monomial, to
     S^(n+1)[q, l] = i M[q, l] / dbar_l.
     """
-    s = np.zeros_like(m_stack)
-    s[:, ds.q, ds.l] = 1j * m_stack[:, ds.q, ds.l] / ds.dbar
-    s[:, ds.l, ds.q] = np.conj(s[:, ds.q, ds.l])
+    s = _Poly()
+    for mono, c in m.items():
+        x = s[mono] = np.zeros(c.shape, dtype=complex)
+        x[ds.q, ds.l] = 1j * c[ds.q, ds.l] / ds.dbar
+        x[ds.l, ds.q] = np.conj(x[ds.q, ds.l])
     return s
 
 
-def _frame_second_order(spec: SystemSpec, sa: float, g: np.ndarray,
-                        dg: np.ndarray) -> np.ndarray:
-    """Closed-form S^(2)(t) samples, (T, d, d), for the ladder variants.
+def _frame_second_order(spec: SystemSpec, sa: float) -> _Poly:
+    """Closed-form S^(2) for the ladder variants.
 
     Obtained by substituting S^(1) into the order-1 no-leakage conditions:
 
@@ -176,31 +147,32 @@ def _frame_second_order(spec: SystemSpec, sa: float, g: np.ndarray,
         s2_x12 = +(lam1 / 2) (1 + 2 sa) dG
         s2_y13 = +(lam1 lam2 / (4 dbar3)) G^2     (d >= 4)
 
-    with sa the variant's free s_y01 coefficient and (g, dg) the
-    dimensionless envelope and its derivative.  Kept independent of the
-    recursion solver so the residual checks exercise two separate routes.
+    with sa the variant's free s_y01 coefficient and (G, dG) the
+    dimensionless envelope (monomial (0,)) and its derivative ((1,)).  Kept
+    independent of the recursion solver so the residual checks exercise two
+    separate routes.
     """
     lam1 = spec.lam[1]
-    s2 = np.zeros((g.shape[0], spec.d, spec.d), dtype=complex)
+    g2, dg = (np.zeros((spec.d, spec.d), dtype=complex) for _ in range(2))
 
-    def put(r1, r2, sx, sy):
-        s2[:, r1, r2] += sx - 1j * sy
-        s2[:, r2, r1] += sx + 1j * sy
+    def put(s, r1, r2, sx, sy):
+        s[r1, r2] += sx - 1j * sy
+        s[r2, r1] += sx + 1j * sy
 
-    put(0, 2, 0.0, -(lam1 / 4.0) * (1.0 + sa) * g * g)
-    put(1, 2, (lam1 / 2.0) * (1.0 + 2.0 * sa) * dg, 0.0)
+    put(g2, 0, 2, 0.0, -(lam1 / 4.0) * (1.0 + sa))
+    put(dg, 1, 2, (lam1 / 2.0) * (1.0 + 2.0 * sa), 0.0)
     if spec.d >= 4:
         lam2 = spec.lam[2]
         dbar3 = spec.delta[3] / spec.delta2
-        put(1, 3, 0.0, (lam1 * lam2 / (4.0 * dbar3)) * g * g)
-    return s2
+        put(g2, 1, 3, 0.0, lam1 * lam2 / (4.0 * dbar3))
+    return _Poly({(0, 0): g2, (1,): dg})
 
 
 class _Expansion:
-    """One control set's frame expansion, evaluated window by window.
+    """One control set's frame expansion as polynomials.
 
-    Builds the control set and samples the envelope once; ``window`` runs
-    the order-by-order loop on the nodes of one window.
+    Builds the control set once; ``build`` runs the order-by-order loop and
+    ``samples`` gives the envelope derivatives on the grid's nodes.
     """
 
     def __init__(self, spec: SystemSpec, variant, params: GaussianParams,
@@ -214,13 +186,22 @@ class _Expansion:
         self.spec = spec
         self.ds = _dimless(spec)
         self.cs = controls_for(spec, variant, params)
-        tg = self.cs.t_g  # the envelope and its derivative in scaled time
-        g, dg = self.cs.envelope(_tbar(grid) * tg)
-        self.gbar, self.dg = tg * g, tg * tg * dg
+        self.ts = np.linspace(0.0, self.cs.t_g, grid.n_steps + 1)
 
-    def window(self, win: _Window, upto: int, read=()):
-        """The expansion through order ``upto`` on one window: (hs, frames,
-        heffs).
+    def at(self, p: _Poly, g: np.ndarray) -> np.ndarray:
+        """(node, d, d) samples of p on the nodes of g (see ``samples``)."""
+        return _sample(p.items(), g, np.zeros(g.shape[1:] + self.ds.h0.shape,
+                                              dtype=complex))
+
+    def samples(self, *polys: _Poly) -> np.ndarray:
+        """(k, node) samples of gbar^(k) through the highest order in polys."""
+        top = max((k for p in polys for m in p for k in m), default=0)
+        tg = self.cs.t_g
+        env = GaussianEnvelope(self.cs.pulse).derivatives(self.ts, top)
+        return np.array([tg ** (k + 1) * g for k, g in enumerate(env)])
+
+    def build(self, upto: int, read=()):
+        """The expansion through order ``upto``: (hs, frames, heffs).
 
         Builds H^(0..upto) and the frames S^(1..upto+1) in order, and
         heffs[n] = H_eff^(n) = M + i[S^(n+1), H0] for each n in ``read``.
@@ -229,39 +210,35 @@ class _Expansion:
         S^(n+1) (the ladder at n = 1) M is built only if n is read, and
         then before S^(n+1).
         """
-        ds = self.ds
+        ds, gen = self.ds, self.ds.gen
         b1, c2, a3 = self.cs.b1, self.cs.c2, self.cs.a3
-        gbar, dg = self.gbar[win.lo:win.hi], self.dg[win.lo:win.hi]
-        zero = np.zeros_like(gbar)
-        # (delta, omega_x, omega_y) of each order; orders with no field left out
-        fields = {0: (zero, gbar, zero)}
-        if b1 or c2:
-            fields[1] = (c2 * gbar * gbar, zero, b1 * dg)
-        if a3:
-            fields[2] = (zero, a3 * gbar ** 3, zero)
-        hs = {n: hamiltonian_at(ds.ctl, *f) for n, f in fields.items()
-              if n <= upto}
-        del zero, fields  # not held through the transforms
+        # (monomial, weight, generator) of each order's fields; orders and
+        # terms with no field left out
+        fields = {0: [((0,), 0.5, gen.h_x)],
+                  1: [((0, 0), c2, gen.h_z), ((1,), 0.5 * b1, gen.h_y)],
+                  2: [((0, 0, 0), 0.5 * a3, gen.h_x)]}
+        hs = {n: h for n, f in fields.items() if n <= upto
+              if (h := _Poly({m: c * x for m, c, x in f if c}))}
         # the free element s_y01 = sa * G_bar of S^(1) is fixed by the
         # quadrature field, omega_y_bar^(1) = 2 d(s_y01)/dt, so sa = b1 / 2;
         # S^(2) reads it too
         sa = b1 / 2.0
-        frames: list[np.ndarray] = []
+        frames: list[_Poly] = []
         heffs = {}
         for n in range(upto + 1):
             closed = n == 1 and self.spec.topology is Topology.LADDER
             m = (None if closed and n not in read
-                 else _transformed(n, frames, hs, ds.h0, win))
-            s = (_frame_second_order(self.spec, sa, gbar, dg) if closed
+                 else _transformed(n, frames, hs, ds.h0))
+            s = (_frame_second_order(self.spec, sa) if closed
                  else _recursion_frame(ds, m))
             if n == 0:
                 q0, q1 = ds.qubit_rows
-                s[:, q0, q1] += -1j * sa * gbar
-                s[:, q1, q0] += 1j * sa * gbar
+                free = np.zeros_like(ds.h0)
+                free[q0, q1], free[q1, q0] = -1j * sa, 1j * sa
+                s = s + _Poly({(0,): free})
             frames.append(s)
-            if n in read:  # formed in M's place
-                heffs[n] = _comm_h0(s, 1j * ds.h0, m)
-            del m
+            if n in read:
+                heffs[n] = m + 1j * s.comm_h0(ds.h0)
         return hs, frames, heffs
 
 
@@ -269,11 +246,13 @@ def frames_for(spec: SystemSpec, variant, params: GaussianParams,
                grid: TimeGrid, upto: int) -> list[np.ndarray]:
     """S^(1..upto) samples: closed forms where documented, else recursion."""
     ex = _Expansion(spec, variant, params, grid)
-    return ex.window(_whole(grid), upto - 1)[1]
+    frames = ex.build(upto - 1)[1]
+    g = ex.samples(*frames)
+    return [ex.at(s, g) for s in frames]
 
 
-def _transformed(n: int, frames: list[np.ndarray], h_orders: dict,
-                 h0: np.ndarray, win: _Window) -> np.ndarray:
+def _transformed(n: int, frames: list[_Poly], h_orders: dict,
+                 h0: np.ndarray) -> _Poly:
     """Order n of A^dag H A + i dA^dag/dt A with A = exp(-i S).
 
     S = sum_k eps^k S^(k) with S^(k) = frames[k-1], and H = H0/eps +
@@ -282,88 +261,98 @@ def _transformed(n: int, frames: list[np.ndarray], h_orders: dict,
     = sum_m Z_m, where Z_0 = H, Z_1 = i ad_S Z_0 - dS/dt and
     Z_m = (i/m) ad_S Z_(m-1).  ad_S raises the lowest order by one (Z_m
     starts at order m-1), so order n needs m <= n+1.  Each pass rewrites
-    the orders from the top down, in place, because order j of Z_m reads
-    only lower orders of Z_(m-1); orders with no term are left out rather
-    than held as zero stacks.
-
-    Frames and H stacks must be Hermitian and H0 diagonal: every Z_m is
-    then Hermitian, [S, X] is P - P^dag of one product P = SX, and [S, H0]
-    (Z_0 at order -1) is element-wise.  The stacks sample the window's
-    nodes.
+    the orders from the top down, because order j of Z_m reads only lower
+    orders of Z_(m-1); orders with no term are left out.  [S, H0] (Z_0 at
+    order -1) is element-wise for the diagonal H0.
     """
-    t, d = win.hi - win.lo, h0.shape[0]
     z = {k: h for k, h in h_orders.items() if k <= n}
-    out = z[n].copy() if n in z else np.zeros((t, d, d), dtype=complex)
+    out = z.get(n, _Poly())
     for m in range(1, n + 2):
         for j in range(n, m - 2, -1):
-            zj = None
+            zj = _Poly()
             if m == 1 and 1 <= j <= len(frames):
                 # Z_1 = i (ad_S Z_0 + i dS/dt): seed with the frame derivative
-                zj = _fd4(frames[j - 1], win.h)
-                np.multiply(1j, zj, out=zj)
+                zj = 1j * frames[j - 1].dt()
             for k, s in enumerate(frames, 1):
-                x = z.get(j - k)
-                if x is not None:
-                    zj = _comm(s, x, zj)
+                if j - k in z:
+                    zj = zj + s.comm(z[j - k])
             if m == 1 and j < len(frames):
-                zj = _comm_h0(frames[j], h0, zj)
-            if zj is None:
-                z.pop(j, None)
+                zj = zj + frames[j].comm_h0(h0)
+            if zj:
+                z[j] = (1j / m) * zj
             else:
-                zj *= 1j / m
-                z[j] = zj
+                z.pop(j, None)
         z.pop(m - 2, None)
         if n in z:
-            out += z.pop(n)  # no later pass reads the top order
+            out = out + z.pop(n)  # no later pass reads the top order
     return out
 
 
 def _h_eff(gen: HamiltonianGenerators, cs: ControlSet, s_total: np.ndarray,
-           ts: np.ndarray, h: float) -> np.ndarray:
-    """h_eff_exact on nodes ``ts`` of [0, cs.t_g], h apart in scaled time."""
+           ds_total: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """h_eff_exact on nodes ``ts`` of [0, cs.t_g].
+
+    With S = V diag(w) V^dag and A = V E V^dag, E = diag(exp(-i w)),
+    Daleckii-Krein gives dA/dt = V (F o V^dag dS/dt V) V^dag with the
+    divided differences F_ij = -i exp(-i (w_i + w_j)/2) sinc((w_i - w_j)/2).
+    Folding A in, with D_ij = (w_i - w_j)/2,
+
+        H_eff = V [exp(2iD) o V^dag H V - exp(iD) sinc(D) o V^dag dS/dt V] V^dag,
+
+    which stays exact at equal eigenvalues (sinc(0) = 1).
+    """
     ox, oy, dl = _sample_controls(cs, ts)
     hbar = cs.t_g * hamiltonian_at(gen, dl, ox, oy)
     w, v = np.linalg.eigh(s_total)
-    a = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    da = _fd4(a, h)
-    return a.conj().swapaxes(-1, -2) @ hbar @ a \
-        + 1j * da.conj().swapaxes(-1, -2) @ a
+    vh = v.conj().swapaxes(-1, -2)
+    d = 0.5 * (w[:, :, None] - w[:, None, :])
+    half = np.exp(1j * d)
+    inner = (half * half * (vh @ hbar @ v)
+             - half * np.sinc(d / np.pi) * (vh @ ds_total @ v))
+    return v @ inner @ vh
 
 
-def h_eff_exact(spec: SystemSpec, cs: ControlSet,
-                s_total: np.ndarray) -> np.ndarray:
+def h_eff_exact(spec: SystemSpec, cs: ControlSet, s_total: np.ndarray,
+                ds_total: np.ndarray) -> np.ndarray:
     """Exact effective Hamiltonian A^dag H A + i dA^dag/dt A, dimensionless.
 
     ``s_total`` holds Hermitian samples of the summed frame generator on
-    evenly spaced nodes of [0, cs.t_g]; A = exp(-i S) per sample, with the
-    derivative term computed by 4th-order finite differences of A itself.
+    evenly spaced nodes of [0, cs.t_g], and ``ds_total`` its derivative in
+    the scaled time t / cs.t_g on the same nodes; A = exp(-i S) per sample,
+    and dA/dt follows from dS/dt exactly (Daleckii-Krein, see ``_h_eff``).
     """
-    n = len(s_total)
-    if n < 5:  # the one-sided difference stencils span five nodes
-        raise ValueError(f"s_total needs at least 5 samples, got {n}")
-    return _h_eff(generators(spec), cs, s_total,
-                  np.linspace(0.0, cs.t_g, n), 1.0 / (n - 1))
+    return _h_eff(generators(spec), cs, s_total, ds_total,
+                  np.linspace(0.0, cs.t_g, len(s_total)))
 
 
 # -- residual reports ---------------------------------------------------------
 
-def _component_maxima(ds: _Dimless, m_stack: np.ndarray,
-                      gx=0.0) -> np.ndarray:
-    """[x, y, z, coupling]: the qubit-block trace mismatches, x against the
-    target gx, and the worst qubit/leak coupling trace."""
+def _traces(ds: _Dimless, c: np.ndarray) -> np.ndarray:
+    """[x, y, z] qubit-block traces of one coefficient, then 2 Re and 2 Im
+    of each qubit/leak coupling."""
     q0, q1 = ds.qubit_rows
-    tx = 2.0 * np.real(m_stack[:, q0, q1]) - gx
-    ty = -2.0 * np.imag(m_stack[:, q0, q1])
-    tz = np.real(m_stack[:, q0, q0] - m_stack[:, q1, q1])
-    c = m_stack[:, ds.q, ds.l]
-    return np.array([np.abs(tx).max(), np.abs(ty).max(), np.abs(tz).max(),
-                     2.0 * max(np.abs(c.real).max(), np.abs(c.imag).max())])
+    ql = 2.0 * c[ds.q, ds.l]
+    return np.concatenate([[2.0 * c[q0, q1].real, -2.0 * c[q0, q1].imag,
+                            (c[q0, q0] - c[q1, q1]).real], ql.real, ql.imag])
 
 
-def _report(rows: list[np.ndarray]) -> ExpansionReport:
-    """Fold the blocks' maxima into one report; max is exact."""
-    x, y, z, coupling = np.max(rows, axis=0).tolist()
-    return ExpansionReport({"x": x, "y": y, "z": z}, coupling)
+def _mismatch(ds: _Dimless, p: _Poly, target: bool = False) -> dict:
+    """The traces of each monomial's coefficient, less the order-0 target
+    G_bar in x if ``target``."""
+    rows = {m: _traces(ds, c) for m, c in p.items()}
+    if target:
+        rows[(0,)][0] -= 1.0
+    return rows
+
+
+def _report(ex: _Expansion, p: _Poly, target: bool = False
+            ) -> ExpansionReport:
+    """Maxima over the grid's nodes of the traces of ``_mismatch``."""
+    g = ex.samples(p)
+    out = np.zeros((g.shape[1], 3 + 2 * len(ex.ds.q)))
+    out = _sample(_mismatch(ex.ds, p, target).items(), g, out)
+    x, y, z, *coupling = np.abs(out).max(axis=0).tolist()
+    return ExpansionReport({"x": x, "y": y, "z": z}, max(coupling))
 
 
 def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
@@ -380,12 +369,7 @@ def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
     if order < 0 or order > 2:
         raise ValueError("constraint residuals implemented for orders 0..2")
     ex = _Expansion(spec, variant, params, grid)
-    rows = []
-    for win in _windows(grid, order):  # H_eff^(n) holds n nested derivatives
-        heff = ex.window(win, order, (order,))[2].pop(order)
-        g = ex.gbar[win.lo:win.hi][win.keep] if order == 0 else 0.0
-        rows.append(_component_maxima(ex.ds, heff[win.keep], g))
-    return _report(rows)
+    return _report(ex, ex.build(order, (order,))[2][order], order == 0)
 
 
 def h_extra_report(spec: SystemSpec, variant, params: GaussianParams,
@@ -395,12 +379,8 @@ def h_extra_report(spec: SystemSpec, variant, params: GaussianParams,
     if order < 0 or order > 3:
         raise ValueError("h_extra_report implemented for orders 0..3")
     ex = _Expansion(spec, variant, params, grid)
-    rows = []
-    for win in _windows(grid, order):  # dS^(n)/dt, and S^(n) holds n - 1
-        hs, frames, _ = ex.window(win, order - 1)
-        hx_n = _transformed(order, frames, hs, ex.ds.h0, win)
-        rows.append(_component_maxima(ex.ds, hx_n[win.keep]))
-    return _report(rows)
+    hs, frames, _ = ex.build(order - 1)
+    return _report(ex, _transformed(order, frames, hs, ex.ds.h0))
 
 
 def series_vs_exact_deviation(spec: SystemSpec, variant,
@@ -417,16 +397,16 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
         raise ValueError("series comparison implemented for orders 0..3")
     eps = 1.0 / (params.t_g * spec.delta2)
     ex = _Expansion(spec, variant, params, grid)
-    ts = np.linspace(0.0, ex.cs.t_g, grid.n_steps + 1)
-    devs = []
-    # S^(order+1) holds order nested derivatives, and dA/dt one more
-    for win in _windows(grid, order + 1):
-        _, frames, heffs = ex.window(win, order, range(order + 1))
-        series = ex.ds.h0 / eps
-        for m in range(order + 1):
-            series = series + eps ** m * heffs.pop(m)
-        s_total = sum(eps ** (m + 1) * s for m, s in enumerate(frames))
-        del frames  # not held through the exact transform
-        exact = _h_eff(ex.ds.gen, ex.cs, s_total, ts[win.lo:win.hi], win.h)
-        devs.append(np.max(np.abs(exact[win.keep] - series[win.keep])))
-    return float(np.max(devs))
+    _, frames, heffs = ex.build(order, range(order + 1))
+    series = sum((eps ** m * h for m, h in heffs.items()),
+                 _Poly({(): ex.ds.h0 / eps}))
+    s_total = sum((eps ** (m + 1) * s for m, s in enumerate(frames)), _Poly())
+    ds_total = s_total.dt()
+    g = ex.samples(series, ds_total)
+    dev = 0.0
+    for lo in range(0, len(ex.ts), _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        s, ds, ser = (ex.at(p, g[:, b]) for p in (s_total, ds_total, series))
+        exact = _h_eff(ex.ds.gen, ex.cs, s, ds, ex.ts[b])
+        dev = max(dev, float(np.max(np.abs(exact - ser))))
+    return dev

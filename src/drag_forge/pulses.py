@@ -86,12 +86,26 @@ class GaussianEnvelope:
                 f"t={float(t[bad][0])} outside [0, {self.params.t_g}]")
         return t
 
-    def value_d1(self, t):
-        """(G, dG/dt) from one range check and one exponential."""
+    def derivatives(self, t, n):
+        """(G, dG/dt, ..., d^nG/dt^n) from one range check and one exponential.
+
+        For k >= 1, d^kG/dt^k = scale * P_k * gauss, with P_k from the
+        Hermite recurrence in u = t - t_g/2: P_0 = 1, P_1 = -u/sigma^2 and
+        P_(k+1) = -(u P_k + k P_(k-1))/sigma^2.
+        """
         t = self._check(t)
-        gauss = np.exp(-((t - self._mid) ** 2) / (2.0 * self._s2))
-        return (self._scale * (gauss - self._pedestal),
-                self._scale * (-(t - self._mid) / self._s2) * gauss)
+        u = t - self._mid
+        gauss = np.exp(-(u ** 2) / (2.0 * self._s2))
+        out = [self._scale * (gauss - self._pedestal)]
+        p_prev, p = 0.0, 1.0  # P_(k-1), P_k at k = 0, with P_(-1) = 0
+        for k in range(n):
+            p_prev, p = p, -(u * p + k * p_prev) / self._s2
+            out.append(self._scale * p * gauss)
+        return tuple(out)
+
+    def value_d1(self, t):
+        """(G, dG/dt): :meth:`derivatives` with n = 1."""
+        return self.derivatives(t, 1)
 
     def value(self, t):
         return self.value_d1(t)[0]

@@ -3,17 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import HandControls
+from conftest import TWO_PI, HandControls
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
-                        build_controls, build_sno)
+                        build_controls, build_intermediate_sno, build_star,
+                        controls_for, effective_lambda)
 from drag_forge import adiabatic
 from drag_forge.adiabatic import (constraint_residuals, frames_for,
                                   h_eff_exact, h_extra_report,
                                   series_vs_exact_deviation,
-                                  _comm, _comm_h0, _component_maxima,
-                                  _Expansion, _recursion_frame, _transformed,
-                                  _whole)
+                                  _Expansion, _mismatch, _Poly,
+                                  _recursion_frame, _sample, _transformed)
+from drag_forge.model import Topology, generators, hamiltonian_at
 from drag_forge.pulses import GaussianEnvelope
 
 FIRST_ORDER = [DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
@@ -30,16 +31,47 @@ def grid(not_params):
     return TimeGrid(not_params.t_g, 2048)
 
 
+@pytest.fixture(scope="module")
+def inter7():
+    return build_intermediate_sno(7, -TWO_PI)
+
+
+@pytest.fixture(scope="module")
+def star2():
+    """Two-channel star with unequal gaps and weights."""
+    return build_star([-TWO_PI, -1.7 * TWO_PI], [1.0, 0.6])
+
+
 def _expansion(spec, variant, params, grid, upto, read=()):
-    # the expansion on the whole grid as one window: (ds, cs, hs, frames, heffs)
+    # the expansion as polynomials: (ex, hs, frames, heffs)
     ex = _Expansion(spec, variant, params, grid)
-    return (ex.ds, ex.cs, *ex.window(_whole(grid), upto, read))
+    return (ex, *ex.build(upto, read))
 
 
-def _h_extra(n, frames, h_orders, h0, grid):
+def _h_extra(n, frames, h_orders, h0):
     # H_extra^(n): the order-n transform with S^(1..n) and H^(0..n-1)
     below = {k: h for k, h in h_orders.items() if k < n}
-    return _transformed(n, frames[:n], below, h0, _whole(grid))
+    return _transformed(n, frames[:n], below, h0)
+
+
+def _on_grid(ex, *polys):
+    # each polynomial's (N + 1, d, d) samples on the grid's nodes
+    g = ex.samples(*polys)
+    return [ex.at(p, g) for p in polys]
+
+
+def _coef_dev(a, b):
+    # the largest coefficient difference over the monomials of a and b
+    return max((float(np.max(np.abs(a.get(m, 0) - b.get(m, 0))))
+                for m in set(a) | set(b)), default=0.0)
+
+
+def _coef_scale(a):
+    return max(float(np.max(np.abs(c))) for c in a.values())
+
+
+def _hermitian_dev(p):
+    return max(float(np.max(np.abs(c - c.conj().T))) for c in p.values())
 
 
 class TestFrameFirstOrder:
@@ -89,15 +121,14 @@ class TestFrameFirstOrder:
 class TestSecondOrderFrameIdentity:
     def test_recursion_reproduces_closed_form(self, sno5, not_params):
         # substituting S^(1) into the no-leakage recursion must land on the
-        # analytic second-order coefficients; 4096 nodes keep the finite
-        # difference truncation below the identity tolerance
+        # analytic second-order coefficients, monomial by monomial
         grid = TimeGrid(not_params.t_g, 4096)
         for v in FIRST_ORDER:
-            ds, _, hs, _, _ = _expansion(sno5, v, not_params, grid, 1)
-            s1, s2_analytic = frames_for(sno5, v, not_params, grid, 2)
-            m = _h_extra(1, [s1], hs, ds.h0, grid) + hs[1]
-            s2_recursion = _recursion_frame(ds, m)
-            assert np.max(np.abs(s2_recursion - s2_analytic)) < 1e-10
+            ex, hs, (s1, s2_analytic), _ = _expansion(sno5, v, not_params,
+                                                      grid, 1)
+            m = _h_extra(1, [s1], hs, ex.ds.h0) + hs[1]
+            s2_recursion = _recursion_frame(ex.ds, m)
+            assert _coef_dev(s2_recursion, s2_analytic) <= 1e-13
 
     def test_second_order_variant_rejected_off_ladder(self, star6, not_params,
                                                       grid):
@@ -107,33 +138,28 @@ class TestSecondOrderFrameIdentity:
 
 class TestHExtra:
     def test_order_zero_is_zero(self, sno5, not_params, grid):
-        ds, _, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params,
-                                     grid, 0)
-        out = _h_extra(0, [], hs, ds.h0, grid)
-        assert np.max(np.abs(out)) == 0.0
+        ex, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params, grid, 0)
+        assert _h_extra(0, [], hs, ex.ds.h0) == {}
 
     def test_vanishing_frame_gives_zero(self, sno5, not_params, grid):
-        ds, _, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params,
-                                     grid, 1)
-        s1 = np.zeros((grid.n_steps + 1, 5, 5), dtype=complex)
-        out = _h_extra(1, [s1], hs, ds.h0, grid)
-        assert np.max(np.abs(out)) == 0.0
+        ex, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params, grid, 1)
+        zero = np.zeros((5, 5), dtype=complex)
+        s1 = _Poly({(0,): zero, (1,): zero})
+        out = _h_extra(1, [s1], hs, ex.ds.h0)
+        assert out and _coef_scale(out) == 0.0
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_hermitian_stacks(self, sno5, not_params, grid, order):
-        frames = frames_for(sno5, DragVariant.OPTIMAL1, not_params, grid, order)
-        ds, _, hs, _, _ = _expansion(sno5, DragVariant.OPTIMAL1, not_params,
-                                     grid, order)
-        out = _h_extra(order, frames, hs, ds.h0, grid)
-        assert np.max(np.abs(out - out.conj().swapaxes(-1, -2))) < 1e-12
+        ex, hs, frames, _ = _expansion(sno5, DragVariant.OPTIMAL1, not_params,
+                                       grid, order - 1)
+        out = _h_extra(order, frames, hs, ex.ds.h0)
+        assert _hermitian_dev(out) < 1e-12
 
     def test_second_order_corrections_close_the_qubit_block(
             self, sno5, not_params):
         # Tr[H_extra^(2) sigma_x01] of each first-order variant equals minus
-        # its published cubic in-phase correction
+        # its published cubic in-phase correction: the one monomial G_bar^3
         grid = TimeGrid(not_params.t_g, 4096)
-        env = GaussianEnvelope(not_params)
-        gbar = not_params.t_g * env.value(grid.nodes())
         lam1sq = 2.0
         cases = {
             DragVariant.Z_ONLY1: lam1sq / 8,
@@ -141,11 +167,11 @@ class TestHExtra:
             DragVariant.DRAG1: (lam1sq - 4) / 8,
         }
         for v, a3 in cases.items():
-            frames = frames_for(sno5, v, not_params, grid, 2)
-            ds, _, hs, _, _ = _expansion(sno5, v, not_params, grid, 2)
-            hx2 = _h_extra(2, frames, hs, ds.h0, grid)
-            trace_x = 2.0 * np.real(hx2[:, 0, 1])
-            np.testing.assert_allclose(trace_x, -a3 * gbar ** 3, atol=1e-10)
+            ex, hs, frames, _ = _expansion(sno5, v, not_params, grid, 1)
+            rows = _mismatch(ex.ds, _h_extra(2, frames, hs, ex.ds.h0))
+            trace_x = {m: r[0] for m, r in rows.items()}
+            assert trace_x.pop((0, 0, 0)) == pytest.approx(-a3, abs=1e-13)
+            assert max(map(abs, trace_x.values())) <= 1e-13
 
 
 class TestConstraintResiduals:
@@ -201,6 +227,65 @@ class TestConstraintResiduals:
         assert r.qubit_mismatch["z"] > 1.0
 
 
+def _variants(spec):
+    # every named variant that controls_for builds on the system
+    out = []
+    for v in DragVariant:
+        try:
+            controls_for(spec, v, GaussianParams.for_not(1.0))
+        except ValueError:
+            continue
+        out.append(v)
+    return out
+
+
+class TestMonomialClosure:
+    # every published closed form closes its constraints coefficient by
+    # coefficient, not only on the sampled nodes
+    @pytest.mark.parametrize("topology", ["sno5", "sno3", "inter5", "inter7",
+                                          "star6", "star2"])
+    def test_every_coefficient_closes(self, request, not_params, grid,
+                                      topology):
+        spec = request.getfixturevalue(topology)
+        worst = {"coupling": 0.0, "qubit": 0.0}
+        for v in _variants(spec):
+            own = 0 if v is DragVariant.GAUSSIAN0 else int(v.value[-1])
+            for order in range(3):
+                ex, _, _, heffs = _expansion(spec, v, not_params, grid,
+                                             order, (order,))
+                rows = _mismatch(ex.ds, heffs[order], order == 0)
+                for r in rows.values():
+                    worst["coupling"] = max(worst["coupling"],
+                                            float(np.max(np.abs(r[3:]))))
+                    if spec.topology is not Topology.STAR and order <= own:
+                        worst["qubit"] = max(worst["qubit"],
+                                             float(np.max(np.abs(r[:3]))))
+        assert worst["coupling"] <= 1e-13
+        assert worst["qubit"] <= 1e-13
+
+
+class TestStarFinding:
+    # the star rows take the Stark bracket as lambda-tilde^2; the expansion's
+    # S = sum_k lam_(k-1)^2 delta2/delta_k differs, and the order-1 qubit-z
+    # mismatch of every first-order variant is the one monomial
+    # ((S - lambda-tilde^2)/4) G_bar^2
+    @pytest.mark.parametrize("topology,want", [("star6", 0.1649305),
+                                               ("star2", 0.0217993)])
+    def test_order_one_z_mismatch_is_the_stark_gap(self, request, not_params,
+                                                   grid, topology, want):
+        spec = request.getfixturevalue(topology)
+        stark = sum(spec.lam[j - 1] ** 2 * spec.delta2 / spec.delta[j]
+                    for j in range(2, spec.d))
+        gap = (stark - effective_lambda(spec) ** 2) / 4.0
+        assert gap == pytest.approx(want, abs=1e-7)
+        for v in (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
+                  DragVariant.OPTIMAL1):
+            ex, _, _, heffs = _expansion(spec, v, not_params, grid, 1, (1,))
+            trace_z = {m: r[2] for m, r in _mismatch(ex.ds, heffs[1]).items()}
+            assert trace_z.pop((0, 0)) == pytest.approx(gap, abs=1e-14)
+            assert max(map(abs, trace_z.values())) <= 1e-14
+
+
 class TestHEffExact:
     @pytest.mark.parametrize("sigma", [1.0, 2.0], ids=["t_g4", "t_g8"])
     def test_zero_frame_returns_hamiltonian(self, sno5, sigma):
@@ -208,8 +293,7 @@ class TestHEffExact:
         params = GaussianParams.for_not(sigma)
         cs = build_controls(sno5, DragVariant.DRAG1, params)
         s = np.zeros((2049, 5, 5), dtype=complex)
-        heff = h_eff_exact(sno5, cs, s)
-        from drag_forge.model import generators
+        heff = h_eff_exact(sno5, cs, s, s)
         gen = generators(sno5)
         tn = TimeGrid(params.t_g, 2048).nodes()
         want = params.t_g * (
@@ -225,10 +309,9 @@ class TestHEffExact:
         s_const = np.zeros((257, 3, 3), dtype=complex)
         s_const[:, 0, 2] = 0.3 - 0.1j
         s_const[:, 2, 0] = 0.3 + 0.1j
-        heff = h_eff_exact(sno3, cs, s_const)
+        heff = h_eff_exact(sno3, cs, s_const, np.zeros_like(s_const))
         w, v = np.linalg.eigh(s_const[0])
         a = (v * np.exp(-1j * w)[None, :]) @ v.conj().T
-        from drag_forge.model import generators, hamiltonian_at
         h = 1.0 * hamiltonian_at(generators(sno3), 0.1, 0.8, 0.0)
         want = a.conj().T @ h @ a
         np.testing.assert_allclose(heff[128], want, atol=1e-10)
@@ -237,14 +320,35 @@ class TestHEffExact:
         cs = HandControls.constant(1.0, ox=0.8, oy=np.nan, dl=0.1)
         s = np.zeros((65, 3, 3), dtype=complex)
         with pytest.raises(ValueError, match="non-finite omega_y"):
-            h_eff_exact(sno3, cs, s)
+            h_eff_exact(sno3, cs, s, s)
 
-    @pytest.mark.parametrize("n", [1, 3, 4])
-    def test_too_few_samples_rejected(self, sno3, n):
-        # the fourth-order differences of A need five nodes
-        cs = build_controls(sno3, DragVariant.DRAG1, GaussianParams.for_not(1.0))
-        with pytest.raises(ValueError, match="at least 5 samples, got %d" % n):
-            h_eff_exact(sno3, cs, np.zeros((n, 3, 3), dtype=complex))
+    def test_derivative_term_matches_differences(self, sno3):
+        # dA/dt from dS/dt (Daleckii-Krein) against fourth-order central
+        # differences of A = exp(-i S) itself, in the scaled time t / t_g;
+        # S(0) = 0 has one triple eigenvalue, where dA/dt = -i dS/dt
+        t_g, n = 2.0, 2048
+        cs = HandControls.constant(t_g, ox=0.8, oy=0.3, dl=0.1)
+        tb = np.linspace(0.0, 1.0, n + 1)[:, None, None]
+        x = np.zeros((3, 3), dtype=complex)
+        x[0, 2] = x[2, 0] = 1.0
+        y = np.zeros((3, 3), dtype=complex)
+        y[0, 1], y[1, 0] = -1j, 1j
+        z = np.diag([1.0, 0.0, -1.0]).astype(complex)
+        s = np.sin(np.pi * tb) * x + tb ** 2 * y + tb ** 3 * z
+        ds = np.pi * np.cos(np.pi * tb) * x + 2 * tb * y + 3 * tb ** 2 * z
+        heff = h_eff_exact(sno3, cs, s, ds)
+
+        w, v = np.linalg.eigh(s)
+        a = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        h = 1.0 / n
+        da = (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * h)
+        hbar = t_g * hamiltonian_at(generators(sno3), 0.1, 0.8, 0.3)
+        mid = a[2:-2]
+        want = (mid.conj().swapaxes(-1, -2) @ hbar @ mid
+                + 1j * da.conj().swapaxes(-1, -2) @ mid)
+        np.testing.assert_allclose(heff[2:-2], want, rtol=0, atol=1e-10)
+        # at S = 0: A = I, i dA^dag/dt A = -dS/dt
+        np.testing.assert_allclose(heff[0], hbar - ds[0], rtol=0, atol=1e-14)
 
     def test_first_order_remainder_scales_quadratically(self, sno5):
         # Richardson-style check: halving epsilon (doubling t_g) divides the
@@ -301,9 +405,18 @@ class TestOrderScaling:
         assert abs(math.log2(devs[0] / devs[1]) - 4.0) < 0.3
 
 
-def _hermitian_stack(rng, d, t=4097):
-    a = rng.normal(size=(t, d, d)) + 1j * rng.normal(size=(t, d, d))
-    return a + a.conj().swapaxes(-1, -2)
+def _hermitian_poly(rng, d, monomials=((0,), (0, 1), (2,), (0, 0, 1))):
+    out = _Poly()
+    for m in monomials:
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        out[m] = a + a.conj().T
+    return out
+
+
+def _dense(p, g):
+    # p's samples where g[k] holds the samples of gbar^(k)
+    d = next(iter(p.values())).shape[0]
+    return _sample(p.items(), g, np.zeros((g.shape[1], d, d), dtype=complex))
 
 
 def _max_rel(got, want):
@@ -311,34 +424,52 @@ def _max_rel(got, want):
 
 
 class TestCommutatorForms:
+    # the polynomial operations against the same operations on samples
     @pytest.mark.parametrize("d", [5, 6])
     def test_one_product_matches_two(self, rng, d):
-        a, b, acc = (_hermitian_stack(rng, d) for _ in range(3))
-        want = a @ b - b @ a
-        assert _max_rel(_comm(a, b), want) <= 1e-15
-        # the accumulating form adds the same commutator in place
-        assert _max_rel(_comm(a, b, acc.copy()), acc + want) <= 1e-15
+        a, b = _hermitian_poly(rng, d), _hermitian_poly(rng, d, ((1,), (0, 0)))
+        g = rng.normal(size=(3, 257))
+        x, y = _dense(a, g), _dense(b, g)
+        assert _max_rel(_dense(a.comm(b), g), x @ y - y @ x) <= 1e-15
+        assert _max_rel(_dense(a + b, g), x + y) <= 1e-15
+        assert _max_rel(_dense(2.5j * a, g), 2.5j * x) <= 1e-15
 
     @pytest.mark.parametrize("d", [5, 6])
     def test_diagonal_h0_is_element_wise(self, rng, d):
-        s, acc = _hermitian_stack(rng, d), _hermitian_stack(rng, d)
+        s = _hermitian_poly(rng, d)
         h0 = np.diag(rng.normal(size=d)) + 0j
-        want = s @ h0 - h0 @ s
-        assert _max_rel(_comm_h0(s, h0), want) <= 1e-15
-        assert _max_rel(_comm_h0(s, h0, acc.copy()), acc + want) <= 1e-15
+        g = rng.normal(size=(3, 257))
+        x = _dense(s, g)
+        assert _max_rel(_dense(s.comm_h0(h0), g), x @ h0 - h0 @ x) <= 1e-15
+
+    def test_dt_is_the_product_rule(self, rng, not_params):
+        c, e = _hermitian_poly(rng, 3, ((0,), (1,))).values()
+        p = _Poly({(0, 0): c, (0, 1): e})
+        assert _coef_dev(p.dt(), {(0, 1): 2 * c, (1, 1): e, (0, 2): e}) == 0.0
+        # and on the envelope's derivatives, against fourth-order central
+        # differences
+        env = GaussianEnvelope(not_params)
+        n = 4096
+        h = not_params.t_g / n
+        ts = np.linspace(0.0, not_params.t_g, n + 1)
+        g = np.array(env.derivatives(ts, 2))
+        f = _dense(p, g)
+        want = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+        got = _dense(p.dt(), g)[2:-2]
+        assert _max_rel(got, want) <= 1e-9
 
 
 class TestHermitianPremise:
-    # the one-product commutators assume Hermitian frames and H stacks
+    # the one-product commutators assume Hermitian frame and H coefficients
     @pytest.mark.parametrize("topology,variant", PUBLISHED)
     def test_frames_and_h_stacks(self, request, not_params, topology,
                                  variant):
         spec = request.getfixturevalue(topology)
         grid = TimeGrid(not_params.t_g, 512)
-        _, _, hs, _, _ = _expansion(spec, variant, not_params, grid, 3)
-        stacks = frames_for(spec, variant, not_params, grid, 3) \
-            + list(hs.values())
-        for x in stacks:
+        _, hs, frames, _ = _expansion(spec, variant, not_params, grid, 3)
+        for p in frames + list(hs.values()):
+            assert _hermitian_dev(p) <= 1e-13 * _coef_scale(p)
+        for x in frames_for(spec, variant, not_params, grid, 3):
             assert _max_rel(x.conj().swapaxes(-1, -2), x) <= 1e-13
 
 
@@ -352,24 +483,31 @@ class TestReportsAgainstTwoProductRoute:
     def test_h_eff_per_order_and_series(self, request, not_params, grid,
                                         topology, variant, order):
         spec = request.getfixturevalue(topology)
-        ds, _, hs, frames, heffs = _expansion(spec, variant, not_params,
-                                              grid, order, range(order + 1))
+        ex, hs, frames, heffs = _expansion(spec, variant, not_params, grid,
+                                           order, range(order + 1))
+        h0 = ex.ds.h0
         assert sorted(heffs) == list(range(order + 1))
-        win = _whole(grid)
         for n, heff in heffs.items():
-            m = _transformed(n, frames[:n], hs, ds.h0, win)
-            s = frames[n]
-            assert _max_rel(heff, m + 1j * (s @ ds.h0 - ds.h0 @ s)) <= 1e-12
-            assert _max_rel(
-                heff, _transformed(n, frames[:n + 1], hs, ds.h0, win)) <= 1e-12
+            m = _transformed(n, frames[:n], hs, h0)
+            two = _Poly({k: 1j * (c @ h0 - h0 @ c)
+                         for k, c in frames[n].items()})
+            assert _coef_dev(heff, m + two) <= 1e-12 * _coef_scale(heff)
+            whole = _transformed(n, frames[:n + 1], hs, h0)
+            assert _coef_dev(heff, whole) <= 1e-12 * _coef_scale(heff)
 
         eps = 1.0 / (not_params.t_g * spec.delta2)
-        series = ds.h0 / eps + sum(
-            eps ** n * _transformed(n, frames[:n + 1], hs, ds.h0, win)
-            for n in range(order + 1))
-        s_total = sum(eps ** (n + 1) * s for n, s in enumerate(frames))
+        orders = [_transformed(n, frames[:n + 1], hs, h0)
+                  for n in range(order + 1)]
+        dframes = [s.dt() for s in frames]
+        sampled = _on_grid(ex, *orders, *frames, *dframes)
+        series = h0 / eps + sum(eps ** n * x
+                                for n, x in enumerate(sampled[:order + 1]))
+        s_total, ds_total = (
+            sum(eps ** (n + 1) * x for n, x in enumerate(xs))
+            for xs in (sampled[order + 1:2 * order + 2],
+                       sampled[2 * order + 2:]))
         cs = build_controls(spec, variant, not_params)
-        want = float(np.max(np.abs(h_eff_exact(spec, cs, s_total)
+        want = float(np.max(np.abs(h_eff_exact(spec, cs, s_total, ds_total)
                                    - series)))
         got = series_vs_exact_deviation(spec, variant, not_params, grid,
                                         order)
@@ -378,14 +516,21 @@ class TestReportsAgainstTwoProductRoute:
     @pytest.mark.parametrize("topology,variant", [c[:2] for c in CASES])
     def test_constraint_residuals(self, request, not_params, grid, topology,
                                   variant):
+        # the report's traces per monomial against the traces of the
+        # sampled matrices
         spec = request.getfixturevalue(topology)
         order = 2  # the highest order the residual reports implement
-        ds, _, hs, frames, _ = _expansion(spec, variant, not_params, grid,
-                                          order)
-        m = _transformed(order, frames[:order], hs, ds.h0, _whole(grid))
-        s = frames[order]
+        ex, hs, frames, _ = _expansion(spec, variant, not_params, grid, order)
+        ds = ex.ds
+        m, s = _on_grid(ex, _transformed(order, frames[:order], hs, ds.h0),
+                        frames[order])
         heff = m + 1j * (s @ ds.h0 - ds.h0 @ s)
-        x, y, z, coupling = _component_maxima(ds, heff)
+        q0, q1 = ds.qubit_rows
+        x = np.abs(2.0 * heff[:, q0, q1].real).max()
+        y = np.abs(2.0 * heff[:, q0, q1].imag).max()
+        z = np.abs((heff[:, q0, q0] - heff[:, q1, q1]).real).max()
+        c = heff[:, ds.q, ds.l]
+        coupling = 2.0 * max(np.abs(c.real).max(), np.abs(c.imag).max())
         got = constraint_residuals(spec, variant, not_params, grid, order)
         assert got.qubit_mismatch == pytest.approx({"x": x, "y": y, "z": z},
                                                    rel=1e-12)
@@ -393,20 +538,16 @@ class TestReportsAgainstTwoProductRoute:
 
 
 class TestWorkPerReport:
-    # the 2049 nodes of the 2048-step grid make eight blocks of 256; the
-    # one node left over joins the last, and each block runs the same loop
-    BLOCKS = 8
-
     def test_ladder_order_two_residual_skips_unread_transform(
             self, monkeypatch, sno5, not_params, grid):
         # the closed-form S^(2) needs no M^(1) and the report reads only
-        # H_eff^(2), so only M^(0) (for S^(1)) and M^(2) are built
+        # H_eff^(2), so only M^(0) (for S^(1)) and M^(2) are built, once
         built = []
         real = adiabatic._transformed
         monkeypatch.setattr(adiabatic, "_transformed",
                             lambda n, *a: built.append(n) or real(n, *a))
         constraint_residuals(sno5, DragVariant.DRAG1, not_params, grid, 2)
-        assert built == [0, 2] * self.BLOCKS
+        assert built == [0, 2]
 
     def test_ladder_order_one_residual_builds_m_before_closed_form(
             self, monkeypatch, sno5, not_params, grid):
@@ -419,7 +560,7 @@ class TestWorkPerReport:
         monkeypatch.setattr(adiabatic, "_frame_second_order",
                             lambda *a: calls.append("S2") or real_s2(*a))
         constraint_residuals(sno5, DragVariant.DRAG1, not_params, grid, 1)
-        assert calls == ["T0", "T1", "S2"] * self.BLOCKS
+        assert calls == ["T0", "T1", "S2"]
 
     @pytest.mark.parametrize("report,topology", [
         (series_vs_exact_deviation, "sno5"),
@@ -451,10 +592,10 @@ class TestWorkPerReport:
 
 
 class TestBlocks:
-    """The reports run over blocks of _BLOCK nodes, each widened by a halo
-    of two nodes per nested derivative; the block size must not move a bit
-    of any report.  Blocks of 5 and 7 nodes put an inner window edge within
-    a few nodes of every node, so a halo one node short breaks these."""
+    """The series samples S, dS/dt and the series over blocks of _BLOCK
+    nodes with no halo; the block size must not move a bit of any report.
+    Blocks of 5 and 7 nodes put a block edge within a few nodes of every
+    node; the residual reports sample the whole grid at once."""
 
     VARIANT = {"sno5": DragVariant.DRAG2, "inter5": DragVariant.OPTIMAL1,
                "star6": DragVariant.OPTIMAL1}
@@ -462,27 +603,11 @@ class TestBlocks:
                "h_extra": (h_extra_report, range(4)),
                "series": (series_vs_exact_deviation, range(4))}
 
-    @staticmethod
-    def _stitched_frames(spec, variant, params, grid):
-        # S^(1..4) with each window's own nodes put in place
-        ex = _Expansion(spec, variant, params, grid)
-        out = None
-        for win in adiabatic._windows(grid, 3):  # S^(4) holds three
-            frames = ex.window(win, 3)[1]
-            if out is None:
-                t = grid.n_steps + 1
-                out = [np.empty((t,) + f.shape[1:], complex) for f in frames]
-            for o, f in zip(out, frames):
-                o[win.lo:win.hi][win.keep] = f[win.keep]
-        return out
-
-    # 134 nodes leave 4 over at 5 and 1 at 7 (joined to the block before)
-    # and 6 at 64 (a block of their own); 2049 and 4097 leave 1 over at
-    # 256.  The residuals run at the verify size, the series at the slope
-    # size; blocks of 5 and 7 on the long grids would take seconds.
+    # 134 nodes leave 4 over at 5, 1 at 7 and 6 at 64; 2049 and 4097 leave
+    # 1 over at 256
     @pytest.mark.parametrize("n_steps,blocks,reports", [
-        (133, (5, 7, 64), ("residuals", "h_extra", "series", "frames")),
-        (4096, (256,), ("residuals",)),
+        (133, (5, 7, 64), ("residuals", "h_extra", "series")),
+        (4096, (256,), ("residuals", "series")),
         (2048, (256,), ("h_extra", "series"))])
     @pytest.mark.parametrize("topology", ["sno5", "inter5", "star6"])
     def test_block_size_does_not_move_a_bit(self, request, monkeypatch,
@@ -492,35 +617,16 @@ class TestBlocks:
         grid = TimeGrid(not_params.t_g, n_steps)
 
         def run():
-            got = {name: [report(spec, v, not_params, grid, n) for n in orders]
-                   for name, (report, orders) in self.REPORTS.items()
-                   if name in reports}
-            if "frames" in reports:
-                got["frames"] = self._stitched_frames(spec, v, not_params,
-                                                      grid)
-            return got
+            return {name: [report(spec, v, not_params, grid, n)
+                           for n in orders]
+                    for name, (report, orders) in self.REPORTS.items()
+                    if name in reports}
 
         monkeypatch.setattr(adiabatic, "_BLOCK", n_steps + 2)
-        assert list(adiabatic._windows(grid, 4)) == [_whole(grid)]
         want = run()
-        want_frames = want.pop("frames", [])
-        if want_frames:
-            for f, g in zip(want_frames, frames_for(spec, v, not_params,
-                                                    grid, 4)):
-                np.testing.assert_array_equal(f, g)
         for block in blocks:
             monkeypatch.setattr(adiabatic, "_BLOCK", block)
-            wins = list(adiabatic._windows(grid, 0))
-            kept = np.concatenate([np.arange(w.lo, w.hi)[w.keep]
-                                   for w in wins])
-            np.testing.assert_array_equal(kept, np.arange(n_steps + 1))
-            assert len(wins) > 1 and min(w.hi - w.lo for w in wins) >= 5
-            got = run()
-            got_frames = got.pop("frames", [])
-            assert len(got_frames) == len(want_frames)
-            for f, g in zip(got_frames, want_frames):
-                np.testing.assert_array_equal(f, g)
-            assert got == want
+            assert run() == want
 
     @pytest.mark.parametrize("report,order", [
         (constraint_residuals, 2), (h_extra_report, 3),

@@ -40,6 +40,42 @@ class TestGaussianEnvelope:
         fd = (env.value(ts + h) - env.value(ts - h)) / (2 * h)
         np.testing.assert_allclose(env.d1(ts), fd, atol=1e-6)
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5])
+    def test_derivatives_match_differences(self, sigma):
+        # each G^(k), k <= 5, against fourth-order central differences of
+        # G^(k-1); the relative bound leaves the difference error a margin
+        p = GaussianParams.for_not(sigma)
+        env = GaussianEnvelope(p)
+        n = 4096
+        h = p.t_g / n
+        gs = env.derivatives(np.linspace(0.0, p.t_g, n + 1), 5)
+        assert len(gs) == 6
+        for k in range(1, 6):
+            f = gs[k - 1]
+            fd = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+            scale = np.max(np.abs(gs[k]))
+            assert np.max(np.abs(gs[k][2:-2] - fd)) <= 1e-8 * scale
+
+    def test_value_d1_is_derivatives_to_first_order(self):
+        # propagation samples through value_d1: it must stay bit for bit
+        # the n = 1 case, on arrays and scalars
+        env = GaussianEnvelope(GaussianParams.for_not(2 / 3))
+        ts = np.linspace(0.0, env.params.t_g, 4097)
+        for t in (ts, 0.0, ts[1234], env.params.t_g):
+            got, want = env.value_d1(t), env.derivatives(t, 1)
+            assert len(got) == len(want) == 2
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert len(env.derivatives(ts, 0)) == 1
+        # and both are the closed form (G, -scale (t - t_g/2)/sigma^2 gauss)
+        u = ts - env.params.t_g / 2.0
+        gauss = np.exp(-(u ** 2) / (2.0 * env.params.sigma ** 2))
+        g, dg = env.value_d1(ts)
+        assert np.array_equal(dg, env._scale * (-u / env.params.sigma ** 2)
+                              * gauss)
+        assert np.array_equal(g, env._scale * (gauss - env._pedestal))
+
     def test_cumulative_integrals(self):
         p = GaussianParams.for_not(0.4)
         env = GaussianEnvelope(p)
