@@ -20,11 +20,16 @@ coefficients (``_Poly``): the controls are a1 gbar, a3 gbar^3, b1 gbar' and
 c2 gbar^2, and H0 is constant.  Commutators multiply monomials, [S, H0] is
 element-wise for the diagonal H0, and d/dt maps gbar^(k) to gbar^(k+1)
 exactly.  The loop runs on polynomials; only each report's final polynomial
-is sampled on the grid's nodes.  The residual reports sample the qubit-block
-and qubit/leak entries on the whole grid; the series samples S, dS/dt and
-the series over blocks of ``_BLOCK`` nodes (the propagator's block), and
-takes dA/dt from the Daleckii-Krein formula, so every value is pointwise in
-the node.
+is sampled.  Every control set is mirror-symmetric: a coefficient of S is
+real where its monomial's derivative orders sum to an odd number and
+imaginary where they sum to an even one, those of H^(n), the transforms and
+H_eff^(n) the other way round.  So S(t_g - t) = -conj S(t), H_eff and the
+series at t_g - t are the conjugates of their values at t, and the reports
+read only the nodes 0 .. N//2: the residual reports sample the qubit-block
+and qubit/leak entries there at once; the series samples S, dS/dt and the
+series over blocks of ``_BLOCK`` nodes (the propagator's block), and takes
+dA/dt from the Daleckii-Krein formula, so every value is pointwise in the
+node.
 """
 from __future__ import annotations
 
@@ -113,10 +118,12 @@ class _Poly(dict):
 
 def _sample(terms, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out + sum of monomial(t) * coefficient over (monomial, coefficient)
-    terms, on the nodes of g, the (k, node) samples of gbar^(k)."""
-    for m, c in terms:
-        x = np.prod(g[list(m)], axis=0)
-        out += x.reshape(x.shape + (1,) * (out.ndim - 1)) * c
+    terms, on the nodes of g, the (k, node) samples of gbar^(k): one real
+    product of the (node, monomial) samples with the stacked coefficients."""
+    if terms := list(terms):
+        x = np.stack([np.prod(g[list(m)], axis=0) for m, _ in terms], axis=1)
+        c = np.array([c for _, c in terms], out.dtype).reshape(len(terms), -1)
+        out += (x @ c.view(float)).view(out.dtype).reshape(out.shape)
     return out
 
 
@@ -172,7 +179,7 @@ class _Expansion:
     """One control set's frame expansion as polynomials.
 
     Builds the control set once; ``build`` runs the order-by-order loop and
-    ``samples`` gives the envelope derivatives on the grid's nodes.
+    ``samples`` gives the envelope derivatives on ``ts`` or ``half``.
     """
 
     def __init__(self, spec: SystemSpec, variant, params: GaussianParams,
@@ -187,17 +194,18 @@ class _Expansion:
         self.ds = _dimless(spec)
         self.cs = controls_for(spec, variant, params)
         self.ts = np.linspace(0.0, self.cs.t_g, grid.n_steps + 1)
+        self.half = self.ts[:grid.n_steps // 2 + 1]
 
     def at(self, p: _Poly, g: np.ndarray) -> np.ndarray:
         """(node, d, d) samples of p on the nodes of g (see ``samples``)."""
         return _sample(p.items(), g, np.zeros(g.shape[1:] + self.ds.h0.shape,
                                               dtype=complex))
 
-    def samples(self, *polys: _Poly) -> np.ndarray:
-        """(k, node) samples of gbar^(k) through the highest order in polys."""
+    def samples(self, ts: np.ndarray, *polys: _Poly) -> np.ndarray:
+        """(k, node) samples on ts of gbar^(k) through polys' top order."""
         top = max((k for p in polys for m in p for k in m), default=0)
         tg = self.cs.t_g
-        env = GaussianEnvelope(self.cs.pulse).derivatives(self.ts, top)
+        env = GaussianEnvelope(self.cs.pulse).derivatives(ts, top)
         return np.array([tg ** (k + 1) * g for k, g in enumerate(env)])
 
     def build(self, upto: int, read=()):
@@ -247,7 +255,7 @@ def frames_for(spec: SystemSpec, variant, params: GaussianParams,
     """S^(1..upto) samples: closed forms where documented, else recursion."""
     ex = _Expansion(spec, variant, params, grid)
     frames = ex.build(upto - 1)[1]
-    g = ex.samples(*frames)
+    g = ex.samples(ex.ts, *frames)
     return [ex.at(s, g) for s in frames]
 
 
@@ -347,8 +355,8 @@ def _mismatch(ds: _Dimless, p: _Poly, target: bool = False) -> dict:
 
 def _report(ex: _Expansion, p: _Poly, target: bool = False
             ) -> ExpansionReport:
-    """Maxima over the grid's nodes of the traces of ``_mismatch``."""
-    g = ex.samples(p)
+    """Maxima over the nodes 0 .. N//2 of the traces of ``_mismatch``."""
+    g = ex.samples(ex.half, p)
     out = np.zeros((g.shape[1], 3 + 2 * len(ex.ds.q)))
     out = _sample(_mismatch(ex.ds, p, target).items(), g, out)
     x, y, z, *coupling = np.abs(out).max(axis=0).tolist()
@@ -391,7 +399,8 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
     The summed frame carries eps^m S^(m) for m <= order+1 and the series
     sums eps^m H_eff^(m) for m <= order (with every i[S^(m+1), H0] term
     included), so the deviation scales as eps^(order+1) under gate-time
-    doubling.
+    doubling.  Both are conjugated by the mirror t -> t_g - t, so the
+    maximum is taken over the nodes 0 .. N//2.
     """
     if order < 0 or order > 3:
         raise ValueError("series comparison implemented for orders 0..3")
@@ -402,11 +411,11 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
                  _Poly({(): ex.ds.h0 / eps}))
     s_total = sum((eps ** (m + 1) * s for m, s in enumerate(frames)), _Poly())
     ds_total = s_total.dt()
-    g = ex.samples(series, ds_total)
+    g = ex.samples(ex.half, series, ds_total)
     dev = 0.0
-    for lo in range(0, len(ex.ts), _BLOCK):
+    for lo in range(0, len(ex.half), _BLOCK):
         b = slice(lo, lo + _BLOCK)
         s, ds, ser = (ex.at(p, g[:, b]) for p in (s_total, ds_total, series))
-        exact = _h_eff(ex.ds.gen, ex.cs, s, ds, ex.ts[b])
+        exact = _h_eff(ex.ds.gen, ex.cs, s, ds, ex.half[b])
         dev = max(dev, float(np.max(np.abs(exact - ser))))
     return dev

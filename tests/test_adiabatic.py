@@ -56,7 +56,7 @@ def _h_extra(n, frames, h_orders, h0):
 
 def _on_grid(ex, *polys):
     # each polynomial's (N + 1, d, d) samples on the grid's nodes
-    g = ex.samples(*polys)
+    g = ex.samples(ex.ts, *polys)
     return [ex.at(p, g) for p in polys]
 
 
@@ -264,6 +264,80 @@ class TestMonomialClosure:
         assert worst["qubit"] <= 1e-13
 
 
+def _parity_dev(p, odd_real):
+    # the largest part that parity forbids: with odd_real, coefficients are
+    # real on monomials whose derivative orders sum to an odd number and
+    # imaginary on the rest; without, the other way round
+    part = {True: np.imag, False: np.real}
+    return max((float(np.max(np.abs(part[sum(m) % 2 == odd_real](c))))
+                for m, c in p.items()), default=0.0)
+
+
+class TestMirrorParity:
+    """Every control set is mirror-symmetric: frame coefficients are real on
+    odd monomials and imaginary on even ones, H^(n), transforms and H_eff^(n)
+    the other way round, so the reports read only the nodes 0 .. N//2."""
+
+    TOPOLOGIES = ["sno5", "sno3", "inter5", "inter7", "star6", "star2"]
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_every_coefficient_has_its_parity(self, request, not_params, grid,
+                                              topology):
+        spec = request.getfixturevalue(topology)
+        for v in _variants(spec):
+            ex, hs, frames, heffs = _expansion(spec, v, not_params, grid, 3,
+                                               range(4))
+            h0 = ex.ds.h0
+            for s in frames:
+                assert _parity_dev(s, odd_real=True) == 0.0
+            transforms = [_transformed(n, frames[:n + 1], hs, h0)
+                          for n in range(4)]
+            extras = [_h_extra(n, frames, hs, h0) for n in range(4)]
+            for p in [*hs.values(), *transforms, *extras, *heffs.values()]:
+                assert _parity_dev(p, odd_real=False) == 0.0
+
+    @pytest.mark.parametrize("n_steps", [4096, 2048, 133])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_half_grid_maxima_are_the_whole_grids(
+            self, request, monkeypatch, not_params, topology, n_steps):
+        # every variant and order of the residual reports; the series at
+        # every order on the odd grid, and at its top order (every H_eff^(n)
+        # and frame) for optimal1 on the long grids, to keep the run short
+        spec = request.getfixturevalue(topology)
+        grid = TimeGrid(not_params.t_g, n_steps)
+        cases = [(report, v, n) for v in _variants(spec)
+                 for report, orders in ((constraint_residuals, range(3)),
+                                        (h_extra_report, range(4)))
+                 for n in orders]
+        cases += [(series_vs_exact_deviation, v, n)
+                  for v in (_variants(spec) if n_steps == 133
+                            else [DragVariant.OPTIMAL1])
+                  for n in (range(4) if n_steps == 133 else [3])]
+
+        def run():
+            return [report(spec, v, not_params, grid, n)
+                    for report, v, n in cases]
+
+        half = run()
+        init = _Expansion.__init__
+
+        def whole(ex, *args):
+            init(ex, *args)
+            ex.half = ex.ts  # every node of the grid
+
+        monkeypatch.setattr(_Expansion, "__init__", whole)
+        for got, want in zip(half, run()):
+            if isinstance(want, float):
+                # the deviation is a difference of entries up to |H0/eps|
+                # ~ 250, so mirror nodes round apart by up to a few of its
+                # ulps (2.8e-14), however small the deviation
+                assert abs(got - want) <= 1e-12 * want + 1e-13
+                continue
+            got = [*got.qubit_mismatch.values(), got.coupling_residual]
+            want = [*want.qubit_mismatch.values(), want.coupling_residual]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestStarFinding:
     # the star rows take the Stark bracket as lambda-tilde^2; the expansion's
     # S = sum_k lam_(k-1)^2 delta2/delta_k differs, and the order-1 qubit-z
@@ -459,6 +533,39 @@ class TestCommutatorForms:
         assert _max_rel(got, want) <= 1e-9
 
 
+class TestSampleProduct:
+    # _sample's one real product against a per-term sum
+    @staticmethod
+    def _per_term(terms, g, out):
+        for m, c in terms:
+            x = np.ones(g.shape[1])
+            for k in m:
+                x = x * g[k]
+            out = out + np.multiply.outer(x, c)
+        return out
+
+    def test_complex_matrices(self, rng):
+        p = _hermitian_poly(rng, 5, ((), (0,), (0, 1), (2,), (0, 0, 1)))
+        g = rng.normal(size=(3, 301))
+        out = rng.normal(size=(301, 5, 5)) + 1j * rng.normal(size=(301, 5, 5))
+        want = self._per_term(p.items(), g, out)
+        assert _max_rel(_sample(p.items(), g, out.copy()), want) <= 1e-15
+
+    def test_real_traces(self, rng):
+        terms = [(m, rng.normal(size=7)) for m in ((0,), (1, 1), (0, 0, 2))]
+        g = rng.normal(size=(3, 133))
+        out = np.zeros((133, 7))
+        want = self._per_term(terms, g, out)
+        got = _sample(terms, g, out)
+        assert got.dtype == np.float64
+        assert _max_rel(got, want) <= 1e-15
+
+    def test_empty_polynomial_leaves_out(self, rng):
+        out = rng.normal(size=(65, 3, 3)) + 0j
+        got = _sample(_Poly().items(), rng.normal(size=(2, 65)), out.copy())
+        np.testing.assert_array_equal(got, out)
+
+
 class TestHermitianPremise:
     # the one-product commutators assume Hermitian frame and H coefficients
     @pytest.mark.parametrize("topology,variant", PUBLISHED)
@@ -595,7 +702,7 @@ class TestBlocks:
     """The series samples S, dS/dt and the series over blocks of _BLOCK
     nodes with no halo; the block size must not move a bit of any report.
     Blocks of 5 and 7 nodes put a block edge within a few nodes of every
-    node; the residual reports sample the whole grid at once."""
+    node; the residual reports sample nodes 0 .. N//2 at once."""
 
     VARIANT = {"sno5": DragVariant.DRAG2, "inter5": DragVariant.OPTIMAL1,
                "star6": DragVariant.OPTIMAL1}
@@ -603,8 +710,8 @@ class TestBlocks:
                "h_extra": (h_extra_report, range(4)),
                "series": (series_vs_exact_deviation, range(4))}
 
-    # 134 nodes leave 4 over at 5, 1 at 7 and 6 at 64; 2049 and 4097 leave
-    # 1 over at 256
+    # the N//2 + 1 = 67 nodes at N = 133 leave 2 over at 5, 4 at 7 and 3 at
+    # 64; 1025 and 2049 leave 1 over at 256
     @pytest.mark.parametrize("n_steps,blocks,reports", [
         (133, (5, 7, 64), ("residuals", "h_extra", "series")),
         (4096, (256,), ("residuals", "series")),
