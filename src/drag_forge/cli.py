@@ -15,7 +15,6 @@ import copy
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,8 @@ from .fidelity import gate_error, ideal_not
 from .model import (SystemSpec, build_intermediate_sno, build_sno,
                     build_star, spec_from_json)
 from .optimizer import OptimizeTask, optimize
-from .propagator import ConvergenceError, TimeGrid, converge, populations, propagate
+from .propagator import (_STEP_CAP, ConvergenceError, TimeGrid, converge,
+                         populations, propagate)
 from .pulses import DragVariant, GaussianParams, controls_for
 
 __all__ = ["main", "run_preset", "run_config", "preset_config", "PRESETS"]
@@ -144,8 +144,9 @@ def _validate_config(cfg: dict, n_steps=None) -> tuple[dict, SystemSpec]:
     out.setdefault("n_steps", 4096)
     if out["n_steps"] != "auto":
         n = out["n_steps"]
-        if not isinstance(n, int) or n < 16:
-            fail("n_steps", "must be an integer >= 16 or \"auto\"")
+        if not isinstance(n, int) or not 16 <= n <= _STEP_CAP:
+            fail("n_steps", f"must be an integer from 16 to {_STEP_CAP} or "
+                 "\"auto\"")
     for key in ("area", "tg_factor"):
         if not _is_number(out[key]):
             fail(key, f"must be a finite number, got {out[key]!r}")
@@ -202,16 +203,21 @@ def _write_table(out_dir: Path, name: str, header: str, table,
     return path
 
 
+def _map(fn, items: list, jobs: int) -> list:
+    """``[fn(x) for x in items]`` on at most ``jobs`` processes, one per item."""
+    workers = min(jobs, len(items))  # a pool forks all its workers at once
+    if workers <= 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor  # ~25 ms; serial runs skip
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _run_sweep(cfg: dict, spec: SystemSpec, out_dir: Path, jobs: int) -> Path:
     points = [(spec, v, s, cfg["area"], cfg["tg_factor"], cfg["n_steps"])
               for s in cfg["sigma"] for v in cfg["variants"]]
-    workers = min(jobs, len(points))  # a pool forks all its workers at once
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_sweep_point, points))
-        else:
-            rows = [_sweep_point(p) for p in points]
+        rows = _map(_sweep_point, points, jobs)
     except ConvergenceError as exc:
         raise ConvergenceError(f"{exc} (while sweeping {cfg['name']})")
 
@@ -225,28 +231,22 @@ def _run_sweep(cfg: dict, spec: SystemSpec, out_dir: Path, jobs: int) -> Path:
 
 def _run_fig5(name: str, out_dir: Path, delta0_free: bool,
               sigmas=(0.5, 0.75, 1.0, 1.5), max_evals: int = 250,
-              prop_tol: float = 1e-9) -> Path:
+              prop_tol: float = 1e-9, jobs: int = 1) -> Path:
     spec = _build_system(_SNO5)
-    masks = [
-        ("alpha", (True, False, False, False)),
-        ("alpha+gamma", (True, False, True, False)),
-        ("alpha+beta", (True, True, False, False)),
-        ("alpha+beta+gamma", (True, True, True, False)),
-    ]
-    if delta0_free:
-        masks = [(lbl + "+delta0", m[:3] + (True,)) for lbl, m in masks]
-    rows = []
-    for sigma in sigmas:
-        params = GaussianParams.for_not(sigma)
-        for label, mask in masks:
-            task = OptimizeTask(spec, params, mask, max_evals=max_evals,
-                                prop_tol=prop_tol)
-            rows.append((sigma, label, optimize(task)))
+    free = ("alpha", "beta", "gamma", "delta0")  # in OptimizeTask.mask order
+    labels = [lbl + ("+delta0" if delta0_free else "") for lbl in
+              ("alpha", "alpha+gamma", "alpha+beta", "alpha+beta+gamma")]
+    cases = [(s, lbl) for s in sigmas for lbl in labels]
+    tasks = [OptimizeTask(spec, GaussianParams.for_not(s),
+                          tuple(p in lbl.split("+") for p in free),
+                          max_evals=max_evals, prop_tol=prop_tol)
+             for s, lbl in cases]
+    rows = [(*case, res) for case, res in zip(cases, _map(optimize, tasks, jobs))]
     return _write_table(
         out_dir, name, "sigma,mask,alpha,beta,gamma,delta0,gate_error,n_evals",
         [(s, lbl, *res.x, res.gate_error, res.n_evals) for s, lbl, res in rows],
         config={"system": _SNO5, "sigma": list(sigmas),
-                "masks": [lbl for lbl, _ in masks], "max_evals": max_evals},
+                "masks": labels, "max_evals": max_evals},
         rows=[{"sigma": s, "mask": lbl, "n_steps": res.n_steps,
                "n_evals": res.n_evals, "converged": res.converged}
               for s, lbl, res in rows])
@@ -280,13 +280,13 @@ def _run_pop_traces(out_dir: Path, n_steps) -> Path:
         files=files)
 
 
-# presets that are not sweeps: name -> (runner(out_dir, n_steps), whether it
-# takes a step count; pop-traces does, as an integer)
+# presets that are not sweeps: name -> runner(out_dir, n_steps, jobs); a
+# pop-traces trace is too short to pay back a worker, so only fig5 forks
 _RUNNERS = {
-    "fig5a": (lambda out, _: _run_fig5("fig5a", out, delta0_free=False), False),
-    "fig5b": (lambda out, _: _run_fig5("fig5b", out, delta0_free=True), False),
-    "fig9": (lambda out, _: _run_fig9(out), False),
-    "pop-traces": (lambda out, n: _run_pop_traces(out, n or 4096), True),
+    "fig5a": lambda out, _, jobs: _run_fig5("fig5a", out, False, jobs=jobs),
+    "fig5b": lambda out, _, jobs: _run_fig5("fig5b", out, True, jobs=jobs),
+    "fig9": lambda out, _, jobs: _run_fig9(out),
+    "pop-traces": lambda out, n, jobs: _run_pop_traces(out, n or 4096),
 }
 PRESETS = (*_SWEEPS, *_RUNNERS)
 
@@ -308,27 +308,26 @@ def _make_out_dir(out_dir) -> Path:
 def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
     """Execute a named preset; returns the primary output path.
 
-    ``n_steps`` applies to the sweep presets and, as an integer, pop-traces;
-    ``jobs`` other than 1 to the sweep presets only.
+    ``n_steps`` applies to the sweep presets and, as an integer, pop-traces.
+    ``jobs`` caps the worker processes at one per sweep point or fig5 task
+    (fig9 and pop-traces never fork); output bytes do not depend on it.
     """
     _check_jobs(jobs)
-    runner = _RUNNERS.get(name)
-    if runner is None:
+    run = _RUNNERS.get(name)
+    if run is None:
         if name not in _SWEEPS:
             raise ConfigError(f"unknown preset {name!r}; available: "
                               f"{', '.join(PRESETS)}")
         cfg, spec = _validate_config(preset_config(name), n_steps)
         return _run_sweep(cfg, spec, _make_out_dir(out_dir), jobs)
-    run, takes_steps = runner
-    if jobs != 1:
-        raise ConfigError(f"--jobs: {name} does not take {jobs!r} (sweep "
-                          "presets take it)")
-    if n_steps is not None and (not takes_steps or n_steps == "auto"):
+    if n_steps is not None and (name != "pop-traces" or n_steps == "auto"):
         raise ConfigError(f"--steps: {name} does not take {n_steps!r} (sweep "
                           "presets take it, pop-traces as an integer)")
-    if n_steps is not None and (not isinstance(n_steps, int) or n_steps < 16):
-        raise ConfigError(f"n_steps: must be an integer >= 16, got {n_steps!r}")
-    return run(_make_out_dir(out_dir), n_steps)
+    if n_steps is not None and not (isinstance(n_steps, int)
+                                    and 16 <= n_steps <= _STEP_CAP):
+        raise ConfigError(f"n_steps: must be an integer from 16 to "
+                          f"{_STEP_CAP}, got {n_steps!r}")
+    return run(_make_out_dir(out_dir), n_steps, jobs)
 
 
 def run_config(path, out_dir, jobs: int = 1, n_steps=None) -> Path:
@@ -370,7 +369,8 @@ def main(argv=None) -> int:
                      help="parallel workers (integer >= 1)")
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--steps", type=_steps_arg, default=None,
-                     help="integrator steps per point (integer >= 16 or 'auto')")
+                     help="integrator steps per point (integer from 16 to "
+                          f"{_STEP_CAP} or 'auto')")
     args = parser.parse_args(argv)
 
     try:

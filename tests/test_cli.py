@@ -12,17 +12,28 @@ from drag_forge.cli import (ConfigError, main, preset_config, run_config,
                             run_preset)
 
 
-def test_runtime_imports_no_scipy():
-    # numpy is the only runtime dependency; scipy is for the tests alone
+def _fresh_import_modules(roots) -> str:
+    """The sorted loaded modules under ``roots`` after a fresh interpreter
+    imports the CLI, the frame expansion and the optimizer."""
     src = str(Path(drag_forge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, drag_forge.cli, drag_forge.adiabatic, "
             "drag_forge.optimizer; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is for the tests alone
+    assert _fresh_import_modules(("scipy",)) == "[]"
+
+
+def test_runtime_imports_no_process_pool():
+    # the pool machinery is imported only by a run that starts workers
+    assert _fresh_import_modules(("concurrent", "multiprocessing")) == "[]"
 
 
 class TestGaussianBenchmarkPreset:
@@ -99,11 +110,12 @@ class TestExitCodes:
         (["fig9", "--steps", "64"], {}, "--steps"),
         (["pop-traces", "--steps", "auto"], {}, "--steps"),
         (["fig3", "--jobs", "0"], {}, "--jobs"),
-        (["fig5a", "--jobs", "2"], {}, "--jobs: fig5a does not take 2"),
-        (["fig5b", "--jobs", "2"], {}, "--jobs: fig5b does not take 2"),
-        (["fig9", "--jobs", "2"], {}, "--jobs: fig9 does not take 2"),
-        (["pop-traces", "--jobs", "4"], {},
-         "--jobs: pop-traces does not take 4"),
+        (["gaussian-benchmark", "--steps", str(10**15)], {},
+         "n_steps: must be an integer from 16 to 1048576"),
+        (["pop-traces", "--steps", str(10**15)], {},
+         "n_steps: must be an integer from 16 to 1048576"),
+        (["--config", "CFG"], {"n_steps": 2**20 + 1},
+         "n_steps: must be an integer from 16 to 1048576"),
         (["--config", "CFG"],
          {"system": {"kind": "spec", "spec": {
              "topology": "intermediate", "d": 5, "delta": 5.0,
@@ -146,8 +158,8 @@ class TestExitCodes:
             "sigma-string", "area-string", "tg_factor-null", "star-drag2",
             "variants-unknown",
             "fig5a-steps", "fig5b-steps-auto", "fig9-steps",
-            "pop-traces-steps-auto", "fig3-jobs-0", "fig5a-jobs",
-            "fig5b-jobs", "fig9-jobs", "pop-traces-jobs", "spec-delta-number",
+            "pop-traces-steps-auto", "fig3-jobs-0", "preset-steps-huge",
+            "pop-traces-steps-huge", "config-steps-huge", "spec-delta-number",
             "d-fraction", "config-directory", "config-not-utf8",
             "system-kind-unknown", "config-not-object", "field-missing",
             "name-empty", "system-not-object", "system-key-missing",
@@ -189,6 +201,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert expect in err and "Traceback" not in err
         assert list(out.iterdir()) == []
+
+    def test_step_cap_is_the_largest_count_accepted(self):
+        # as many steps as "auto" tries at most; one more is refused above
+        from drag_forge.cli import _validate_config
+        cfg, _ = _validate_config(preset_config("fig3"), 2**20)
+        assert cfg["n_steps"] == 2**20
 
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -438,6 +456,21 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert serial == parallel
 
 
+def _outputs(out_dir: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_parallel_fig5_matches_serial(tmp_path):
+    from drag_forge.cli import _run_fig5
+    for jobs in (1, 2):
+        (tmp_path / str(jobs)).mkdir()
+        _run_fig5("fig5a", tmp_path / str(jobs), delta0_free=False,
+                  sigmas=(0.6,), max_evals=20, jobs=jobs)
+    serial = _outputs(tmp_path / "1")
+    assert sorted(serial) == ["fig5a.csv", "fig5a.manifest.json"]
+    assert _outputs(tmp_path / "2") == serial
+
+
 class _RecordingPool:
     # stands in for ProcessPoolExecutor: records its size, maps in-process
     sizes = []
@@ -456,10 +489,16 @@ class _RecordingPool:
 
 
 class TestJobs:
-    def test_pool_never_exceeds_points(self, tmp_path, monkeypatch):
-        import drag_forge.cli as cli
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The sizes of the pools opened while the test runs."""
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "sizes", [])
+        return _RecordingPool.sizes
+
+    def test_pool_never_exceeds_points(self, tmp_path, pools):
         cfg = preset_config("gaussian-benchmark")
         cfg["sigma"] = [0.4, 0.8]
         cfg["n_steps"] = 64
@@ -470,7 +509,20 @@ class TestJobs:
         cfg["sigma"] = [0.4]
         path.write_text(json.dumps(cfg))
         run_config(path, tmp_path / "one", jobs=64)  # one point, no pool
-        assert _RecordingPool.sizes == [2]
+        assert pools == [2]
+
+    def test_pool_never_exceeds_fig5_tasks(self, tmp_path, pools):
+        from drag_forge.cli import _run_fig5
+        _run_fig5("fig5a", tmp_path, delta0_free=False, sigmas=(0.6,),
+                  max_evals=12, prop_tol=1e-6, jobs=64)
+        assert pools == [4]  # one sigma, four masks
+
+    @pytest.mark.parametrize("name,n_steps", [("fig9", None),
+                                              ("pop-traces", 64)])
+    def test_in_process_presets_open_no_pool(self, tmp_path, pools, name,
+                                             n_steps):
+        run_preset(name, tmp_path, jobs=64, n_steps=n_steps)
+        assert pools == []
 
     @pytest.mark.parametrize("jobs", [0, -3, 2.0, True, "2", None])
     def test_bad_jobs_rejected_before_output(self, tmp_path, jobs):
