@@ -3,7 +3,7 @@
 from .model import (Topology, SystemSpec, HamiltonianGenerators, build_sno,
                     build_intermediate_sno, build_star, generators,
                     hamiltonian_at, spec_to_json, spec_from_json)
-from .pulses import (GaussianParams, GaussianEnvelope, DragVariant, Ansatz,
+from .pulses import (GaussianParams, DragVariant, Ansatz,
                      ControlSet, build_controls, controls_for,
                      effective_lambda, phase_ramp)
 from .propagator import (TimeGrid, ConvergenceError, propagate, populations,

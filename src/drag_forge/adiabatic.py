@@ -41,8 +41,7 @@ import numpy as np
 from .model import (HamiltonianGenerators, SystemSpec, Topology, generators,
                     hamiltonian_at)
 from .propagator import _BLOCK, TimeGrid, _sample_controls
-from .pulses import (Ansatz, ControlSet, GaussianEnvelope, GaussianParams,
-                     controls_for)
+from .pulses import Ansatz, ControlSet, GaussianParams, controls_for
 
 __all__ = ["ExpansionReport", "frames_for", "h_eff_exact",
            "constraint_residuals", "h_extra_report", "series_vs_exact_deviation"]
@@ -205,7 +204,7 @@ class _Expansion:
         """(k, node) samples on ts of gbar^(k) through polys' top order."""
         top = max((k for p in polys for m in p for k in m), default=0)
         tg = self.cs.t_g
-        env = GaussianEnvelope(self.cs.pulse).derivatives(ts, top)
+        env = self.cs.pulse.derivatives(ts, top)
         return np.array([tg ** (k + 1) * g for k, g in enumerate(env)])
 
     def build(self, upto: int, read=()):

@@ -89,6 +89,14 @@ def _is_number(x) -> bool:
             and math.isfinite(x))
 
 
+def _check_steps(n, auto: bool) -> None:
+    """An explicit step count is an integer from 16 to ``_STEP_CAP``."""
+    if not (isinstance(n, int) and 16 <= n <= _STEP_CAP):
+        also = ' or "auto"' if auto else ""
+        raise ConfigError(f"n_steps: must be an integer from 16 to "
+                          f"{_STEP_CAP}{also}, got {n!r}")
+
+
 def _validate_config(cfg: dict, n_steps=None) -> tuple[dict, SystemSpec]:
     """Checked copy of a sweep config with defaults filled in, and its system.
 
@@ -143,10 +151,7 @@ def _validate_config(cfg: dict, n_steps=None) -> tuple[dict, SystemSpec]:
     out.setdefault("tg_factor", 4.0)
     out.setdefault("n_steps", 4096)
     if out["n_steps"] != "auto":
-        n = out["n_steps"]
-        if not isinstance(n, int) or not 16 <= n <= _STEP_CAP:
-            fail("n_steps", f"must be an integer from 16 to {_STEP_CAP} or "
-                 "\"auto\"")
+        _check_steps(out["n_steps"], auto=True)
     for key in ("area", "tg_factor"):
         if not _is_number(out[key]):
             fail(key, f"must be a finite number, got {out[key]!r}")
@@ -179,7 +184,9 @@ def _write_csv(path: Path, name: str, header: str, rows) -> Path:
     """CSV whose first line names ``<name>.manifest.json``.
 
     Values are written with str, which is repr (round-trip exact) for floats.
+    The first write of every run, so it makes the output directory.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# manifest: {name}.manifest.json\n{header}\n")
         for row in rows:
@@ -296,12 +303,13 @@ def _check_jobs(jobs) -> None:
         raise ConfigError(f"--jobs: must be an integer >= 1, got {jobs!r}")
 
 
-def _make_out_dir(out_dir) -> Path:
+def _out_dir(out_dir) -> Path:
+    """``out_dir`` as a Path, refused at once if a file is in its way; the
+    directory is made at the first write, so a failed run leaves none."""
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:  # a file in the way
-        raise ConfigError(f"out: {exc}") from None
+    found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"out: {found} is not a directory")
     return out_dir
 
 
@@ -319,15 +327,13 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
             raise ConfigError(f"unknown preset {name!r}; available: "
                               f"{', '.join(PRESETS)}")
         cfg, spec = _validate_config(preset_config(name), n_steps)
-        return _run_sweep(cfg, spec, _make_out_dir(out_dir), jobs)
+        return _run_sweep(cfg, spec, _out_dir(out_dir), jobs)
     if n_steps is not None and (name != "pop-traces" or n_steps == "auto"):
         raise ConfigError(f"--steps: {name} does not take {n_steps!r} (sweep "
                           "presets take it, pop-traces as an integer)")
-    if n_steps is not None and not (isinstance(n_steps, int)
-                                    and 16 <= n_steps <= _STEP_CAP):
-        raise ConfigError(f"n_steps: must be an integer from 16 to "
-                          f"{_STEP_CAP}, got {n_steps!r}")
-    return run(_make_out_dir(out_dir), n_steps, jobs)
+    if n_steps is not None:
+        _check_steps(n_steps, auto=False)
+    return run(_out_dir(out_dir), n_steps, jobs)
 
 
 def run_config(path, out_dir, jobs: int = 1, n_steps=None) -> Path:
@@ -339,7 +345,7 @@ def run_config(path, out_dir, jobs: int = 1, n_steps=None) -> Path:
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ConfigError(f"{path}: {exc}") from None
     cfg, spec = _validate_config(cfg, n_steps)
-    return _run_sweep(cfg, spec, _make_out_dir(out_dir), jobs)
+    return _run_sweep(cfg, spec, _out_dir(out_dir), jobs)
 
 
 def _steps_arg(text: str):

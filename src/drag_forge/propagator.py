@@ -56,8 +56,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.t_g > 0:  # NaN fails this too
-            raise ValueError(f"t_g must be positive, got {self.t_g!r}")
+        if not (self.t_g > 0 and math.isfinite(self.t_g)):
+            raise ValueError(
+                f"t_g must be positive and finite, got {self.t_g!r}")
         try:  # a float count would fail only at the first slice
             operator.index(self.n_steps)
         except TypeError:
@@ -225,15 +226,6 @@ def _expm1_blocks(a: np.ndarray):
         b *= phase[k:k + w]
         _diagonal(b)[...] += shift[k:k + w]
         yield k, b, x
-
-
-def _expm1(a: np.ndarray) -> np.ndarray:
-    """exp(A) - I for an (n, d, d) stack; A itself is left as it is."""
-    a = a.astype(complex)  # a copy, shifted in place
-    out = np.empty_like(a)
-    for lo, b, _ in _expm1_blocks(a):
-        out[lo:lo + len(b)] = b
-    return out
 
 
 def _compose(b1: np.ndarray, b0: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ Every control set built here has the parametric structure
     delta(t)   = c2 * G(t)**2 / delta2 + c0
 
 with G the truncated Gaussian envelope, which keeps all first derivatives
-and the accumulated detuning phase in closed form.
+and the accumulated detuning phase in closed form.  ``GaussianParams`` is
+the envelope: a frozen record that evaluates G, its derivatives and int G^2.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .model import SystemSpec, Topology
 
 __all__ = [
     "GaussianParams",
-    "GaussianEnvelope",
     "DragVariant",
     "Ansatz",
     "ControlSet",
@@ -40,15 +40,25 @@ _erf = np.vectorize(math.erf, otypes=[float])
 
 @dataclass(frozen=True)
 class GaussianParams:
-    """Area (radians), standard deviation and gate time of one envelope."""
+    """Area (radians), standard deviation and gate time of one envelope.
+
+    The envelope is the pedestal-subtracted Gaussian normalized so its
+    integral equals the area: G(t) = A * (exp(-(t - t_g/2)^2 / 2 sigma^2)
+    - p) / Z with Z = sqrt(2 pi sigma^2) erf(t_g / sqrt(8) sigma) - t_g * p
+    and p the raw Gaussian value at the endpoints, so G(0) = G(t_g) = 0
+    and the normalization makes int_0^t_g G dt = A exactly.
+    """
 
     area: float
     sigma: float
     t_g: float
 
     def __post_init__(self):
-        if not (self.t_g > 0 and self.sigma > 0):
-            raise ValueError("sigma and t_g must be positive")
+        for name in ("sigma", "t_g"):
+            v = getattr(self, name)
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {v!r}")
         if not math.isfinite(self.area):
             raise ValueError("area must be finite")
 
@@ -57,34 +67,18 @@ class GaussianParams:
         """NOT-gate preset: area pi, gate time 4 sigma."""
         return cls(math.pi, sigma, _NOT_TG_FACTOR * sigma)
 
-
-class GaussianEnvelope:
-    """Pedestal-subtracted Gaussian normalized so its integral equals the area.
-
-    G(t) = A * (exp(-(t - t_g/2)^2 / 2 sigma^2) - p) / Z with
-    Z = sqrt(2 pi sigma^2) erf(t_g / sqrt(8) sigma) - t_g * p and
-    p the raw Gaussian value at the endpoints, so G(0) = G(t_g) = 0
-    and the normalization makes int_0^t_g G dt = A exactly.
-    """
-
-    def __init__(self, params: GaussianParams):
-        self.params = params
-        self._mid = params.t_g / 2.0
-        self._s2 = params.sigma ** 2
-        self._pedestal = math.exp(-params.t_g ** 2 / (8.0 * self._s2))
-        z = (_SQRT2PI * params.sigma
-             * math.erf(params.t_g / (math.sqrt(8.0) * params.sigma))
-             - params.t_g * self._pedestal)
-        self._scale = params.area / z
-
-    def _check(self, t):
+    def _setup(self, t):
+        """(t as an array checked to lie in [0, t_g], pedestal p, A/Z)."""
         t = np.asarray(t, dtype=float)
-        tol = 1e-9 * self.params.t_g
-        bad = (t < -tol) | (t > self.params.t_g + tol)
+        tol = 1e-9 * self.t_g
+        bad = (t < -tol) | (t > self.t_g + tol)
         if bad.any():
-            raise ValueError(
-                f"t={float(t[bad][0])} outside [0, {self.params.t_g}]")
-        return t
+            raise ValueError(f"t={float(t[bad][0])} outside [0, {self.t_g}]")
+        pedestal = math.exp(-self.t_g ** 2 / (8.0 * self.sigma ** 2))
+        z = (_SQRT2PI * self.sigma
+             * math.erf(self.t_g / (math.sqrt(8.0) * self.sigma))
+             - self.t_g * pedestal)
+        return t, pedestal, self.area / z
 
     def derivatives(self, t, n):
         """(G, dG/dt, ..., d^nG/dt^n) from one range check and one exponential.
@@ -93,37 +87,27 @@ class GaussianEnvelope:
         Hermite recurrence in u = t - t_g/2: P_0 = 1, P_1 = -u/sigma^2 and
         P_(k+1) = -(u P_k + k P_(k-1))/sigma^2.
         """
-        t = self._check(t)
-        u = t - self._mid
-        gauss = np.exp(-(u ** 2) / (2.0 * self._s2))
-        out = [self._scale * (gauss - self._pedestal)]
+        t, pedestal, scale = self._setup(t)
+        s2 = self.sigma ** 2
+        u = t - self.t_g / 2.0
+        gauss = np.exp(-(u ** 2) / (2.0 * s2))
+        out = [scale * (gauss - pedestal)]
         p_prev, p = 0.0, 1.0  # P_(k-1), P_k at k = 0, with P_(-1) = 0
         for k in range(n):
-            p_prev, p = p, -(u * p + k * p_prev) / self._s2
-            out.append(self._scale * p * gauss)
+            p_prev, p = p, -(u * p + k * p_prev) / s2
+            out.append(scale * p * gauss)
         return tuple(out)
-
-    def value_d1(self, t):
-        """(G, dG/dt): :meth:`derivatives` with n = 1."""
-        return self.derivatives(t, 1)
-
-    def value(self, t):
-        return self.value_d1(t)[0]
-
-    def d1(self, t):
-        return self.value_d1(t)[1]
 
     def int_value_squared(self, t):
         """Integral of the squared envelope from 0 to t (closed form)."""
-        t = self._check(t)
-        s = self.params.sigma
+        t, p, scale = self._setup(t)
+        s, mid = self.sigma, self.t_g / 2.0
         ig = s * math.sqrt(math.pi / 2.0) * (
-            _erf((t - self._mid) / (math.sqrt(2.0) * s))
-            - math.erf(-self._mid / (math.sqrt(2.0) * s)))
+            _erf((t - mid) / (math.sqrt(2.0) * s))
+            - math.erf(-mid / (math.sqrt(2.0) * s)))
         ig2 = s * math.sqrt(math.pi) / 2.0 * (
-            _erf((t - self._mid) / s) - math.erf(-self._mid / s))
-        p = self._pedestal
-        return self._scale ** 2 * (ig2 - 2.0 * p * ig + p * p * t)
+            _erf((t - mid) / s) - math.erf(-mid / s))
+        return scale ** 2 * (ig2 - 2.0 * p * ig + p * p * t)
 
 
 class DragVariant(str, Enum):
@@ -205,13 +189,9 @@ class ControlSet:
     def mirror(self) -> bool:
         return not self.ramp
 
-    def envelope(self, t):
-        """(G, dG/dt) at times t."""
-        return GaussianEnvelope(self.pulse).value_d1(t)
-
     def channels(self, t):
         """(omega_x, omega_y, delta) at times t."""
-        g, dg = self.envelope(t)
+        g, dg = self.pulse.derivatives(t, 1)
         d2 = self.delta2
         ox = self.a1 * g + (self.a3 / (d2 * d2)) * g ** 3
         oy = (self.b1 / d2) * dg
@@ -236,7 +216,7 @@ class ControlSet:
         if self.ramp:
             return np.zeros_like(t)
         return ((self.c2 / self.delta2)
-                * GaussianEnvelope(self.pulse).int_value_squared(t)
+                * self.pulse.int_value_squared(t)
                 + self.c0 * t)
 
 

@@ -15,7 +15,6 @@ from drag_forge.adiabatic import (constraint_residuals, frames_for,
                                   _Expansion, _mismatch, _Poly,
                                   _recursion_frame, _sample, _transformed)
 from drag_forge.model import Topology, generators, hamiltonian_at
-from drag_forge.pulses import GaussianEnvelope
 
 FIRST_ORDER = [DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
                DragVariant.OPTIMAL1, DragVariant.DRAG1]
@@ -91,18 +90,17 @@ class TestFrameFirstOrder:
         mask = np.zeros((5, 5), dtype=bool)
         mask[1, 2] = mask[2, 1] = True
         assert np.max(np.abs(s1[:, ~mask])) == 0.0
-        env = GaussianEnvelope(not_params)
         k = grid.n_steps // 3
         t = grid.nodes()[k]
-        gbar = not_params.t_g * float(env.value(t))
+        gbar = not_params.t_g * float(not_params.derivatives(t, 0)[0])
         want = 1j * math.sqrt(2) * gbar / 2.0  # s_y = -lam1 Gbar / 2
         assert s1[k, 1, 2] == pytest.approx(want, abs=1e-12)
 
     def test_variant_qubit_block_coefficients(self, sno5, not_params, grid):
         # s_y01 = (b1/2) * Gbar distinguishes the family members
-        env = GaussianEnvelope(not_params)
         k = grid.n_steps // 2
-        gbar = not_params.t_g * float(env.value(grid.nodes()[k]))
+        gbar = not_params.t_g * float(
+            not_params.derivatives(grid.nodes()[k], 0)[0])
         lam1 = math.sqrt(2)
         expected = {
             DragVariant.Y_ONLY1: -lam1 ** 2 / 8,
@@ -522,11 +520,10 @@ class TestCommutatorForms:
         assert _coef_dev(p.dt(), {(0, 1): 2 * c, (1, 1): e, (0, 2): e}) == 0.0
         # and on the envelope's derivatives, against fourth-order central
         # differences
-        env = GaussianEnvelope(not_params)
         n = 4096
         h = not_params.t_g / n
         ts = np.linspace(0.0, not_params.t_g, n + 1)
-        g = np.array(env.derivatives(ts, 2))
+        g = np.array(not_params.derivatives(ts, 2))
         f = _dense(p, g)
         want = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
         got = _dense(p.dt(), g)[2:-2]

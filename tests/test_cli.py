@@ -200,7 +200,7 @@ class TestExitCodes:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert expect in err and "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()  # the directory is made at the first write
 
     def test_step_cap_is_the_largest_count_accepted(self):
         # as many steps as "auto" tries at most; one more is refused above
@@ -245,6 +245,20 @@ class TestExitCodes:
         rc = main(["run", "gaussian-benchmark", "--out", str(tmp_path)])
         assert rc == 3
         assert "sigma=0.5" in capsys.readouterr().err
+
+    def test_convergence_failure_leaves_no_directory(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # a cap at the first step count makes "auto" fail at once
+        from drag_forge import propagator
+        monkeypatch.setattr(propagator, "_STEP_CAP", 256)
+        cfg = dict(preset_config("gaussian-benchmark"), n_steps="auto")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "within 256 steps" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestRunConfig:

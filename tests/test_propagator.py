@@ -9,10 +9,19 @@ from drag_forge import (Ansatz, ConvergenceError, DragVariant, GaussianParams,
                         converge, populations, propagate, propagator)
 from drag_forge.model import (HamiltonianGenerators, generators,
                               hamiltonian_at, sigma_x, sigma_y)
-from drag_forge.propagator import _block_product, _expm1, _step_exponents
+from drag_forge.propagator import (_block_product, _expm1_blocks,
+                                   _step_exponents)
 from drag_forge.pulses import phase_ramp
 
 TWO_PI = 2.0 * math.pi
+
+
+def _expm1(a):
+    """exp(A) - I for an (n, d, d) stack from its blocks; A is left as it is
+    (the blocks shift a complex copy in place, and each block's B is a view
+    that the next block overwrites)."""
+    return np.concatenate([b.copy() for _, b, _ in
+                           _expm1_blocks(a.astype(complex))])
 
 
 def _two_level_generators():
@@ -26,9 +35,10 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="16"):
             TimeGrid(1.0, 8)
 
-    @pytest.mark.parametrize("t_g", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("t_g", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_gate_time(self, t_g):
-        # NaN would otherwise fail only later, as a gate-time mismatch
+        # NaN would otherwise fail only later, as a gate-time mismatch, and
+        # inf as NaN samples in propagate
         with pytest.raises(ValueError, match="t_g must be positive"):
             TimeGrid(t_g, 64)
 

@@ -7,17 +7,23 @@ from scipy.integrate import quad
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, build_controls,
                         build_sno, effective_lambda, phase_ramp)
-from drag_forge.pulses import (GaussianEnvelope, controls_for,
-                               first_order_coefficients)
+from drag_forge.pulses import controls_for, first_order_coefficients
 
 TWO_PI = 2.0 * math.pi
+
+
+def _g(p, t):
+    return p.derivatives(t, 0)[0]
+
+
+def _dg(p, t):
+    return p.derivatives(t, 1)[1]
 
 
 class TestGaussianEnvelope:
     def test_vanishes_at_boundaries(self):
         p = GaussianParams.for_not(0.5)
-        env = GaussianEnvelope(p)
-        v0, vg = env.value(0.0), env.value(p.t_g)
+        v0, vg = _g(p, 0.0), _g(p, p.t_g)
         assert v0 == pytest.approx(0.0, abs=1e-15)
         assert vg == pytest.approx(0.0, abs=1e-15)
 
@@ -26,29 +32,26 @@ class TestGaussianEnvelope:
     def test_integral_equals_area(self, sigma, area):
         # adaptive quadrature is the oracle for the closed-form normalization
         p = GaussianParams(area, sigma, 4 * sigma)
-        env = GaussianEnvelope(p)
-        val, err = quad(lambda t: float(env.value(t)), 0.0, p.t_g,
+        val, err = quad(lambda t: float(_g(p, t)), 0.0, p.t_g,
                         epsabs=1e-13, epsrel=1e-13)
         assert abs(val - area) < 1e-9 * abs(area)
         assert err < 1e-10
 
     def test_derivative_is_analytic(self):
         p = GaussianParams.for_not(0.5)
-        env = GaussianEnvelope(p)
         ts = np.linspace(0.05, p.t_g - 0.05, 41)
         h = 1e-6
-        fd = (env.value(ts + h) - env.value(ts - h)) / (2 * h)
-        np.testing.assert_allclose(env.d1(ts), fd, atol=1e-6)
+        fd = (_g(p, ts + h) - _g(p, ts - h)) / (2 * h)
+        np.testing.assert_allclose(_dg(p, ts), fd, atol=1e-6)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5])
     def test_derivatives_match_differences(self, sigma):
         # each G^(k), k <= 5, against fourth-order central differences of
         # G^(k-1); the relative bound leaves the difference error a margin
         p = GaussianParams.for_not(sigma)
-        env = GaussianEnvelope(p)
         n = 4096
         h = p.t_g / n
-        gs = env.derivatives(np.linspace(0.0, p.t_g, n + 1), 5)
+        gs = p.derivatives(np.linspace(0.0, p.t_g, n + 1), 5)
         assert len(gs) == 6
         for k in range(1, 6):
             f = gs[k - 1]
@@ -56,46 +59,71 @@ class TestGaussianEnvelope:
             scale = np.max(np.abs(gs[k]))
             assert np.max(np.abs(gs[k][2:-2] - fd)) <= 1e-8 * scale
 
-    def test_value_d1_is_derivatives_to_first_order(self):
-        # propagation samples through value_d1: it must stay bit for bit
-        # the n = 1 case, on arrays and scalars
-        env = GaussianEnvelope(GaussianParams.for_not(2 / 3))
-        ts = np.linspace(0.0, env.params.t_g, 4097)
-        for t in (ts, 0.0, ts[1234], env.params.t_g):
-            got, want = env.value_d1(t), env.derivatives(t, 1)
-            assert len(got) == len(want) == 2
+    def test_first_derivatives_are_closed_form(self):
+        # propagation samples through derivatives(t, 1): bit for bit the
+        # closed form (G, -scale (t - t_g/2)/sigma^2 gauss), on arrays and
+        # scalars, with pedestal and scale worked out here from the fields
+        p = GaussianParams.for_not(2 / 3)
+        pedestal = math.exp(-p.t_g ** 2 / (8.0 * p.sigma ** 2))
+        z = (math.sqrt(2.0 * math.pi) * p.sigma
+             * math.erf(p.t_g / (math.sqrt(8.0) * p.sigma))
+             - p.t_g * pedestal)
+        scale = p.area / z
+        ts = np.linspace(0.0, p.t_g, 4097)
+        for t in (ts, 0.0, ts[1234], p.t_g):
+            u = np.asarray(t) - p.t_g / 2.0
+            gauss = np.exp(-(u ** 2) / (2.0 * p.sigma ** 2))
+            want = (scale * (gauss - pedestal),
+                    scale * (-u / p.sigma ** 2) * gauss)
+            got = p.derivatives(t, 1)
+            assert len(got) == 2
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        assert len(env.derivatives(ts, 0)) == 1
-        # and both are the closed form (G, -scale (t - t_g/2)/sigma^2 gauss)
-        u = ts - env.params.t_g / 2.0
-        gauss = np.exp(-(u ** 2) / (2.0 * env.params.sigma ** 2))
-        g, dg = env.value_d1(ts)
-        assert np.array_equal(dg, env._scale * (-u / env.params.sigma ** 2)
-                              * gauss)
-        assert np.array_equal(g, env._scale * (gauss - env._pedestal))
+        assert len(p.derivatives(ts, 0)) == 1
+
+    def test_evaluation_leaves_a_plain_record(self):
+        # nothing is cached on the record, so an evaluated one still
+        # equals, hashes and pickles as its three fields (ControlSet goes
+        # through the process pool of fig5 and sweeps by pickle)
+        p = GaussianParams.for_not(2 / 3)
+        p.derivatives(np.linspace(0.0, p.t_g, 65), 3)
+        p.int_value_squared(1.0)
+        fresh = GaussianParams(p.area, p.sigma, p.t_g)
+        assert vars(p) == vars(fresh) == {
+            "area": math.pi, "sigma": 2 / 3, "t_g": 4 * (2 / 3)}
+        assert p == fresh and hash(p) == hash(fresh)
+        assert pickle.dumps(p) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(p)) == fresh
 
     def test_cumulative_integrals(self):
         p = GaussianParams.for_not(0.4)
-        env = GaussianEnvelope(p)
         for t in (0.3, 0.9, p.t_g):
-            want2, _ = quad(lambda s: float(env.value(s)) ** 2, 0.0, t,
+            want2, _ = quad(lambda s: float(_g(p, s)) ** 2, 0.0, t,
                             epsabs=1e-13)
-            assert float(env.int_value_squared(t)) == pytest.approx(want2, abs=1e-10)
+            assert float(p.int_value_squared(t)) == pytest.approx(want2, abs=1e-10)
 
     def test_rejects_out_of_range(self):
-        env = GaussianEnvelope(GaussianParams.for_not(0.5))
+        p = GaussianParams.for_not(0.5)
         with pytest.raises(ValueError, match="outside"):
-            env.value(-0.1)
+            _g(p, -0.1)
         with pytest.raises(ValueError, match="outside"):
-            env.d1(env.params.t_g + 0.1)
+            _dg(p, p.t_g + 0.1)
+        with pytest.raises(ValueError, match="outside"):
+            p.int_value_squared(p.t_g + 0.1)
 
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sigma"):
             GaussianParams(math.pi, -1.0, 4.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t_g"):
             GaussianParams(math.pi, 1.0, 0.0)
+        # an infinite time would pass to propagate and fail there as NaN
+        with pytest.raises(ValueError, match="t_g"):
+            GaussianParams(math.pi, 1.0, math.inf)
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianParams(math.pi, math.inf, 4.0)
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianParams(math.pi, math.nan, 4.0)
 
 
 class TestLadderVariants:
@@ -109,16 +137,15 @@ class TestLadderVariants:
         # delta(t*) = lam1^2 * G(t*)^2 / (4 delta2) with G(t*) = 1
         p = GaussianParams.for_not(1 / 3)
         cs = build_controls(sno3, DragVariant.Z_ONLY1, p)
-        env = GaussianEnvelope(p)
         lo, hi = 0.0, p.t_g / 2  # envelope rises through 1 on the way up
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if float(env.value(mid)) < 1.0:
+            if float(_g(p, mid)) < 1.0:
                 lo = mid
             else:
                 hi = mid
         t_star = 0.5 * (lo + hi)
-        assert float(env.value(t_star)) == pytest.approx(1.0, abs=1e-10)
+        assert float(_g(p, t_star)) == pytest.approx(1.0, abs=1e-10)
         assert float(cs.delta(t_star)) == pytest.approx(
             2.0 * 1.0 / (4 * -TWO_PI), abs=1e-9)
 
@@ -132,11 +159,10 @@ class TestLadderVariants:
 
     def test_y_only_quadrature(self, sno5, not_params):
         cs = build_controls(sno5, DragVariant.Y_ONLY1, not_params)
-        env = GaussianEnvelope(not_params)
         ts = np.linspace(0, not_params.t_g, 101)
         lam1 = math.sqrt(2)
         np.testing.assert_allclose(
-            cs.omega_y(ts), -lam1 ** 2 * env.d1(ts) / (4 * -TWO_PI),
+            cs.omega_y(ts), -lam1 ** 2 * _dg(not_params, ts) / (4 * -TWO_PI),
             atol=1e-14)
 
     def test_second_order_changes_only_omega_x(self, sno5, not_params):
@@ -160,9 +186,8 @@ class TestLadderVariants:
         # omega_x gains a3 * G^3 / delta2^2 over the first-order base
         cs1 = build_controls(sno5, v1, not_params)
         cs2 = build_controls(sno5, v2, not_params)
-        env = GaussianEnvelope(not_params)
         ts = np.linspace(0, not_params.t_g, 101)
-        want = a3(2.0) * env.value(ts) ** 3 / TWO_PI ** 2
+        want = a3(2.0) * _g(not_params, ts) ** 3 / TWO_PI ** 2
         assert np.max(np.abs(want)) > 1e-3
         np.testing.assert_allclose(cs2.omega_x(ts) - cs1.omega_x(ts), want,
                                    atol=1e-13)
@@ -181,10 +206,9 @@ class TestLadderVariants:
             assert float(cs.delta(not_params.t_g)) == pytest.approx(0.0, abs=1e-14)
 
     def test_gaussian_scalar_and_array_agree(self, not_params):
-        env = GaussianEnvelope(not_params)
-        v_scalar, d_scalar = env.value(1.3), env.d1(1.3)
+        v_scalar, d_scalar = not_params.derivatives(1.3, 1)
         ts = np.array([1.3, 2.0])
-        v_arr, d_arr = env.value(ts), env.d1(ts)
+        v_arr, d_arr = not_params.derivatives(ts, 1)
         assert float(v_scalar) == v_arr[0]
         assert float(d_scalar) == d_arr[0]
 
@@ -234,17 +258,15 @@ class TestIntermediateVariants:
     def test_z_only_bracket(self, inter5, not_params):
         # bracket (4/3 - 2/3)/delta2 = 2/(3 delta2) at the window parameters
         cs = controls_for(inter5, DragVariant.Z_ONLY1, not_params)
-        env = GaussianEnvelope(not_params)
         t = 1.7
-        want = float(env.value(t)) ** 2 / 4.0 * (2.0 / (3.0 * -TWO_PI))
+        want = float(_g(not_params, t)) ** 2 / 4.0 * (2.0 / (3.0 * -TWO_PI))
         assert float(cs.delta(t)) == pytest.approx(want, rel=1e-12)
 
     def test_optimal_quadrature_prefactor(self, inter5, not_params):
         # sqrt(4/3 + 2/3) = sqrt(2) over 2*delta2
         cs = controls_for(inter5, DragVariant.OPTIMAL1, not_params)
-        env = GaussianEnvelope(not_params)
         t = 1.1
-        want = -math.sqrt(2) * float(env.d1(t)) / (2 * -TWO_PI)
+        want = -math.sqrt(2) * float(_dg(not_params, t)) / (2 * -TWO_PI)
         assert float(cs.omega_y(t)) == pytest.approx(want, rel=1e-12)
 
     def test_lower_channel_off_reduces_to_ladder(self, not_params):
