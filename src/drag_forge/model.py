@@ -81,7 +81,8 @@ class SystemSpec:
     topology : Topology
         Coupling topology (ladder, intermediate or star).
     d : int
-        Number of retained levels, at least 3.
+        Number of retained levels, at least 3; odd and at least 5 for the
+        intermediate topology.
     delta : dict[int, float]
         Anharmonicity of each level (rad/time); keys are level labels,
         signed for the intermediate topology.  Levels 0 and 1 must be 0.
@@ -99,8 +100,10 @@ class SystemSpec:
     def __post_init__(self):
         if self.d < 3:
             raise ValueError(f"d must be >= 3, got {self.d}")
-        if self.topology is Topology.INTERMEDIATE and self.d % 2 == 0:
-            raise ValueError("intermediate topology requires odd d")
+        if self.topology is Topology.INTERMEDIATE and (
+                self.d % 2 == 0 or self.d < 5):
+            raise ValueError("intermediate topology requires odd d >= 5, "
+                             f"got d={self.d}")
         levels = set(self.levels)
         if set(self.delta) != levels:
             raise ValueError("delta keys must match the level set "
@@ -227,10 +230,6 @@ def build_intermediate_sno(d: int, delta2: float) -> SystemSpec:
     For d = 5 this reproduces the 6-level example values lam = sqrt(1/3),
     sqrt(2/3), 1, sqrt(4/3) and delta_{-1} = delta2, delta_{-2} = 3*delta2.
     """
-    if d % 2 == 0:
-        raise ValueError(f"intermediate window needs odd d, got {d}")
-    if d < 5:
-        raise ValueError(f"intermediate window needs d >= 5, got {d}")
     if delta2 == 0.0:
         raise ValueError("delta2 must be nonzero")
     n = (d - 1) // 2

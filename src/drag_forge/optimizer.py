@@ -66,7 +66,7 @@ class OptimizeResult:
 
 def _resolve_steps(task: OptimizeTask, gen: HamiltonianGenerators) -> int:
     """Step count whose unitary at the initial point meets ``prop_tol``;
-    every simplex comparison shares this grid."""
+    every evaluation of the search shares this grid."""
     cs = build_controls(task.spec, Ansatz(*task.x0), task.params)
     return converge(gen, cs, task.params.t_g, task.prop_tol)[1]
 

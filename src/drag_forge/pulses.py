@@ -121,9 +121,10 @@ class DragVariant(str, Enum):
     DRAG2 = "drag2"
 
 
-# (b1, c2, a3) of each named variant from the (S, Lam) of _table_row.  A
-# second-order variant keeps its first-order base's (b1, c2) and adds a3, in
-# lam ** 2: on some ladders s = lam * lam differs from lam ** 2 in the last bit.
+# (b1, c2, a3) of each named variant from the (S, Lam) of _table_row, one row
+# for every topology.  A second-order variant keeps its first-order base's
+# (b1, c2) and adds a3.  Lam^2 is written lam ** 2, not s: on some ladders
+# s = lam * lam differs from lam ** 2 in the last bit.
 _VARIANT_TABLE = {
     DragVariant.GAUSSIAN0: lambda s, lam: (0.0, 0.0, 0.0),
     DragVariant.Z_ONLY1: lambda s, lam: (0.0, s / 4.0, 0.0),
@@ -132,7 +133,7 @@ _VARIANT_TABLE = {
     DragVariant.DRAG1: lambda s, lam: (-1.0, (s - 4.0) / 4.0, 0.0),
     DragVariant.Z_ONLY2: lambda s, lam: (0.0, s / 4.0, lam ** 2 / 8.0),
     DragVariant.Y_ONLY2: lambda s, lam: (
-        -s / 4.0, 0.0, -lam ** 2 * (lam ** 2 - 4.0) / 32.0),
+        -s / 4.0, 0.0, lam ** 2 / 8.0 - s * s / 32.0),
     DragVariant.DRAG2: lambda s, lam: (
         -1.0, (s - 4.0) / 4.0, (lam ** 2 - 4.0) / 8.0),
 }
@@ -236,7 +237,7 @@ def _table_row(spec: SystemSpec, variant: DragVariant
         S      = lam1^2 - (delta2/delta_-1) * lam_-1^2      (Stark bracket)
         Lam    = sqrt(lam1^2 + (delta2/delta_-1)^2 * lam_-1^2)
         Z-only : b1 = 0,      c2 = S/4,          a3 = Lam^2/8
-        Y-only : b1 = -S/4,   c2 = 0,            a3 = -Lam^2 (Lam^2 - 4)/32
+        Y-only : b1 = -S/4,   c2 = 0,            a3 = Lam^2/8 - S^2/32
         optimal: b1 = -Lam/2, c2 = (S - 2*Lam)/4
         DRAG   : b1 = -1,     c2 = (S - 4)/4,    a3 = (Lam^2 - 4)/8
 
@@ -261,28 +262,19 @@ def first_order_coefficients(spec: SystemSpec, variant: DragVariant
     return _table_row(spec, DragVariant(variant))[:2]
 
 
-_MULTI_LEVEL_VARIANTS = (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
-                         DragVariant.OPTIMAL1, DragVariant.GAUSSIAN0)
-
-
 def controls_for(spec: SystemSpec, variant, params: GaussianParams) -> ControlSet:
     """Control set of a named variant, or of the free ansatz, on any topology.
 
-    Ladder systems take every variant.  Star and intermediate systems take
-    the first-order family only; a star's waveforms are exactly the ladder
-    ones with lam1 -> lambda-tilde, since all its channels collapse onto one
-    effective transition of that weight.
+    Every topology takes every variant, one row of the variant table each; a
+    star's waveforms are exactly the ladder ones with lam1 -> lambda-tilde,
+    since all its channels collapse onto one effective transition of that
+    weight.
     """
     if isinstance(variant, Ansatz):
         return ControlSet(params, spec.delta2, a1=variant.alpha, a3=0.0,
                           b1=-variant.beta, c2=variant.gamma,
                           c0=variant.delta0, variant=variant.label)
     variant = DragVariant(variant)
-    if (spec.topology is not Topology.LADDER
-            and variant not in _MULTI_LEVEL_VARIANTS):
-        raise ValueError(
-            f"{variant.value} is not available for {spec.topology.value} "
-            "systems (only gaussian0, z_only1, y_only1, optimal1)")
     b1, c2, a3 = _table_row(spec, variant)
     return ControlSet(params, spec.delta2, a1=1.0, a3=a3, b1=b1, c2=c2,
                       c0=0.0, variant=variant.value)

@@ -7,7 +7,7 @@ from conftest import TWO_PI, HandControls
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
                         build_controls, build_intermediate_sno, build_star,
-                        controls_for, effective_lambda)
+                        effective_lambda)
 from drag_forge import adiabatic
 from drag_forge.adiabatic import (constraint_residuals, frames_for,
                                   h_eff_exact, h_extra_report,
@@ -128,11 +128,6 @@ class TestSecondOrderFrameIdentity:
             s2_recursion = _recursion_frame(ex.ds, m)
             assert _coef_dev(s2_recursion, s2_analytic) <= 1e-13
 
-    def test_second_order_variant_rejected_off_ladder(self, star6, not_params,
-                                                      grid):
-        with pytest.raises(ValueError, match="not available"):
-            frames_for(star6, DragVariant.DRAG2, not_params, grid, 1)
-
 
 class TestHExtra:
     def test_order_zero_is_zero(self, sno5, not_params, grid):
@@ -225,18 +220,6 @@ class TestConstraintResiduals:
         assert r.qubit_mismatch["z"] > 1.0
 
 
-def _variants(spec):
-    # every named variant that controls_for builds on the system
-    out = []
-    for v in DragVariant:
-        try:
-            controls_for(spec, v, GaussianParams.for_not(1.0))
-        except ValueError:
-            continue
-        out.append(v)
-    return out
-
-
 class TestMonomialClosure:
     # every published closed form closes its constraints coefficient by
     # coefficient, not only on the sampled nodes
@@ -246,7 +229,7 @@ class TestMonomialClosure:
                                       topology):
         spec = request.getfixturevalue(topology)
         worst = {"coupling": 0.0, "qubit": 0.0}
-        for v in _variants(spec):
+        for v in DragVariant:
             own = 0 if v is DragVariant.GAUSSIAN0 else int(v.value[-1])
             for order in range(3):
                 ex, _, _, heffs = _expansion(spec, v, not_params, grid,
@@ -282,7 +265,7 @@ class TestMirrorParity:
     def test_every_coefficient_has_its_parity(self, request, not_params, grid,
                                               topology):
         spec = request.getfixturevalue(topology)
-        for v in _variants(spec):
+        for v in DragVariant:
             ex, hs, frames, heffs = _expansion(spec, v, not_params, grid, 3,
                                                range(4))
             h0 = ex.ds.h0
@@ -303,12 +286,12 @@ class TestMirrorParity:
         # and frame) for optimal1 on the long grids, to keep the run short
         spec = request.getfixturevalue(topology)
         grid = TimeGrid(not_params.t_g, n_steps)
-        cases = [(report, v, n) for v in _variants(spec)
+        cases = [(report, v, n) for v in DragVariant
                  for report, orders in ((constraint_residuals, range(3)),
                                         (h_extra_report, range(4)))
                  for n in orders]
         cases += [(series_vs_exact_deviation, v, n)
-                  for v in (_variants(spec) if n_steps == 133
+                  for v in (DragVariant if n_steps == 133
                             else [DragVariant.OPTIMAL1])
                   for n in (range(4) if n_steps == 133 else [3])]
 
@@ -339,8 +322,8 @@ class TestMirrorParity:
 class TestStarFinding:
     # the star rows take the Stark bracket as lambda-tilde^2; the expansion's
     # S = sum_k lam_(k-1)^2 delta2/delta_k differs, and the order-1 qubit-z
-    # mismatch of every first-order variant is the one monomial
-    # ((S - lambda-tilde^2)/4) G_bar^2
+    # mismatch of every corrected variant (a second-order one shares its
+    # base's b1 and c2) is the one monomial ((S - lambda-tilde^2)/4) G_bar^2
     @pytest.mark.parametrize("topology,want", [("star6", 0.1649305),
                                                ("star2", 0.0217993)])
     def test_order_one_z_mismatch_is_the_stark_gap(self, request, not_params,
@@ -350,8 +333,7 @@ class TestStarFinding:
                     for j in range(2, spec.d))
         gap = (stark - effective_lambda(spec) ** 2) / 4.0
         assert gap == pytest.approx(want, abs=1e-7)
-        for v in (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
-                  DragVariant.OPTIMAL1):
+        for v in [v for v in DragVariant if v is not DragVariant.GAUSSIAN0]:
             ex, _, _, heffs = _expansion(spec, v, not_params, grid, 1, (1,))
             trace_z = {m: r[2] for m, r in _mismatch(ex.ds, heffs[1]).items()}
             assert trace_z.pop((0, 0)) == pytest.approx(gap, abs=1e-14)

@@ -100,9 +100,6 @@ class TestExitCodes:
         (["--config", "CFG"], {"sigma": [0.5, "x"]}, "sigma[1]"),
         (["--config", "CFG"], {"area": "pi"}, "area"),
         (["--config", "CFG"], {"tg_factor": None}, "tg_factor"),
-        (["--config", "CFG"],
-         {"system": {"kind": "star", "delta": [-2 * math.pi], "lambda": [1.0]},
-          "variants": ["gaussian0", "drag2"]}, "variants[1]"),
         (["--config", "CFG"], {"variants": ["gaussian0", "nope"]},
          "variants[1]"),
         (["fig5a", "--steps", "64"], {}, "--steps"),
@@ -124,6 +121,12 @@ class TestExitCodes:
         (["--config", "CFG"],
          {"system": {"kind": "sno", "d": 5.7, "delta2": -2 * math.pi}},
          "d must be an integer, got 5.7"),
+        (["--config", "CFG"],
+         {"system": {"kind": "spec", "spec": {
+             "topology": "intermediate", "d": 3,
+             "delta": {"-1": -2 * math.pi, "0": 0.0, "1": 0.0},
+             "lambda": {"-1": 0.7, "0": 1.0}}}},
+         "system: intermediate topology requires odd d >= 5, got d=3"),
         (["--config", "CFG"], None, "cfg.json"),
         (["--config", "CFG"], b"\xff\xfe{}", "cfg.json"),
         (["--config", "CFG"], {"system": {"kind": "ring"}},
@@ -155,12 +158,13 @@ class TestExitCodes:
         (["--config", "CFG"], {"name": "x" * 300},
          "name: too long: <name>.manifest.json exceeds 255 bytes"),
     ], ids=["config-steps-3", "preset-steps-abc", "pop-traces-steps-3",
-            "sigma-string", "area-string", "tg_factor-null", "star-drag2",
+            "sigma-string", "area-string", "tg_factor-null",
             "variants-unknown",
             "fig5a-steps", "fig5b-steps-auto", "fig9-steps",
             "pop-traces-steps-auto", "fig3-jobs-0", "preset-steps-huge",
             "pop-traces-steps-huge", "config-steps-huge", "spec-delta-number",
-            "d-fraction", "config-directory", "config-not-utf8",
+            "d-fraction", "spec-intermediate-d3", "config-directory",
+            "config-not-utf8",
             "system-kind-unknown", "config-not-object", "field-missing",
             "name-empty", "system-not-object", "system-key-missing",
             "sigma-empty", "sigma-non-positive", "tg_factor-zero",
@@ -314,6 +318,20 @@ class TestRunConfig:
         e_g0 = float(lines[2].split(",")[2])
         e_o1 = float(lines[3].split(",")[2])
         assert e_o1 < e_g0
+
+    def test_star_config_takes_second_order_variant(self, tmp_path):
+        # every named variant works on every topology
+        cfg = dict(preset_config("gaussian-benchmark"), sigma=[1.0],
+                   variants=["gaussian0", "drag2"],
+                   system={"kind": "star", "delta": [-2 * math.pi],
+                           "lambda": [1.0]})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "gaussian-benchmark.csv").read_text()
+        rows = lines.splitlines()[2:]
+        assert [r.split(",")[1] for r in rows] == ["gaussian0", "drag2"]
 
     def test_full_spec_document_system(self, tmp_path):
         from drag_forge import build_intermediate_sno, spec_to_json

@@ -61,6 +61,14 @@ class TestBuildIntermediate:
         with pytest.raises(ValueError, match="odd"):
             build_intermediate_sno(6, -TWO_PI)
 
+    def test_rejects_d_below_5(self):
+        # d = 3 has no level 2 above the qubit, so no delta2 and no lam[1]
+        with pytest.raises(ValueError, match="odd d >= 5, got d=3"):
+            build_intermediate_sno(3, -TWO_PI)
+        with pytest.raises(ValueError, match="odd d >= 5, got d=3"):
+            SystemSpec(Topology.INTERMEDIATE, 3,
+                       {-1: -TWO_PI, 0: 0.0, 1: 0.0}, {-1: 0.7, 0: 1.0})
+
     def test_window_rule_against_recentering_oracle(self, inter5):
         # derive the window parameters from scratch: take the bare 6-level
         # quadratic spectrum, relabel level 2 -> 0, re-zero the energies and

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from drag_forge import (Ansatz, DragVariant, GaussianParams, build_controls,
-                        build_sno, effective_lambda, phase_ramp)
-from drag_forge.pulses import controls_for, first_order_coefficients
+from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
+                        build_controls, build_sno, effective_lambda,
+                        gate_error, ideal_not, phase_ramp, propagate)
+from drag_forge.pulses import (_VARIANT_TABLE, _table_row, controls_for,
+                               first_order_coefficients)
 
 TWO_PI = 2.0 * math.pi
 
@@ -212,10 +214,6 @@ class TestLadderVariants:
         assert float(v_scalar) == v_arr[0]
         assert float(d_scalar) == d_arr[0]
 
-    def test_analytic_variant_rejects_non_ladder(self, star6, not_params):
-        with pytest.raises(ValueError, match="not available for star"):
-            build_controls(star6, DragVariant.DRAG1, not_params)
-
     def test_unknown_variant_name_rejected(self, sno5, not_params):
         # both table readers raise ValueError, never a bare KeyError
         with pytest.raises(ValueError, match="nope"):
@@ -280,16 +278,24 @@ class TestIntermediateVariants:
         ladder = type(ladder)(ladder.topology, 3, ladder.delta,
                               {0: 1.0, 1: lam1})
         ts = np.linspace(0, not_params.t_g, 200)
-        for v in (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1, DragVariant.OPTIMAL1):
+        for v in DragVariant:
             a = controls_for(inter, v, not_params)
             b = build_controls(ladder, v, not_params)
             for chan in ("omega_x", "omega_y", "delta"):
                 np.testing.assert_allclose(getattr(a, chan)(ts),
                                            getattr(b, chan)(ts), atol=1e-13)
 
-    def test_rejects_other_variants(self, inter5, not_params):
-        with pytest.raises(ValueError, match="not available"):
-            controls_for(inter5, DragVariant.DRAG1, not_params)
+    def test_second_order_rows_beat_first_order(self, inter5, not_params):
+        # off the ladder the a3 rows close the order-2 x mismatch, and the
+        # gate error falls by about 3x at sigma = 1
+        grid = TimeGrid(not_params.t_g, 4096)
+        uid = ideal_not(inter5.d, inter5.qubit_rows)
+
+        def err(v):
+            u = propagate(inter5, controls_for(inter5, v, not_params), grid)
+            return gate_error(u, uid, inter5.qubit_rows)
+        assert err(DragVariant.Z_ONLY2) < err(DragVariant.Z_ONLY1)
+        assert err(DragVariant.Y_ONLY2) < err(DragVariant.Y_ONLY1)
 
 
 class TestStarVariants:
@@ -314,7 +320,7 @@ class TestStarVariants:
         star = build_star([-TWO_PI], [math.sqrt(2)])
         ladder = build_sno(3, -TWO_PI)
         ts = np.linspace(0, not_params.t_g, 200)
-        for v in (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1, DragVariant.OPTIMAL1):
+        for v in DragVariant:
             a = controls_for(star, v, not_params)
             b = build_controls(ladder, v, not_params)
             for chan in ("omega_x", "omega_y", "delta"):
@@ -328,16 +334,12 @@ class TestStarVariants:
         ladder = type(ladder)(ladder.topology, 3, ladder.delta,
                               {0: 1.0, 1: lt})
         ts = np.linspace(0, not_params.t_g, 1000)
-        for v in (DragVariant.Z_ONLY1, DragVariant.Y_ONLY1, DragVariant.OPTIMAL1):
+        for v in DragVariant:
             a = controls_for(star6, v, not_params)
             b = build_controls(ladder, v, not_params)
             for chan in ("omega_x", "omega_y", "delta"):
                 dev = np.max(np.abs(getattr(a, chan)(ts) - getattr(b, chan)(ts)))
                 assert dev < 1e-12
-
-    def test_rejects_other_variants(self, star6, not_params):
-        with pytest.raises(ValueError, match="not available"):
-            controls_for(star6, DragVariant.DRAG2, not_params)
 
 
 class TestPhaseRamp:
@@ -387,3 +389,14 @@ def test_controls_for_dispatch(sno5, inter5, star6, not_params):
     assert "ansatz" in controls_for(star6, Ansatz(1, 0, 0, 0), not_params).variant
     assert build_controls is controls_for
 
+
+def test_every_variant_is_one_table_row_on_every_topology(
+        sno5, inter5, star6, not_params):
+    # the variant table alone decides which variants exist: it has a row for
+    # each, and controls_for builds that row on every system
+    assert set(_VARIANT_TABLE) == set(DragVariant)
+    for spec in (sno5, inter5, star6):
+        for v in DragVariant:
+            cs = controls_for(spec, v, not_params)
+            assert cs.variant == v.value
+            assert (cs.b1, cs.c2, cs.a3) == _table_row(spec, v)
