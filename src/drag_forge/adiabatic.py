@@ -9,10 +9,9 @@ eps = 1/(t_g * delta2) the bookkeeping parameter.  The module evaluates
   order from one recursion in ad_S X = [S, X],
 * the exact effective Hamiltonian A^dag H A + i dA^dag/dt A, and
 * the per-order constraint residuals that the closed-form pulses claim
-  to satisfy: one loop builds S^(1), S^(2), ... from one control set, each
-  order's transform at most once and H_eff^(n) only for the orders a report
-  reads; where a closed form fixes S^(n+1) (the ladder at n = 1), the
-  order-n transform is built only if n is read, and then before S^(n+1).
+  to satisfy: one loop builds, from one control set and on every topology,
+  each order's transform once, the frame S^(n+1) that the no-leakage
+  conditions fix from it, and H_eff^(n).
 
 Every frame and Hamiltonian of the expansion is a polynomial in the scaled
 envelope derivatives gbar^(k) = t_g^(k+1) d^kG/dt^k with constant (d, d)
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (HamiltonianGenerators, SystemSpec, Topology, generators,
+from .model import (HamiltonianGenerators, SystemSpec, generators,
                     hamiltonian_at)
 from .propagator import _BLOCK, TimeGrid, _sample_controls
 from .pulses import Ansatz, ControlSet, GaussianParams, controls_for
@@ -144,36 +143,6 @@ def _recursion_frame(ds: _Dimless, m: _Poly) -> _Poly:
     return s
 
 
-def _frame_second_order(spec: SystemSpec, sa: float) -> _Poly:
-    """Closed-form S^(2) for the ladder variants.
-
-    Obtained by substituting S^(1) into the order-1 no-leakage conditions:
-
-        s2_y02 = -(lam1 / 4) (1 + sa) G^2
-        s2_x12 = +(lam1 / 2) (1 + 2 sa) dG
-        s2_y13 = +(lam1 lam2 / (4 dbar3)) G^2     (d >= 4)
-
-    with sa the variant's free s_y01 coefficient and (G, dG) the
-    dimensionless envelope (monomial (0,)) and its derivative ((1,)).  Kept
-    independent of the recursion solver so the residual checks exercise two
-    separate routes.
-    """
-    lam1 = spec.lam[1]
-    g2, dg = (np.zeros((spec.d, spec.d), dtype=complex) for _ in range(2))
-
-    def put(s, r1, r2, sx, sy):
-        s[r1, r2] += sx - 1j * sy
-        s[r2, r1] += sx + 1j * sy
-
-    put(g2, 0, 2, 0.0, -(lam1 / 4.0) * (1.0 + sa))
-    put(dg, 1, 2, (lam1 / 2.0) * (1.0 + 2.0 * sa), 0.0)
-    if spec.d >= 4:
-        lam2 = spec.lam[2]
-        dbar3 = spec.delta[3] / spec.delta2
-        put(g2, 1, 3, 0.0, lam1 * lam2 / (4.0 * dbar3))
-    return _Poly({(0, 0): g2, (1,): dg})
-
-
 class _Expansion:
     """One control set's frame expansion as polynomials.
 
@@ -189,7 +158,6 @@ class _Expansion:
             # the exact route samples the controls on [0, grid.t_g]
             raise ValueError(f"grid t_g={grid.t_g!r} differs from the pulse's "
                              f"t_g={params.t_g!r}")
-        self.spec = spec
         self.ds = _dimless(spec)
         self.cs = controls_for(spec, variant, params)
         self.ts = np.linspace(0.0, self.cs.t_g, grid.n_steps + 1)
@@ -207,15 +175,13 @@ class _Expansion:
         env = self.cs.pulse.derivatives(ts, top)
         return np.array([tg ** (k + 1) * g for k, g in enumerate(env)])
 
-    def build(self, upto: int, read=()):
+    def build(self, upto: int):
         """The expansion through order ``upto``: (hs, frames, heffs).
 
-        Builds H^(0..upto) and the frames S^(1..upto+1) in order, and
-        heffs[n] = H_eff^(n) = M + i[S^(n+1), H0] for each n in ``read``.
-        M = H_extra^(n) + H^(n) is the order-n transform with S^(1..n); a
-        recursion frame is solved from it, and where a closed form fixes
-        S^(n+1) (the ladder at n = 1) M is built only if n is read, and
-        then before S^(n+1).
+        Builds H^(0..upto) and, order by order, M = H_extra^(n) + H^(n), the
+        order-n transform with S^(1..n); the frame S^(n+1) that the
+        recursion solves from it; and heffs[n] = H_eff^(n) = M +
+        i[S^(n+1), H0].
         """
         ds, gen = self.ds, self.ds.gen
         b1, c2, a3 = self.cs.b1, self.cs.c2, self.cs.a3
@@ -227,31 +193,26 @@ class _Expansion:
         hs = {n: h for n, f in fields.items() if n <= upto
               if (h := _Poly({m: c * x for m, c, x in f if c}))}
         # the free element s_y01 = sa * G_bar of S^(1) is fixed by the
-        # quadrature field, omega_y_bar^(1) = 2 d(s_y01)/dt, so sa = b1 / 2;
-        # S^(2) reads it too
+        # quadrature field, omega_y_bar^(1) = 2 d(s_y01)/dt, so sa = b1 / 2
         sa = b1 / 2.0
         frames: list[_Poly] = []
-        heffs = {}
+        heffs: list[_Poly] = []
         for n in range(upto + 1):
-            closed = n == 1 and self.spec.topology is Topology.LADDER
-            m = (None if closed and n not in read
-                 else _transformed(n, frames, hs, ds.h0))
-            s = (_frame_second_order(self.spec, sa) if closed
-                 else _recursion_frame(ds, m))
+            m = _transformed(n, frames, hs, ds.h0)
+            s = _recursion_frame(ds, m)
             if n == 0:
                 q0, q1 = ds.qubit_rows
                 free = np.zeros_like(ds.h0)
                 free[q0, q1], free[q1, q0] = -1j * sa, 1j * sa
                 s = s + _Poly({(0,): free})
             frames.append(s)
-            if n in read:
-                heffs[n] = m + 1j * s.comm_h0(ds.h0)
+            heffs.append(m + 1j * s.comm_h0(ds.h0))
         return hs, frames, heffs
 
 
 def frames_for(spec: SystemSpec, variant, params: GaussianParams,
                grid: TimeGrid, upto: int) -> list[np.ndarray]:
-    """S^(1..upto) samples: closed forms where documented, else recursion."""
+    """S^(1..upto) samples, every order solved by the recursion."""
     ex = _Expansion(spec, variant, params, grid)
     frames = ex.build(upto - 1)[1]
     g = ex.samples(ex.ts, *frames)
@@ -369,14 +330,15 @@ def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
     Evaluates H_eff^(n) = H_extra^(n) + H^(n) + i[S^(n+1), H0] with the
     variant's frames and reports the maximal qubit-block mismatch against
     the target (G_bar, 0, 0 at order 0, zero above) plus the maximal
-    qubit/leak coupling trace.  S^(n+1) uses the analytic ladder closed
-    form at order 1, making the leakage numbers a genuine two-route check;
-    elsewhere it comes from the recursion solver.
+    qubit/leak coupling trace.  S^(n+1) is the recursion's solution of the
+    order-n no-leakage conditions, so the coupling trace reads zero up to
+    round-off on every topology: it checks the solver, and the qubit block
+    checks the control set.
     """
-    if order < 0 or order > 2:
-        raise ValueError("constraint residuals implemented for orders 0..2")
+    if order < 0 or order > 3:
+        raise ValueError("constraint residuals implemented for orders 0..3")
     ex = _Expansion(spec, variant, params, grid)
-    return _report(ex, ex.build(order, (order,))[2][order], order == 0)
+    return _report(ex, ex.build(order)[2][order], order == 0)
 
 
 def h_extra_report(spec: SystemSpec, variant, params: GaussianParams,
@@ -405,8 +367,8 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
         raise ValueError("series comparison implemented for orders 0..3")
     eps = 1.0 / (params.t_g * spec.delta2)
     ex = _Expansion(spec, variant, params, grid)
-    _, frames, heffs = ex.build(order, range(order + 1))
-    series = sum((eps ** m * h for m, h in heffs.items()),
+    _, frames, heffs = ex.build(order)
+    series = sum((eps ** m * h for m, h in enumerate(heffs)),
                  _Poly({(): ex.ds.h0 / eps}))
     s_total = sum((eps ** (m + 1) * s for m, s in enumerate(frames)), _Poly())
     ds_total = s_total.dt()

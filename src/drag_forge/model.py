@@ -35,9 +35,6 @@ __all__ = [
     "build_star",
     "generators",
     "hamiltonian_at",
-    "proj",
-    "sigma_x",
-    "sigma_y",
     "spec_to_json",
     "spec_from_json",
 ]
@@ -47,29 +44,6 @@ class Topology(str, Enum):
     LADDER = "ladder"
     INTERMEDIATE = "intermediate"
     STAR = "star"
-
-
-def proj(d: int, row: int) -> np.ndarray:
-    """Projector |row><row| as a dense d x d complex matrix."""
-    p = np.zeros((d, d), dtype=complex)
-    p[row, row] = 1.0
-    return p
-
-
-def sigma_x(d: int, r1: int, r2: int) -> np.ndarray:
-    """|r1><r2| + |r2><r1| in d dimensions."""
-    m = np.zeros((d, d), dtype=complex)
-    m[r1, r2] = 1.0
-    m[r2, r1] = 1.0
-    return m
-
-
-def sigma_y(d: int, r1: int, r2: int) -> np.ndarray:
-    """-i|r1><r2| + i|r2><r1|; antisymmetric under swapping r1, r2."""
-    m = np.zeros((d, d), dtype=complex)
-    m[r1, r2] = -1.0j
-    m[r2, r1] = 1.0j
-    return m
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,14 @@ import pytest
 from conftest import TWO_PI, HandControls
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
-                        build_controls, build_intermediate_sno, build_star,
-                        effective_lambda)
+                        build_controls, build_intermediate_sno, build_sno,
+                        build_star, effective_lambda)
 from drag_forge import adiabatic
 from drag_forge.adiabatic import (constraint_residuals, frames_for,
                                   h_eff_exact, h_extra_report,
                                   series_vs_exact_deviation,
-                                  _Expansion, _mismatch, _Poly,
-                                  _recursion_frame, _sample, _transformed)
+                                  _Expansion, _mismatch, _Poly, _sample,
+                                  _transformed)
 from drag_forge.model import Topology, generators, hamiltonian_at
 
 FIRST_ORDER = [DragVariant.Z_ONLY1, DragVariant.Y_ONLY1,
@@ -41,10 +41,47 @@ def star2():
     return build_star([-TWO_PI, -1.7 * TWO_PI], [1.0, 0.6])
 
 
-def _expansion(spec, variant, params, grid, upto, read=()):
+@pytest.fixture(scope="module")
+def sno4():
+    return build_sno(4, -TWO_PI)
+
+
+@pytest.fixture(scope="module")
+def sno7():
+    return build_sno(7, -TWO_PI)
+
+
+def _expansion(spec, variant, params, grid, upto):
     # the expansion as polynomials: (ex, hs, frames, heffs)
     ex = _Expansion(spec, variant, params, grid)
-    return (ex, *ex.build(upto, read))
+    return (ex, *ex.build(upto))
+
+
+def _closed_form_s2(spec, sa):
+    """The ladder's S^(2), derived by hand: substituting S^(1) into the
+    order-1 no-leakage conditions gives
+
+        s2_y02 = -(lam1 / 4) (1 + sa) G^2
+        s2_x12 = +(lam1 / 2) (1 + 2 sa) dG
+        s2_y13 = +(lam1 lam2 / (4 dbar3)) G^2     (d >= 4)
+
+    with sa the variant's free s_y01 coefficient and (G, dG) the
+    dimensionless envelope (monomial (0,)) and its derivative ((1,)).
+    """
+    lam1 = spec.lam[1]
+    g2, dg = (np.zeros((spec.d, spec.d), dtype=complex) for _ in range(2))
+
+    def put(s, r1, r2, sx, sy):
+        s[r1, r2] += sx - 1j * sy
+        s[r2, r1] += sx + 1j * sy
+
+    put(g2, 0, 2, 0.0, -(lam1 / 4.0) * (1.0 + sa))
+    put(dg, 1, 2, (lam1 / 2.0) * (1.0 + 2.0 * sa), 0.0)
+    if spec.d >= 4:
+        lam2 = spec.lam[2]
+        dbar3 = spec.delta[3] / spec.delta2
+        put(g2, 1, 3, 0.0, lam1 * lam2 / (4.0 * dbar3))
+    return _Poly({(0, 0): g2, (1,): dg})
 
 
 def _h_extra(n, frames, h_orders, h0):
@@ -117,16 +154,20 @@ class TestFrameFirstOrder:
 
 
 class TestSecondOrderFrameIdentity:
-    def test_recursion_reproduces_closed_form(self, sno5, not_params):
-        # substituting S^(1) into the no-leakage recursion must land on the
-        # analytic second-order coefficients, monomial by monomial
-        grid = TimeGrid(not_params.t_g, 4096)
-        for v in FIRST_ORDER:
-            ex, hs, (s1, s2_analytic), _ = _expansion(sno5, v, not_params,
-                                                      grid, 1)
-            m = _h_extra(1, [s1], hs, ex.ds.h0) + hs[1]
-            s2_recursion = _recursion_frame(ex.ds, m)
-            assert _coef_dev(s2_recursion, s2_analytic) <= 1e-13
+    def test_recursion_reproduces_closed_form(self, request, not_params,
+                                              grid):
+        # the recursion's S^(2), solved from the order-1 transform, lands on
+        # the hand-derived closed form monomial by monomial; the recursion
+        # zeroes the order-1 couplings by construction, so this two-route
+        # check also carries the ladder's order-1 coupling check
+        worst = 0.0
+        for topology in ("sno3", "sno4", "sno5", "sno7"):
+            spec = request.getfixturevalue(topology)
+            for v in DragVariant:
+                ex, _, (_, s2), _ = _expansion(spec, v, not_params, grid, 1)
+                want = _closed_form_s2(spec, ex.cs.b1 / 2.0)
+                worst = max(worst, _coef_dev(s2, want))
+        assert worst <= 1e-15
 
 
 class TestHExtra:
@@ -211,6 +252,17 @@ class TestConstraintResiduals:
         if topology != "star6" and order <= own:
             assert max(r.qubit_mismatch.values()) <= 1e-8
 
+    @pytest.mark.parametrize("topology", ["sno5", "inter5", "star6"])
+    def test_order_three_closes_couplings(self, request, not_params,
+                                          topology):
+        # S^(4) is solved from M^(3) like every lower frame; no variant
+        # claims order 3, so the qubit block is not gated
+        spec = request.getfixturevalue(topology)
+        grid = TimeGrid(not_params.t_g, 1024)
+        for v in DragVariant:
+            r = constraint_residuals(spec, v, not_params, grid, 3)
+            assert r.coupling_residual <= 1e-8
+
     def test_star_reports_substitution_gap(self, star6, not_params, grid):
         # the lambda-tilde substituted detuning is not the exact first-order
         # solution when the leakage gaps differ, and the report says so
@@ -231,10 +283,9 @@ class TestMonomialClosure:
         worst = {"coupling": 0.0, "qubit": 0.0}
         for v in DragVariant:
             own = 0 if v is DragVariant.GAUSSIAN0 else int(v.value[-1])
-            for order in range(3):
-                ex, _, _, heffs = _expansion(spec, v, not_params, grid,
-                                             order, (order,))
-                rows = _mismatch(ex.ds, heffs[order], order == 0)
+            ex, _, _, heffs = _expansion(spec, v, not_params, grid, 2)
+            for order, heff in enumerate(heffs):
+                rows = _mismatch(ex.ds, heff, order == 0)
                 for r in rows.values():
                     worst["coupling"] = max(worst["coupling"],
                                             float(np.max(np.abs(r[3:]))))
@@ -266,15 +317,14 @@ class TestMirrorParity:
                                               topology):
         spec = request.getfixturevalue(topology)
         for v in DragVariant:
-            ex, hs, frames, heffs = _expansion(spec, v, not_params, grid, 3,
-                                               range(4))
+            ex, hs, frames, heffs = _expansion(spec, v, not_params, grid, 3)
             h0 = ex.ds.h0
             for s in frames:
                 assert _parity_dev(s, odd_real=True) == 0.0
             transforms = [_transformed(n, frames[:n + 1], hs, h0)
                           for n in range(4)]
             extras = [_h_extra(n, frames, hs, h0) for n in range(4)]
-            for p in [*hs.values(), *transforms, *extras, *heffs.values()]:
+            for p in [*hs.values(), *transforms, *extras, *heffs]:
                 assert _parity_dev(p, odd_real=False) == 0.0
 
     @pytest.mark.parametrize("n_steps", [4096, 2048, 133])
@@ -287,7 +337,7 @@ class TestMirrorParity:
         spec = request.getfixturevalue(topology)
         grid = TimeGrid(not_params.t_g, n_steps)
         cases = [(report, v, n) for v in DragVariant
-                 for report, orders in ((constraint_residuals, range(3)),
+                 for report, orders in ((constraint_residuals, range(4)),
                                         (h_extra_report, range(4)))
                  for n in orders]
         cases += [(series_vs_exact_deviation, v, n)
@@ -334,7 +384,7 @@ class TestStarFinding:
         gap = (stark - effective_lambda(spec) ** 2) / 4.0
         assert gap == pytest.approx(want, abs=1e-7)
         for v in [v for v in DragVariant if v is not DragVariant.GAUSSIAN0]:
-            ex, _, _, heffs = _expansion(spec, v, not_params, grid, 1, (1,))
+            ex, _, _, heffs = _expansion(spec, v, not_params, grid, 1)
             trace_z = {m: r[2] for m, r in _mismatch(ex.ds, heffs[1]).items()}
             assert trace_z.pop((0, 0)) == pytest.approx(gap, abs=1e-14)
             assert max(map(abs, trace_z.values())) <= 1e-14
@@ -438,8 +488,8 @@ class TestOrderScaling:
     @pytest.mark.parametrize("topology", ["inter5", "star6"])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_slope_off_the_ladder(self, request, topology, order):
-        # off the ladder S^(2) and up come from the recursion, not a closed
-        # form, so the remainder slope checks the recursion at every order
+        # every frame on every topology comes from the one recursion; off
+        # the ladder the remainder slope checks it on other level structures
         spec = request.getfixturevalue(topology)
         devs = []
         for tg in (4.0, 8.0):
@@ -570,10 +620,10 @@ class TestReportsAgainstTwoProductRoute:
                                         topology, variant, order):
         spec = request.getfixturevalue(topology)
         ex, hs, frames, heffs = _expansion(spec, variant, not_params, grid,
-                                           order, range(order + 1))
+                                           order)
         h0 = ex.ds.h0
-        assert sorted(heffs) == list(range(order + 1))
-        for n, heff in heffs.items():
+        assert len(heffs) == order + 1
+        for n, heff in enumerate(heffs):
             m = _transformed(n, frames[:n], hs, h0)
             two = _Poly({k: 1j * (c @ h0 - h0 @ c)
                          for k, c in frames[n].items()})
@@ -605,7 +655,7 @@ class TestReportsAgainstTwoProductRoute:
         # the report's traces per monomial against the traces of the
         # sampled matrices
         spec = request.getfixturevalue(topology)
-        order = 2  # the highest order the residual reports implement
+        order = 3  # the highest order the residual reports implement
         ex, hs, frames, _ = _expansion(spec, variant, not_params, grid, order)
         ds = ex.ds
         m, s = _on_grid(ex, _transformed(order, frames[:order], hs, ds.h0),
@@ -624,29 +674,18 @@ class TestReportsAgainstTwoProductRoute:
 
 
 class TestWorkPerReport:
-    def test_ladder_order_two_residual_skips_unread_transform(
-            self, monkeypatch, sno5, not_params, grid):
-        # the closed-form S^(2) needs no M^(1) and the report reads only
-        # H_eff^(2), so only M^(0) (for S^(1)) and M^(2) are built, once
+    @pytest.mark.parametrize("topology", ["sno5", "inter5", "star6"])
+    def test_residual_builds_each_transform_once_in_order(
+            self, monkeypatch, request, not_params, grid, topology):
+        # every topology runs the one loop: M^(n) is built once per order,
+        # and S^(n+1) is solved from it before the next order
+        spec = request.getfixturevalue(topology)
         built = []
         real = adiabatic._transformed
         monkeypatch.setattr(adiabatic, "_transformed",
                             lambda n, *a: built.append(n) or real(n, *a))
-        constraint_residuals(sno5, DragVariant.DRAG1, not_params, grid, 2)
-        assert built == [0, 2]
-
-    def test_ladder_order_one_residual_builds_m_before_closed_form(
-            self, monkeypatch, sno5, not_params, grid):
-        # H_eff^(1) is read, so M^(1) is built before the closed-form S^(2)
-        # and is not held alongside it
-        calls = []
-        real_t, real_s2 = adiabatic._transformed, adiabatic._frame_second_order
-        monkeypatch.setattr(adiabatic, "_transformed",
-                            lambda n, *a: calls.append(f"T{n}") or real_t(n, *a))
-        monkeypatch.setattr(adiabatic, "_frame_second_order",
-                            lambda *a: calls.append("S2") or real_s2(*a))
-        constraint_residuals(sno5, DragVariant.DRAG1, not_params, grid, 1)
-        assert calls == ["T0", "T1", "S2"]
+        constraint_residuals(spec, DragVariant.DRAG1, not_params, grid, 2)
+        assert built == [0, 1, 2]
 
     @pytest.mark.parametrize("report,topology", [
         (series_vs_exact_deviation, "sno5"),
@@ -685,7 +724,7 @@ class TestBlocks:
 
     VARIANT = {"sno5": DragVariant.DRAG2, "inter5": DragVariant.OPTIMAL1,
                "star6": DragVariant.OPTIMAL1}
-    REPORTS = {"residuals": (constraint_residuals, range(3)),
+    REPORTS = {"residuals": (constraint_residuals, range(4)),
                "h_extra": (h_extra_report, range(4)),
                "series": (series_vs_exact_deviation, range(4))}
 
@@ -735,10 +774,10 @@ class TestBlocks:
 
 
 def test_order_ranges_are_enforced(sno5, not_params, grid):
-    for n in (-1, 4):
-        with pytest.raises(ValueError, match="orders 0..3"):
-            h_extra_report(sno5, DragVariant.DRAG2, not_params, grid, n)
-    with pytest.raises(ValueError, match="orders 0..2"):
-        constraint_residuals(sno5, DragVariant.DRAG2, not_params, grid, 3)
-    with pytest.raises(ValueError, match="orders 0..3"):
-        series_vs_exact_deviation(sno5, DragVariant.DRAG2, not_params, grid, 4)
+    # the three reports run the one loop and share one order range
+    reports = (constraint_residuals, h_extra_report, series_vs_exact_deviation)
+    for report in reports:
+        for n in (-1, 4):
+            with pytest.raises(ValueError, match="orders 0..3"):
+                report(sno5, DragVariant.DRAG2, not_params, grid, n)
+    constraint_residuals(sno5, DragVariant.DRAG2, not_params, grid, 3)

@@ -43,3 +43,41 @@ def test_benchmark_trace_hooks_resolve():
     missing = [f"{mod}.{attr}" for mod, attr, *_ in tracing.HOOKS if not
                hasattr(importlib.import_module(f"drag_forge.{mod}"), attr)]
     assert missing == []
+
+
+SOURCES = sorted(Path(drag_forge.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    # names a module binds by import but never reads, not counting
+    # __future__ features and the names it exports in __all__
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(bound - used)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    # no linter runs on the package, so a removal that leaves an import
+    # dangling fails here
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unused_import_check_sees_a_dangling_name():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import numpy as np\nimport os.path\n"
+                     "from .model import Topology, generators\n"
+                     "__all__ = ['np']\ngenerators(os)\n")
+    assert _unused_imports(tree) == ["Topology"]

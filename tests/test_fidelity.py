@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import proj, sigma_x, sigma_y
 
 from drag_forge import (DragVariant, GaussianParams, TimeGrid,
                         average_gate_fidelity, build_controls, gate_error,
                         ideal_not, phase_optimized_gate_error, propagate)
-from drag_forge.model import proj, sigma_x, sigma_y
 
 
 def axial_states(d: int, qubit: tuple[int, int] = (0, 1)) -> list[np.ndarray]:

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import sigma_x, sigma_y
 
 from drag_forge import (HamiltonianGenerators, SystemSpec, Topology,
                         build_intermediate_sno, build_sno, build_star,
                         generators, hamiltonian_at, spec_from_json,
                         spec_to_json)
-from drag_forge.model import proj, sigma_x, sigma_y
 
 TWO_PI = 2.0 * math.pi
 
@@ -231,11 +231,3 @@ class TestJsonRoundTrip:
         assert doc["delta"]["-2"] == pytest.approx(3 * -TWO_PI)
         assert "-1" in doc["lambda"]
 
-
-def test_basis_helpers():
-    assert np.trace(proj(4, 2)) == 1.0
-    sx = sigma_x(3, 0, 2)
-    sy = sigma_y(3, 0, 2)
-    np.testing.assert_array_equal(sx, sx.conj().T)
-    np.testing.assert_array_equal(sy, sy.conj().T)
-    np.testing.assert_array_equal(sigma_y(3, 2, 0), -sy)

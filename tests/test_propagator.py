@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import HandControls
+from conftest import HandControls, sigma_x, sigma_y
 
 from drag_forge import (Ansatz, ConvergenceError, DragVariant, GaussianParams,
                         TimeGrid, build_controls, build_sno, controls_for,
                         converge, populations, propagate, propagator)
-from drag_forge.model import (HamiltonianGenerators, generators,
-                              hamiltonian_at, sigma_x, sigma_y)
+from drag_forge.model import HamiltonianGenerators, generators, hamiltonian_at
 from drag_forge.propagator import (_block_product, _expm1_blocks,
                                    _step_exponents)
 from drag_forge.pulses import phase_ramp
