@@ -323,6 +323,12 @@ def _report(ex: _Expansion, p: _Poly, target: bool = False
     return ExpansionReport({"x": x, "y": y, "z": z}, max(coupling))
 
 
+def _check_order(order, report: str) -> None:
+    """Refuse an order outside 0..3, a float such as 2.0 included."""
+    if not isinstance(order, (int, np.integer)) or not 0 <= order <= 3:
+        raise ValueError(f"{report} implemented for orders 0..3, got {order!r}")
+
+
 def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
                          grid: TimeGrid, order: int) -> ExpansionReport:
     """How well a published solution satisfies the order-n constraints.
@@ -335,8 +341,7 @@ def constraint_residuals(spec: SystemSpec, variant, params: GaussianParams,
     round-off on every topology: it checks the solver, and the qubit block
     checks the control set.
     """
-    if order < 0 or order > 3:
-        raise ValueError("constraint residuals implemented for orders 0..3")
+    _check_order(order, "constraint residuals")
     ex = _Expansion(spec, variant, params, grid)
     return _report(ex, ex.build(order)[2][order], order == 0)
 
@@ -345,8 +350,7 @@ def h_extra_report(spec: SystemSpec, variant, params: GaussianParams,
                    grid: TimeGrid, order: int) -> ExpansionReport:
     """Qubit-block and coupling maxima of H_extra^(n) alone: the order-n
     transform with S^(1..n) and H^(0..n-1), as built through order n - 1."""
-    if order < 0 or order > 3:
-        raise ValueError("h_extra_report implemented for orders 0..3")
+    _check_order(order, "h_extra_report")
     ex = _Expansion(spec, variant, params, grid)
     hs, frames, _ = ex.build(order - 1)
     return _report(ex, _transformed(order, frames, hs, ex.ds.h0))
@@ -363,8 +367,7 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
     doubling.  Both are conjugated by the mirror t -> t_g - t, so the
     maximum is taken over the nodes 0 .. N//2.
     """
-    if order < 0 or order > 3:
-        raise ValueError("series comparison implemented for orders 0..3")
+    _check_order(order, "series comparison")
     eps = 1.0 / (params.t_g * spec.delta2)
     ex = _Expansion(spec, variant, params, grid)
     _, frames, heffs = ex.build(order)

@@ -121,21 +121,13 @@ class DragVariant(str, Enum):
     DRAG2 = "drag2"
 
 
-# (b1, c2, a3) of each named variant from the (S, Lam) of _table_row, one row
-# for every topology.  A second-order variant keeps its first-order base's
-# (b1, c2) and adds a3.  Lam^2 is written lam ** 2, not s: on some ladders
-# s = lam * lam differs from lam ** 2 in the last bit.
-_VARIANT_TABLE = {
-    DragVariant.GAUSSIAN0: lambda s, lam: (0.0, 0.0, 0.0),
-    DragVariant.Z_ONLY1: lambda s, lam: (0.0, s / 4.0, 0.0),
-    DragVariant.Y_ONLY1: lambda s, lam: (-s / 4.0, 0.0, 0.0),
-    DragVariant.OPTIMAL1: lambda s, lam: (-lam / 2.0, (s - 2.0 * lam) / 4.0, 0.0),
-    DragVariant.DRAG1: lambda s, lam: (-1.0, (s - 4.0) / 4.0, 0.0),
-    DragVariant.Z_ONLY2: lambda s, lam: (0.0, s / 4.0, lam ** 2 / 8.0),
-    DragVariant.Y_ONLY2: lambda s, lam: (
-        -s / 4.0, 0.0, lam ** 2 / 8.0 - s * s / 32.0),
-    DragVariant.DRAG2: lambda s, lam: (
-        -1.0, (s - 4.0) / 4.0, (lam ** 2 - 4.0) / 8.0),
+# b1 of each corrected family from the (S, Lam) of _table_row, whose rows
+# are c2 = S/4 + b1 and, at second order, a3 = Lam^2/8 - b1^2/2.
+_FAMILY_B1 = {
+    "z_only": lambda s, lam: 0.0,
+    "y_only": lambda s, lam: -s / 4.0,
+    "optimal": lambda s, lam: -lam / 2.0,
+    "drag": lambda s, lam: -1.0,
 }
 
 
@@ -227,21 +219,13 @@ def _table_row(spec: SystemSpec, variant: DragVariant
 
     b1 scales the derivative quadrature (omega_y = b1 * dG / delta2), c2
     the quadratic detuning (delta = c2 * G^2 / delta2) and a3 the cubic
-    in-phase term of the second-order variants; the others have a3 = 0.
-
-    The ladder closed forms follow the single-leakage derivation; star
-    systems substitute the effective single-channel weight lambda-tilde
-    (see :func:`effective_lambda`), and intermediate systems combine the
-    upper and lower channels:
-
-        S      = lam1^2 - (delta2/delta_-1) * lam_-1^2      (Stark bracket)
-        Lam    = sqrt(lam1^2 + (delta2/delta_-1)^2 * lam_-1^2)
-        Z-only : b1 = 0,      c2 = S/4,          a3 = Lam^2/8
-        Y-only : b1 = -S/4,   c2 = 0,            a3 = Lam^2/8 - S^2/32
-        optimal: b1 = -Lam/2, c2 = (S - 2*Lam)/4
-        DRAG   : b1 = -1,     c2 = (S - 4)/4,    a3 = (Lam^2 - 4)/8
-
-    which reduce to the ladder forms when lam_-1 = 0.
+    in-phase term.  gaussian0 is uncorrected; every other name is a family
+    (b1 = 0 z_only, -S/4 y_only, -Lam/2 optimal, -1 drag) and an order, on
+    c2 = S/4 + b1 and, at order 2, a3 = Lam^2/8 - b1^2/2 (0 at order 1).
+    S = lam1^2 and Lam = lam1 on a ladder, with lam1 -> lambda-tilde on a
+    star (:func:`effective_lambda`); an intermediate system has
+    S = lam1^2 - r lam_-1^2, Lam = sqrt(lam1^2 + r^2 lam_-1^2) and
+    r = delta2/delta_-1.
     """
     if spec.topology is Topology.STAR:
         lam1 = effective_lambda(spec)
@@ -253,22 +237,30 @@ def _table_row(spec: SystemSpec, variant: DragVariant
         r = spec.delta2 / spec.delta[-1]
         stark = lam1 * lam1 - r * lam_m1 * lam_m1
         big = math.sqrt(lam1 * lam1 + r * r * lam_m1 * lam_m1)
-    return _VARIANT_TABLE[variant](stark, big)
+    family, order = variant.value[:-1], int(variant.value[-1])
+    if order == 0:
+        return 0.0, 0.0, 0.0
+    b1 = _FAMILY_B1[family](stark, big)
+    # Lam^2 is big ** 2, not stark: on some ladders they differ in the last bit
+    a3 = big ** 2 / 8.0 - b1 * b1 / 2.0 if order == 2 else 0.0
+    return b1, stark / 4.0 + b1, a3
 
 
 def first_order_coefficients(spec: SystemSpec, variant: DragVariant
                              ) -> tuple[float, float]:
-    """(b1, c2) of a named variant: the first two columns of its table row."""
+    """(b1, c2) of a named variant: its family's b1 and c2 = S/4 + b1, or
+    gaussian0's (0, 0) (see :func:`_table_row`)."""
     return _table_row(spec, DragVariant(variant))[:2]
 
 
 def controls_for(spec: SystemSpec, variant, params: GaussianParams) -> ControlSet:
     """Control set of a named variant, or of the free ansatz, on any topology.
 
-    Every topology takes every variant, one row of the variant table each; a
-    star's waveforms are exactly the ladder ones with lam1 -> lambda-tilde,
-    since all its channels collapse onto one effective transition of that
-    weight.
+    Every topology takes every variant: a1 = 1, c0 = 0 and the row of
+    :func:`_table_row`, its family's b1 on c2 = S/4 + b1 and, at order 2,
+    a3 = Lam^2/8 - b1^2/2.  A star's waveforms are exactly the ladder ones
+    with lam1 -> lambda-tilde, since all its channels collapse onto one
+    effective transition of that weight.
     """
     if isinstance(variant, Ansatz):
         return ControlSet(params, spec.delta2, a1=variant.alpha, a3=0.0,

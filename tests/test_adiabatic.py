@@ -774,10 +774,11 @@ class TestBlocks:
 
 
 def test_order_ranges_are_enforced(sno5, not_params, grid):
-    # the three reports run the one loop and share one order range
+    # the three reports run the one loop and share one order range, which
+    # refuses a float order, whole or not, with the same message
     reports = (constraint_residuals, h_extra_report, series_vs_exact_deviation)
     for report in reports:
-        for n in (-1, 4):
+        for n in (-1, 4, 1.5, 2.0):
             with pytest.raises(ValueError, match="orders 0..3"):
                 report(sno5, DragVariant.DRAG2, not_params, grid, n)
     constraint_residuals(sno5, DragVariant.DRAG2, not_params, grid, 3)

@@ -1,14 +1,17 @@
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
-                        build_controls, build_sno, effective_lambda,
-                        gate_error, ideal_not, phase_ramp, propagate)
-from drag_forge.pulses import (_VARIANT_TABLE, _table_row, controls_for,
+                        build_controls, build_intermediate_sno, build_sno,
+                        build_star, effective_lambda, gate_error, ideal_not,
+                        phase_ramp, propagate)
+from drag_forge.model import SystemSpec, Topology
+from drag_forge.pulses import (_FAMILY_B1, _table_row, controls_for,
                                first_order_coefficients)
 
 TWO_PI = 2.0 * math.pi
@@ -268,7 +271,6 @@ class TestIntermediateVariants:
         assert float(cs.omega_y(t)) == pytest.approx(want, rel=1e-12)
 
     def test_lower_channel_off_reduces_to_ladder(self, not_params):
-        from drag_forge.model import SystemSpec, Topology
         lam1 = math.sqrt(4 / 3)
         inter = SystemSpec(
             Topology.INTERMEDIATE, 5,
@@ -300,7 +302,6 @@ class TestIntermediateVariants:
 
 class TestStarVariants:
     def test_effective_lambda_single_channel(self, not_params):
-        from drag_forge import build_star
         star = build_star([-TWO_PI], [1.0])
         assert effective_lambda(star) == pytest.approx(1.0)
 
@@ -310,13 +311,11 @@ class TestStarVariants:
         assert effective_lambda(star6) == pytest.approx(oracle, abs=1e-12)
 
     def test_effective_lambda_scaling_invariance(self):
-        from drag_forge import build_star
         a = build_star([-TWO_PI, -3 * TWO_PI], [0.8, 1.2])
         b = build_star([-3 * TWO_PI, -9 * TWO_PI], [0.8, 1.2])
         assert effective_lambda(a) == pytest.approx(effective_lambda(b))
 
     def test_single_leak_star_equals_ladder(self, not_params):
-        from drag_forge import build_star
         star = build_star([-TWO_PI], [math.sqrt(2)])
         ladder = build_sno(3, -TWO_PI)
         ts = np.linspace(0, not_params.t_g, 200)
@@ -328,7 +327,6 @@ class TestStarVariants:
                                            getattr(b, chan)(ts), atol=1e-12)
 
     def test_waveforms_equal_ladder_with_lambda_tilde(self, star6, not_params):
-        from drag_forge.model import SystemSpec
         lt = effective_lambda(star6)
         ladder = build_sno(3, -TWO_PI)
         ladder = type(ladder)(ladder.topology, 3, ladder.delta,
@@ -392,11 +390,120 @@ def test_controls_for_dispatch(sno5, inter5, star6, not_params):
 
 def test_every_variant_is_one_table_row_on_every_topology(
         sno5, inter5, star6, not_params):
-    # the variant table alone decides which variants exist: it has a row for
-    # each, and controls_for builds that row on every system
-    assert set(_VARIANT_TABLE) == set(DragVariant)
+    # a variant's name is a family and an order: gaussian0 is the one
+    # uncorrected row, every other family has a b1, and controls_for builds
+    # _table_row's row on every system
+    families = set()
+    for v in DragVariant:
+        family, order = v.value[:-1], int(v.value[-1])
+        assert (family, order) == ("gaussian", 0) or (
+            family in _FAMILY_B1 and order in (1, 2))
+        families.add(family)
+    assert families == set(_FAMILY_B1) | {"gaussian"}
     for spec in (sno5, inter5, star6):
         for v in DragVariant:
             cs = controls_for(spec, v, not_params)
             assert cs.variant == v.value
             assert (cs.b1, cs.c2, cs.a3) == _table_row(spec, v)
+
+
+# The hand-derived (b1, c2, a3) of every named variant from the Stark
+# bracket S and weight Lam, which the family relations replaced: the
+# reference that every built row must equal bit for bit.
+_HAND_ROWS = {
+    DragVariant.GAUSSIAN0: lambda s, lam: (0.0, 0.0, 0.0),
+    DragVariant.Z_ONLY1: lambda s, lam: (0.0, s / 4.0, 0.0),
+    DragVariant.Y_ONLY1: lambda s, lam: (-s / 4.0, 0.0, 0.0),
+    DragVariant.OPTIMAL1: lambda s, lam: (-lam / 2.0, (s - 2.0 * lam) / 4.0, 0.0),
+    DragVariant.DRAG1: lambda s, lam: (-1.0, (s - 4.0) / 4.0, 0.0),
+    DragVariant.Z_ONLY2: lambda s, lam: (0.0, s / 4.0, lam ** 2 / 8.0),
+    DragVariant.Y_ONLY2: lambda s, lam: (
+        -s / 4.0, 0.0, lam ** 2 / 8.0 - s * s / 32.0),
+    DragVariant.DRAG2: lambda s, lam: (
+        -1.0, (s - 4.0) / 4.0, (lam ** 2 - 4.0) / 8.0),
+}
+
+
+def _stark_and_weight(spec):
+    """(S, Lam): lam1 (lambda-tilde on a star) on a ladder or star, and the
+    upper and lower channels combined on an intermediate system."""
+    if spec.topology is Topology.STAR:
+        lam1 = effective_lambda(spec)
+    else:
+        lam1 = spec.lam[1]
+    if spec.topology is not Topology.INTERMEDIATE:
+        return lam1 * lam1, lam1
+    lam_m1 = spec.lam[-1]
+    r = spec.delta2 / spec.delta[-1]
+    return (lam1 * lam1 - r * lam_m1 * lam_m1,
+            math.sqrt(lam1 * lam1 + r * r * lam_m1 * lam_m1))
+
+
+def _reference_systems():
+    """The named examples and, from one seed, 3000 ladders with lam1 in
+    [0.3, 4], 1000 stars and 500 intermediate systems."""
+    systems = [build_sno(d, -TWO_PI) for d in (3, 4, 5, 7, 9)]
+    systems += [build_intermediate_sno(d, -TWO_PI) for d in (5, 7, 9)]
+    systems += [build_star([-TWO_PI * k for k in range(1, 5)], [1.0] * 4),
+                build_star([-TWO_PI, -3 * TWO_PI], [0.8, 1.2])]
+    rnd = random.Random(1)
+
+    def leak():
+        return rnd.choice((-1.0, 1.0)) * rnd.uniform(0.2, 10.0) * TWO_PI
+
+    for _ in range(3000):
+        d = rnd.randint(3, 6)
+        delta = {j: leak() for j in range(2, d)}
+        delta.update({0: 0.0, 1: 0.0})
+        lam = {j: rnd.uniform(0.3, 4.0) for j in range(1, d - 1)}
+        lam[0] = 1.0
+        systems.append(SystemSpec(Topology.LADDER, d, delta, lam))
+    for _ in range(1000):
+        n = rnd.randint(1, 4)
+        systems.append(build_star([leak() for _ in range(n)],
+                                  [rnd.uniform(0.1, 3.0) for _ in range(n)]))
+    for _ in range(500):
+        n = rnd.randint(2, 4)
+        delta = {j: leak() for j in range(-n, n + 1) if j not in (0, 1)}
+        delta.update({0: 0.0, 1: 0.0})
+        lam = {m: rnd.uniform(0.1, 3.0) for m in range(-n, n)}
+        lam[0] = 1.0
+        systems.append(SystemSpec(Topology.INTERMEDIATE, 2 * n + 1, delta,
+                                  lam))
+    return systems
+
+
+@pytest.fixture(scope="module")
+def reference_rows():
+    """(variant, S, Lam, built set) of every variant on every reference
+    system."""
+    params = GaussianParams.for_not(1.0)
+    rows = []
+    for spec in _reference_systems():
+        s, lam = _stark_and_weight(spec)
+        for v in DragVariant:
+            rows.append((v, s, lam, controls_for(spec, v, params)))
+    return rows
+
+
+def test_rows_equal_the_hand_derived_table(reference_rows):
+    # bit for bit, signed zeros included: each coefficient's repr
+    assert len(reference_rows) == 4510 * len(DragVariant)
+    for v, s, lam, cs in reference_rows:
+        got = tuple(repr(c) for c in (cs.b1, cs.c2, cs.a3))
+        assert got == tuple(repr(c) for c in _HAND_ROWS[v](s, lam)), (
+            v, s, lam)
+
+
+def test_rows_satisfy_the_family_relations(reference_rows):
+    # c2 = S/4 + b1 on every corrected row; a3 = Lam^2/8 - b1^2/2 on every
+    # second-order row and 0 on every first-order row, all exactly
+    for v, s, lam, cs in reference_rows:
+        order = int(v.value[-1])
+        if order == 0:
+            continue
+        assert cs.c2 == s / 4.0 + cs.b1, (v, s, lam)
+        if order == 2:
+            assert cs.a3 == lam ** 2 / 8.0 - cs.b1 * cs.b1 / 2.0, (v, s, lam)
+        else:
+            assert repr(cs.a3) == "0.0", (v, s, lam)
