@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .dressing import lambda_sno
 from .fidelity import gate_error, ideal_not
-from .model import (SystemSpec, build_intermediate_sno, build_sno,
+from .model import (SystemSpec, _real, build_intermediate_sno, build_sno,
                     build_star, spec_from_json)
 from .optimizer import OptimizeTask, optimize
 from .propagator import (_STEP_CAP, ConvergenceError, TimeGrid, converge,
@@ -75,10 +75,11 @@ def _build_system(doc: dict) -> SystemSpec:
         if isinstance(d, bool) or not isinstance(d, int):
             raise ValueError(f"d must be an integer, got {d!r}")
         build = build_sno if kind == "sno" else build_intermediate_sno
-        return build(d, float(doc["delta2"]))
+        return build(d, _real(doc["delta2"], "delta2"))
     if kind == "star":
-        return build_star([float(v) for v in doc["delta"]],
-                          [float(v) for v in doc["lambda"]])
+        delta, lam = ([_real(v, f"{key}[{i}]") for i, v in enumerate(doc[key])]
+                      for key in ("delta", "lambda"))
+        return build_star(delta, lam)
     if kind == "spec":
         return spec_from_json(json.dumps(doc["spec"]))
     raise ValueError(f"system.kind: unknown kind {kind!r}")

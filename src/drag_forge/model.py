@@ -103,16 +103,11 @@ class SystemSpec:
     # -- level bookkeeping -------------------------------------------------
 
     @property
-    def n_half(self) -> int:
-        """N for the intermediate topology (levels -N..N)."""
-        return (self.d - 1) // 2
-
-    @property
     def levels(self) -> tuple[int, ...]:
-        if self.topology is Topology.INTERMEDIATE:
-            n = self.n_half
-            return tuple(range(-n, n + 1))
-        return tuple(range(self.d))
+        """Level labels in matrix-row order: 0..d-1, or -N..N with
+        N = (d-1)/2 for the intermediate topology."""
+        lo = -(self.d // 2) if self.topology is Topology.INTERMEDIATE else 0
+        return tuple(range(lo, lo + self.d))
 
     @property
     def transitions(self) -> tuple[tuple[int, int, int], ...]:
@@ -121,8 +116,7 @@ class SystemSpec:
             pairs = [(0, 0, 1)]
             pairs += [(j - 1, 1, j) for j in range(2, self.d)]
             return tuple(pairs)
-        lo = self.levels[0]
-        return tuple((j, j, j + 1) for j in range(lo, lo + self.d - 1))
+        return tuple((j, j, j + 1) for j in self.levels[:-1])
 
     @property
     def leakage_levels(self) -> tuple[int, ...]:
@@ -134,10 +128,13 @@ class SystemSpec:
         return self.delta[2]
 
     def row(self, level: int) -> int:
-        """Dense matrix row of a (possibly signed) level label."""
-        if self.topology is Topology.INTERMEDIATE:
-            return level + self.n_half
-        return level
+        """Matrix row of a (possibly signed) level label: its index in
+        ``levels``.  A label the system does not have raises ValueError."""
+        try:
+            return self.levels.index(level)
+        except ValueError:
+            raise ValueError(f"no level {level!r} in this system; its levels "
+                             f"are {self.levels}") from None
 
     @property
     def qubit_rows(self) -> tuple[int, int]:
@@ -146,17 +143,13 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class HamiltonianGenerators:
-    """The four Hermitian generator matrices of one system.
-
-    ``levels`` maps matrix rows back to level labels (identity for ladder
-    and star systems, offset by N for intermediate ones).
-    """
+    """The four Hermitian generator matrices of one system, indexed by
+    matrix row; ``SystemSpec.row`` maps a level label to its row."""
 
     h_drift: np.ndarray
     h_z: np.ndarray
     h_x: np.ndarray
     h_y: np.ndarray
-    levels: tuple[int, ...]
 
     def __post_init__(self):
         for m in (self.h_drift, self.h_z, self.h_x, self.h_y):
@@ -164,14 +157,7 @@ class HamiltonianGenerators:
 
     @property
     def d(self) -> int:
-        return len(self.levels)
-
-    def row(self, level: int) -> int:
-        try:
-            return self.levels.index(level)
-        except ValueError:
-            raise ValueError(f"no level {level!r} in this system; its levels "
-                             f"are {self.levels}") from None
+        return len(self.h_drift)
 
 
 def build_sno(d: int, delta2: float) -> SystemSpec:
@@ -239,25 +225,16 @@ def build_star(delta_leak, lam_leak) -> SystemSpec:
 
 def generators(spec: SystemSpec) -> HamiltonianGenerators:
     """Assemble the four generator matrices for a system spec."""
-    d = spec.d
-    levels = spec.levels
-    h_drift = np.zeros((d, d), dtype=complex)
-    h_z = np.zeros((d, d), dtype=complex)
-    for j in levels:
-        r = spec.row(j)
-        h_drift[r, r] = spec.delta[j]
-        if spec.topology is Topology.STAR:
-            h_z[r, r] = 0 if j == 0 else (1 if j == 1 else 2)
-        else:
-            h_z[r, r] = j
-    h_x = np.zeros((d, d), dtype=complex)
+    row = {j: r for r, j in enumerate(spec.levels)}
+    star = spec.topology is Topology.STAR
+    h_drift = np.diag([complex(spec.delta[j]) for j in row])
+    h_z = np.diag([complex(min(j, 2) if star else j) for j in row])
+    h_x = np.zeros_like(h_drift)
     for key, lo, hi in spec.transitions:
-        w = spec.lam[key]
-        h_x[spec.row(lo), spec.row(hi)] = w
-        h_x[spec.row(hi), spec.row(lo)] = w
+        h_x[row[lo], row[hi]] = h_x[row[hi], row[lo]] = spec.lam[key]
     lower = np.tril(h_x, -1)
     h_y = 1j * (lower - lower.conj().T)
-    return HamiltonianGenerators(h_drift, h_z, h_x, h_y, levels)
+    return HamiltonianGenerators(h_drift, h_z, h_x, h_y)
 
 
 def hamiltonian_at(gen: HamiltonianGenerators, delta, omega_x,
@@ -292,6 +269,14 @@ def spec_to_json(spec: SystemSpec) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _real(value, field: str) -> float:
+    """float(value) of a JSON number; float() would read a boolean as 0 or 1
+    and a numeric string as its number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def spec_from_json(text: str) -> SystemSpec:
     """Parse a SystemSpec; keys it does not read are ignored."""
     doc = json.loads(text)
@@ -303,8 +288,8 @@ def spec_from_json(text: str) -> SystemSpec:
     def indexed(key):  # a map of labels, or a list from label 0 unless signed
         raw = doc[key]
         if isinstance(raw, dict):
-            return {int(k): float(v) for k, v in raw.items()}
+            return {int(k): _real(v, f"{key}[{k}]") for k, v in raw.items()}
         if isinstance(raw, list) and topology is not Topology.INTERMEDIATE:
-            return {k: float(v) for k, v in enumerate(raw)}
+            return {k: _real(v, f"{key}[{k}]") for k, v in enumerate(raw)}
         raise ValueError(f"{key} of the {topology.value} spec cannot be {raw!r}")
     return SystemSpec(topology, d, indexed("delta"), indexed("lambda"))

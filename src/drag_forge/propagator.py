@@ -306,17 +306,16 @@ def propagate(system, controls: ControlSet, grid: TimeGrid) -> np.ndarray:
     return b + np.eye(gen.d)
 
 
-def populations(system, controls: ControlSet, grid: TimeGrid,
+def populations(spec: SystemSpec, controls: ControlSet, grid: TimeGrid,
                 initial: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-level probabilities along the evolution from level ``initial``.
 
     Returns (times, probs) with probs[k, j] = |<row j|psi(t_k)>|^2 at every
-    grid node, starting from the given level label (signed labels allowed
+    grid node, starting from the level label ``initial`` of ``spec`` (signed
     for intermediate systems).
     """
-    gen = _as_generators(system)
-    row = gen.row(initial)  # a bad label fails before the evolution
-    prefix = _prefix_products(_factors(gen, controls, grid))
+    row = spec.row(initial)  # a bad label fails before the evolution
+    prefix = _prefix_products(_factors(generators(spec), controls, grid))
     return grid.nodes(), np.abs(prefix[:, :, row]) ** 2
 
 

@@ -157,6 +157,36 @@ class TestExitCodes:
          "name: must be a plain file name, got 'a\\x00b'"),
         (["--config", "CFG"], {"name": "x" * 300},
          "name: too long: <name>.manifest.json exceeds 255 bytes"),
+        # float() would read a JSON boolean as 1.0 or 0.0, and a numeric
+        # string as its number, and run
+        (["--config", "CFG"],
+         {"system": {"kind": "sno", "d": 5, "delta2": "-6.28"}},
+         "system: delta2 must be a number, got '-6.28'"),
+        (["--config", "CFG"],
+         {"system": {"kind": "sno", "d": 5, "delta2": True}},
+         "system: delta2 must be a number, got True"),
+        (["--config", "CFG"],
+         {"system": {"kind": "intermediate_sno", "d": 5, "delta2": False}},
+         "system: delta2 must be a number, got False"),
+        (["--config", "CFG"],
+         {"system": {"kind": "star", "delta": [-2 * math.pi, -4 * math.pi],
+                     "lambda": [1, False]}},
+         "system: lambda[1] must be a number, got False"),
+        (["--config", "CFG"],
+         {"system": {"kind": "star", "delta": [True, -4 * math.pi],
+                     "lambda": [1, 1]}},
+         "system: delta[0] must be a number, got True"),
+        (["--config", "CFG"],
+         {"system": {"kind": "spec", "spec": {
+             "topology": "ladder", "d": 3, "delta": [0.0, 0.0, -1.0],
+             "lambda": [True, 1.4]}}},
+         "system: lambda[0] must be a number, got True"),
+        (["--config", "CFG"],
+         {"system": {"kind": "spec", "spec": {
+             "topology": "intermediate", "d": 5,
+             "delta": {"-2": -3.0, "-1": True, "0": 0.0, "1": 0.0, "2": -1.0},
+             "lambda": {"-2": 0.5, "-1": 0.8, "0": 1.0, "1": 1.2}}}},
+         "system: delta[-1] must be a number, got True"),
     ], ids=["config-steps-3", "preset-steps-abc", "pop-traces-steps-3",
             "sigma-string", "area-string", "tg_factor-null",
             "variants-unknown",
@@ -169,7 +199,10 @@ class TestExitCodes:
             "name-empty", "system-not-object", "system-key-missing",
             "sigma-empty", "sigma-non-positive", "tg_factor-zero",
             "name-absolute", "name-parent", "name-separator", "name-dotdot",
-            "name-nul", "name-too-long"])
+            "name-nul", "name-too-long", "sno-delta2-string",
+            "sno-delta2-bool",
+            "intermediate-delta2-bool", "star-lambda-bool", "star-delta-bool",
+            "spec-lambda-bool", "spec-signed-delta-bool"])
     def test_bad_input_exits_2(self, tmp_path, capsys, args, changes, expect):
         path = tmp_path / "cfg.json"
         if changes is None:

@@ -100,6 +100,41 @@ class TestBuildIntermediate:
         assert inter5.row(-2) == 0
 
 
+class TestLevelMap:
+    """``SystemSpec.row`` is the one label-to-row lookup on every topology."""
+
+    @pytest.mark.parametrize("name,label,levels", [
+        ("sno5", 7, "(0, 1, 2, 3, 4)"),
+        ("inter5", -9, "(-2, -1, 0, 1, 2)"),
+        ("inter5", 3, "(-2, -1, 0, 1, 2)"),
+        ("star6", 6, "(0, 1, 2, 3, 4, 5)"),
+    ], ids=["sno5-7", "inter5-minus9", "inter5-3", "star6-6"])
+    def test_unknown_label_raises(self, request, name, label, levels):
+        # an unchecked offset read inter5's -9 as row -7, which numpy
+        # counts from the end
+        spec = request.getfixturevalue(name)
+        with pytest.raises(ValueError) as exc:
+            spec.row(label)
+        assert str(exc.value) == (f"no level {label} in this system; its "
+                                  f"levels are {levels}")
+
+    @pytest.mark.parametrize("name", ["sno5", "inter5", "star6"])
+    def test_every_label_maps_to_its_index(self, request, name):
+        spec = request.getfixturevalue(name)
+        assert [spec.row(j) for j in spec.levels] == list(range(spec.d))
+
+    @pytest.mark.parametrize("name", ["sno5", "inter5", "star6"])
+    def test_generators_size_is_the_level_count(self, request, name):
+        spec = request.getfixturevalue(name)
+        assert generators(spec).d == spec.d
+
+    def test_hand_built_generators_size(self):
+        gen = HamiltonianGenerators(
+            np.zeros((2, 2), complex), np.diag([0.0, 1.0]).astype(complex),
+            sigma_x(2, 0, 1), sigma_y(2, 0, 1))
+        assert gen.d == 2
+
+
 class TestGenerators:
     def test_ladder_hx_entries(self, sno3):
         gen = generators(sno3)
@@ -151,7 +186,7 @@ class TestHamiltonianAt:
     def test_two_level_drive(self):
         gen = HamiltonianGenerators(
             np.zeros((2, 2), complex), np.diag([0.0, 1.0]).astype(complex),
-            sigma_x(2, 0, 1), sigma_y(2, 0, 1), (0, 1))
+            sigma_x(2, 0, 1), sigma_y(2, 0, 1))
         h = hamiltonian_at(gen, 0.0, 3.0, 0.0)
         np.testing.assert_allclose(h, 1.5 * sigma_x(2, 0, 1))
 

@@ -26,7 +26,7 @@ def _expm1(a):
 def _two_level_generators():
     return HamiltonianGenerators(
         np.zeros((2, 2), complex), np.diag([0.0, 1.0]).astype(complex),
-        sigma_x(2, 0, 1), sigma_y(2, 0, 1), (0, 1))
+        sigma_x(2, 0, 1), sigma_y(2, 0, 1))
 
 
 class TestTimeGrid:
@@ -66,7 +66,7 @@ class TestPropagate:
         # rounding in U - I of order one (3.4e-14 here)
         gen = generators(sno5)
         u = propagate(gen, HandControls.constant(8.0), TimeGrid(8.0, 4096))
-        q = [gen.row(0), gen.row(1)]
+        q = sno5.qubit_rows
         assert np.max(np.abs(u[np.ix_(q, q)] - np.eye(2))) <= 1e-15
 
     def test_two_level_pi_pulse(self):
