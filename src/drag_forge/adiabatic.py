@@ -32,14 +32,13 @@ node.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (HamiltonianGenerators, SystemSpec, generators,
-                    hamiltonian_at)
-from .propagator import _BLOCK, TimeGrid, _sample_controls
+from .model import (HamiltonianGenerators, SystemSpec, _is_integer,
+                    generators, hamiltonian_at)
+from .propagator import _BLOCK, TimeGrid, _check_span, _sample_controls
 from .pulses import Ansatz, ControlSet, GaussianParams, controls_for
 
 __all__ = ["ExpansionReport", "frames_for", "h_eff_exact",
@@ -52,27 +51,6 @@ class ExpansionReport:
 
     qubit_mismatch: dict
     coupling_residual: float
-
-
-@dataclass(frozen=True)
-class _Dimless:
-    gen: HamiltonianGenerators  # the generators as built
-    h0: np.ndarray          # drift / delta2
-    qubit_rows: tuple       # (row of level 0, row of level 1)
-    # the qubit/leakage couplings (q, l): rows q, rows l, delta_l/delta2
-    q: np.ndarray
-    l: np.ndarray
-    dbar: np.ndarray
-
-
-def _dimless(spec: SystemSpec) -> _Dimless:
-    gen = generators(spec)
-    d2 = spec.delta2
-    pairs = [(q, spec.row(j), spec.delta[j] / d2) for q in spec.qubit_rows
-             for j in spec.leakage_levels]
-    q, l, dbar = (np.array(c) for c in zip(*pairs))
-    return _Dimless(gen, np.asarray(gen.h_drift) / d2, spec.qubit_rows,
-                    q, l, dbar)
 
 
 class _Poly(dict):
@@ -127,7 +105,7 @@ def _sample(terms, g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 # -- frame generators ---------------------------------------------------------
 
-def _recursion_frame(ds: _Dimless, m: _Poly) -> _Poly:
+def _recursion_frame(ex: _Expansion, m: _Poly) -> _Poly:
     """Constrained part of S^(n+1) from the no-leakage conditions.
 
     With M = H_extra^(n) + H^(n), the (q, l) entry of M + i[S^(n+1), H0]
@@ -138,34 +116,39 @@ def _recursion_frame(ds: _Dimless, m: _Poly) -> _Poly:
     s = _Poly()
     for mono, c in m.items():
         x = s[mono] = np.zeros(c.shape, dtype=complex)
-        x[ds.q, ds.l] = 1j * c[ds.q, ds.l] / ds.dbar
-        x[ds.l, ds.q] = np.conj(x[ds.q, ds.l])
+        x[ex.q, ex.l] = 1j * c[ex.q, ex.l] / ex.dbar
+        x[ex.l, ex.q] = np.conj(x[ex.q, ex.l])
     return s
 
 
 class _Expansion:
     """One control set's frame expansion as polynomials.
 
-    Builds the control set once; ``build`` runs the order-by-order loop and
-    ``samples`` gives the envelope derivatives on ``ts`` or ``half``.
+    Holds the system in dimensionless form: the generators as built, H0 =
+    drift / delta2, the qubit rows, and the qubit/leakage couplings as rows
+    ``q``, rows ``l`` and ``dbar`` = delta_l / delta2.  Builds the control
+    set once; ``build`` runs the order-by-order loop and ``samples`` gives
+    the envelope derivatives on ``ts`` or ``half``.
     """
 
     def __init__(self, spec: SystemSpec, variant, params: GaussianParams,
                  grid: TimeGrid):
         if isinstance(variant, Ansatz):
             raise ValueError("the numeric ansatz has no documented frame")
-        if not math.isclose(grid.t_g, params.t_g, rel_tol=1e-12):
-            # the exact route samples the controls on [0, grid.t_g]
-            raise ValueError(f"grid t_g={grid.t_g!r} differs from the pulse's "
-                             f"t_g={params.t_g!r}")
-        self.ds = _dimless(spec)
+        _check_span(grid, params.t_g)
+        self.gen = generators(spec)
+        self.h0 = np.asarray(self.gen.h_drift) / spec.delta2
+        self.qubit_rows = spec.qubit_rows
+        pairs = [(q, spec.row(j), spec.delta[j] / spec.delta2)
+                 for q in spec.qubit_rows for j in spec.leakage_levels]
+        self.q, self.l, self.dbar = (np.array(c) for c in zip(*pairs))
         self.cs = controls_for(spec, variant, params)
         self.ts = np.linspace(0.0, self.cs.t_g, grid.n_steps + 1)
         self.half = self.ts[:grid.n_steps // 2 + 1]
 
     def at(self, p: _Poly, g: np.ndarray) -> np.ndarray:
         """(node, d, d) samples of p on the nodes of g (see ``samples``)."""
-        return _sample(p.items(), g, np.zeros(g.shape[1:] + self.ds.h0.shape,
+        return _sample(p.items(), g, np.zeros(g.shape[1:] + self.h0.shape,
                                               dtype=complex))
 
     def samples(self, ts: np.ndarray, *polys: _Poly) -> np.ndarray:
@@ -183,7 +166,7 @@ class _Expansion:
         recursion solves from it; and heffs[n] = H_eff^(n) = M +
         i[S^(n+1), H0].
         """
-        ds, gen = self.ds, self.ds.gen
+        gen = self.gen
         b1, c2, a3 = self.cs.b1, self.cs.c2, self.cs.a3
         # (monomial, weight, generator) of each order's fields; orders and
         # terms with no field left out
@@ -198,15 +181,15 @@ class _Expansion:
         frames: list[_Poly] = []
         heffs: list[_Poly] = []
         for n in range(upto + 1):
-            m = _transformed(n, frames, hs, ds.h0)
-            s = _recursion_frame(ds, m)
+            m = _transformed(n, frames, hs, self.h0)
+            s = _recursion_frame(self, m)
             if n == 0:
-                q0, q1 = ds.qubit_rows
-                free = np.zeros_like(ds.h0)
+                q0, q1 = self.qubit_rows
+                free = np.zeros_like(self.h0)
                 free[q0, q1], free[q1, q0] = -1j * sa, 1j * sa
                 s = s + _Poly({(0,): free})
             frames.append(s)
-            heffs.append(m + 1j * s.comm_h0(ds.h0))
+            heffs.append(m + 1j * s.comm_h0(self.h0))
         return hs, frames, heffs
 
 
@@ -295,19 +278,17 @@ def h_eff_exact(spec: SystemSpec, cs: ControlSet, s_total: np.ndarray,
 
 # -- residual reports ---------------------------------------------------------
 
-def _traces(ds: _Dimless, c: np.ndarray) -> np.ndarray:
-    """[x, y, z] qubit-block traces of one coefficient, then 2 Re and 2 Im
-    of each qubit/leak coupling."""
-    q0, q1 = ds.qubit_rows
-    ql = 2.0 * c[ds.q, ds.l]
-    return np.concatenate([[2.0 * c[q0, q1].real, -2.0 * c[q0, q1].imag,
-                            (c[q0, q0] - c[q1, q1]).real], ql.real, ql.imag])
-
-
-def _mismatch(ds: _Dimless, p: _Poly, target: bool = False) -> dict:
-    """The traces of each monomial's coefficient, less the order-0 target
-    G_bar in x if ``target``."""
-    rows = {m: _traces(ds, c) for m, c in p.items()}
+def _mismatch(ex: _Expansion, p: _Poly, target: bool = False) -> dict:
+    """Traces of each monomial's coefficient: [x, y, z] of the qubit block,
+    less the order-0 target G_bar in x if ``target``, then 2 Re and 2 Im of
+    each qubit/leak coupling."""
+    q0, q1 = ex.qubit_rows
+    rows = {}
+    for m, c in p.items():
+        ql = 2.0 * c[ex.q, ex.l]
+        rows[m] = np.concatenate([[2.0 * c[q0, q1].real, -2.0 * c[q0, q1].imag,
+                                   (c[q0, q0] - c[q1, q1]).real],
+                                  ql.real, ql.imag])
     if target:
         rows[(0,)][0] -= 1.0
     return rows
@@ -317,15 +298,15 @@ def _report(ex: _Expansion, p: _Poly, target: bool = False
             ) -> ExpansionReport:
     """Maxima over the nodes 0 .. N//2 of the traces of ``_mismatch``."""
     g = ex.samples(ex.half, p)
-    out = np.zeros((g.shape[1], 3 + 2 * len(ex.ds.q)))
-    out = _sample(_mismatch(ex.ds, p, target).items(), g, out)
+    out = np.zeros((g.shape[1], 3 + 2 * len(ex.q)))
+    out = _sample(_mismatch(ex, p, target).items(), g, out)
     x, y, z, *coupling = np.abs(out).max(axis=0).tolist()
     return ExpansionReport({"x": x, "y": y, "z": z}, max(coupling))
 
 
 def _check_order(order, report: str) -> None:
-    """Refuse an order outside 0..3, a float such as 2.0 included."""
-    if not isinstance(order, (int, np.integer)) or not 0 <= order <= 3:
+    """Refuse an order outside 0..3, a bool or a float such as 2.0 included."""
+    if not (_is_integer(order) and 0 <= order <= 3):
         raise ValueError(f"{report} implemented for orders 0..3, got {order!r}")
 
 
@@ -353,7 +334,7 @@ def h_extra_report(spec: SystemSpec, variant, params: GaussianParams,
     _check_order(order, "h_extra_report")
     ex = _Expansion(spec, variant, params, grid)
     hs, frames, _ = ex.build(order - 1)
-    return _report(ex, _transformed(order, frames, hs, ex.ds.h0))
+    return _report(ex, _transformed(order, frames, hs, ex.h0))
 
 
 def series_vs_exact_deviation(spec: SystemSpec, variant,
@@ -372,7 +353,7 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
     ex = _Expansion(spec, variant, params, grid)
     _, frames, heffs = ex.build(order)
     series = sum((eps ** m * h for m, h in enumerate(heffs)),
-                 _Poly({(): ex.ds.h0 / eps}))
+                 _Poly({(): ex.h0 / eps}))
     s_total = sum((eps ** (m + 1) * s for m, s in enumerate(frames)), _Poly())
     ds_total = s_total.dt()
     g = ex.samples(ex.half, series, ds_total)
@@ -380,6 +361,6 @@ def series_vs_exact_deviation(spec: SystemSpec, variant,
     for lo in range(0, len(ex.half), _BLOCK):
         b = slice(lo, lo + _BLOCK)
         s, ds, ser = (ex.at(p, g[:, b]) for p in (s_total, ds_total, series))
-        exact = _h_eff(ex.ds.gen, ex.cs, s, ds, ex.half[b])
+        exact = _h_eff(ex.gen, ex.cs, s, ds, ex.half[b])
         dev = max(dev, float(np.max(np.abs(exact - ser))))
     return dev

@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .dressing import lambda_sno
 from .fidelity import gate_error, ideal_not
-from .model import (SystemSpec, _real, build_intermediate_sno, build_sno,
-                    build_star, spec_from_json)
+from .model import (SystemSpec, _is_integer, _real, build_intermediate_sno,
+                    build_sno, build_star, spec_from_json)
 from .optimizer import OptimizeTask, optimize
 from .propagator import (_STEP_CAP, ConvergenceError, TimeGrid, converge,
                          populations, propagate)
@@ -72,7 +72,7 @@ def _build_system(doc: dict) -> SystemSpec:
     kind = doc.get("kind")
     if kind in ("sno", "intermediate_sno"):
         d = doc["d"]
-        if isinstance(d, bool) or not isinstance(d, int):
+        if not _is_integer(d):  # the builders call range(d) first
             raise ValueError(f"d must be an integer, got {d!r}")
         build = build_sno if kind == "sno" else build_intermediate_sno
         return build(d, _real(doc["delta2"], "delta2"))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,6 +41,15 @@ __all__ = [
 ]
 
 
+def _is_integer(x) -> bool:
+    """operator.index takes x and x is no bool, which would pass for 0 or 1."""
+    try:
+        operator.index(x)
+    except TypeError:
+        return False
+    return not isinstance(x, bool)
+
+
 class Topology(str, Enum):
     LADDER = "ladder"
     INTERMEDIATE = "intermediate"
@@ -55,8 +65,8 @@ class SystemSpec:
     topology : Topology
         Coupling topology (ladder, intermediate or star).
     d : int
-        Number of retained levels, at least 3; odd and at least 5 for the
-        intermediate topology.
+        Number of retained levels, an integer (no bool or float), at least
+        3; odd and at least 5 for the intermediate topology.
     delta : dict[int, float]
         Anharmonicity of each level (rad/time); keys are level labels,
         signed for the intermediate topology.  Levels 0 and 1 must be 0.
@@ -72,8 +82,11 @@ class SystemSpec:
     lam: dict[int, float]
 
     def __post_init__(self):
+        if not _is_integer(self.d):
+            raise ValueError(f"d must be an integer, got {self.d!r}")
         if self.d < 3:
-            raise ValueError(f"d must be >= 3, got {self.d}")
+            raise ValueError("a system requires d >= 3, two qubit levels and "
+                             f"at least one leakage level, got d={self.d}")
         if self.topology is Topology.INTERMEDIATE and (
                 self.d % 2 == 0 or self.d < 5):
             raise ValueError("intermediate topology requires odd d >= 5, "
@@ -94,8 +107,8 @@ class SystemSpec:
         for j in self.leakage_levels:
             if self.delta[j] == 0.0:
                 raise ValueError(
-                    f"leakage level {j} has zero anharmonicity; first-order "
-                    "corrections divide by it")
+                    f"leakage level {j} has zero anharmonicity; it must be "
+                    "nonzero, since first-order corrections divide by it")
         for v in list(self.delta.values()) + list(self.lam.values()):
             if not math.isfinite(v):
                 raise ValueError("non-finite spec parameter")
@@ -128,13 +141,13 @@ class SystemSpec:
         return self.delta[2]
 
     def row(self, level: int) -> int:
-        """Matrix row of a (possibly signed) level label: its index in
-        ``levels``.  A label the system does not have raises ValueError."""
-        try:
+        """Matrix row of a (possibly signed) integer level label: its index
+        in ``levels``.  A label the system does not have, a bool or a float
+        such as 1.0 included, raises ValueError."""
+        if _is_integer(level) and level in self.levels:
             return self.levels.index(level)
-        except ValueError:
-            raise ValueError(f"no level {level!r} in this system; its levels "
-                             f"are {self.levels}") from None
+        raise ValueError(f"no level {level!r} in this system; its levels "
+                         f"are {self.levels}")
 
     @property
     def qubit_rows(self) -> tuple[int, int]:
@@ -166,10 +179,6 @@ def build_sno(d: int, delta2: float) -> SystemSpec:
     Drive weights follow the harmonic-oscillator matrix elements,
     lam[j-1] = sqrt(j).
     """
-    if d < 3:
-        raise ValueError(f"SNO needs d >= 3, got {d}")
-    if delta2 == 0.0:
-        raise ValueError("delta2 must be nonzero")
     delta = {j: delta2 * j * (j - 1) / 2.0 for j in range(d)}
     lam = {j - 1: math.sqrt(j) for j in range(1, d)}
     lam[0] = 1.0
@@ -190,8 +199,6 @@ def build_intermediate_sno(d: int, delta2: float) -> SystemSpec:
     For d = 5 this reproduces the 6-level example values lam = sqrt(1/3),
     sqrt(2/3), 1, sqrt(4/3) and delta_{-1} = delta2, delta_{-2} = 3*delta2.
     """
-    if delta2 == 0.0:
-        raise ValueError("delta2 must be nonzero")
     n = (d - 1) // 2
     delta = {j: delta2 * j * (j - 1) / 2.0 for j in range(-n, n + 1)}
     lam = {m: math.sqrt((m + n + 1) / (n + 1)) for m in range(-n, n)}
@@ -213,8 +220,6 @@ def build_star(delta_leak, lam_leak) -> SystemSpec:
     lam_leak = list(lam_leak)
     if len(delta_leak) != len(lam_leak):
         raise ValueError("delta_leak and lam_leak must have equal length")
-    if not delta_leak:
-        raise ValueError("star system needs at least one leakage level")
     d = len(delta_leak) + 2
     delta = {0: 0.0, 1: 0.0}
     delta.update({j + 2: float(v) for j, v in enumerate(delta_leak)})
@@ -281,9 +286,6 @@ def spec_from_json(text: str) -> SystemSpec:
     """Parse a SystemSpec; keys it does not read are ignored."""
     doc = json.loads(text)
     topology = Topology(doc["topology"])
-    d = doc["d"]
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise ValueError(f"d must be an integer, got {d!r}")
 
     def indexed(key):  # a map of labels, or a list from label 0 unless signed
         raw = doc[key]
@@ -292,4 +294,4 @@ def spec_from_json(text: str) -> SystemSpec:
         if isinstance(raw, list) and topology is not Topology.INTERMEDIATE:
             return {k: _real(v, f"{key}[{k}]") for k, v in enumerate(raw)}
         raise ValueError(f"{key} of the {topology.value} spec cannot be {raw!r}")
-    return SystemSpec(topology, d, indexed("delta"), indexed("lambda"))
+    return SystemSpec(topology, doc["d"], indexed("delta"), indexed("lambda"))

@@ -34,12 +34,11 @@ exponential are taken from the whole stack for the same reason.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HamiltonianGenerators, SystemSpec, generators
+from .model import HamiltonianGenerators, SystemSpec, _is_integer, generators
 from .pulses import ControlSet
 
 __all__ = ["TimeGrid", "ConvergenceError", "propagate", "populations",
@@ -59,11 +58,9 @@ class TimeGrid:
         if not (self.t_g > 0 and math.isfinite(self.t_g)):
             raise ValueError(
                 f"t_g must be positive and finite, got {self.t_g!r}")
-        try:  # a float count would fail only at the first slice
-            operator.index(self.n_steps)
-        except TypeError:
+        if not _is_integer(self.n_steps):  # a float fails at the first slice
             raise ValueError(f"n_steps must be an integer, got "
-                             f"{self.n_steps!r}") from None
+                             f"{self.n_steps!r}")
         if self.n_steps < 16:
             raise ValueError(f"n_steps must be >= 16, got {self.n_steps}")
 
@@ -76,6 +73,14 @@ class TimeGrid:
 
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.t_g, self.n_steps + 1)
+
+
+def _check_span(grid: TimeGrid, t_g: float) -> None:
+    """Refuse a grid that does not span the pulse, [0, t_g]: the nodes, the
+    mirror fold and the expansion's exact route would miss part of it."""
+    if not math.isclose(grid.t_g, t_g, rel_tol=1e-12):
+        raise ValueError(f"grid t_g={grid.t_g!r} differs from the pulse's "
+                         f"t_g={t_g!r}")
 
 
 def _as_generators(system) -> HamiltonianGenerators:
@@ -128,10 +133,7 @@ def _step_exponents(gen: HamiltonianGenerators, cs: ControlSet,
     """A_k = -i dt K_k of the Magnus-4 steps, all N of them, or the first
     ceil(N/2) of a mirror set (the rest are their transposes in reverse
     order), as one real product of per-step coefficients and the basis."""
-    if not math.isclose(grid.t_g, cs.t_g, rel_tol=1e-12):
-        # the nodes and the mirror fold would cover the wrong interval
-        raise ValueError(f"grid t_g={grid.t_g!r} differs from the controls' "
-                         f"t_g={cs.t_g!r}")
+    _check_span(grid, cs.t_g)
     n = (grid.n_steps + 1) // 2 if cs.mirror else grid.n_steps
     # the stack first: the sampling temporaries then sit above it, and
     # the block workspace reuses their memory once they are freed

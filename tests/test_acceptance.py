@@ -108,8 +108,8 @@ def test_criterion_4_expansion_verification(sno5):
     grid = TimeGrid(params.t_g, 4096)
 
     # (a) zeroth order vanishes identically
-    ds = _Expansion(sno5, DragVariant.DRAG1, params, grid).ds
-    a_ok = _transformed(0, [], {}, ds.h0) == {}  # the empty polynomial
+    ex = _Expansion(sno5, DragVariant.DRAG1, params, grid)
+    a_ok = _transformed(0, [], {}, ex.h0) == {}  # the empty polynomial
 
     # (b) published first-order solution satisfies the no-leakage conditions
     r1 = constraint_residuals(sno5, DragVariant.DRAG1, params, grid, 1)

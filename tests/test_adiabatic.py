@@ -173,20 +173,20 @@ class TestSecondOrderFrameIdentity:
 class TestHExtra:
     def test_order_zero_is_zero(self, sno5, not_params, grid):
         ex, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params, grid, 0)
-        assert _h_extra(0, [], hs, ex.ds.h0) == {}
+        assert _h_extra(0, [], hs, ex.h0) == {}
 
     def test_vanishing_frame_gives_zero(self, sno5, not_params, grid):
         ex, hs, _, _ = _expansion(sno5, DragVariant.DRAG1, not_params, grid, 1)
         zero = np.zeros((5, 5), dtype=complex)
         s1 = _Poly({(0,): zero, (1,): zero})
-        out = _h_extra(1, [s1], hs, ex.ds.h0)
+        out = _h_extra(1, [s1], hs, ex.h0)
         assert out and _coef_scale(out) == 0.0
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_hermitian_stacks(self, sno5, not_params, grid, order):
         ex, hs, frames, _ = _expansion(sno5, DragVariant.OPTIMAL1, not_params,
                                        grid, order - 1)
-        out = _h_extra(order, frames, hs, ex.ds.h0)
+        out = _h_extra(order, frames, hs, ex.h0)
         assert _hermitian_dev(out) < 1e-12
 
     def test_second_order_corrections_close_the_qubit_block(
@@ -202,7 +202,7 @@ class TestHExtra:
         }
         for v, a3 in cases.items():
             ex, hs, frames, _ = _expansion(sno5, v, not_params, grid, 1)
-            rows = _mismatch(ex.ds, _h_extra(2, frames, hs, ex.ds.h0))
+            rows = _mismatch(ex, _h_extra(2, frames, hs, ex.h0))
             trace_x = {m: r[0] for m, r in rows.items()}
             assert trace_x.pop((0, 0, 0)) == pytest.approx(-a3, abs=1e-13)
             assert max(map(abs, trace_x.values())) <= 1e-13
@@ -285,7 +285,7 @@ class TestMonomialClosure:
             own = 0 if v is DragVariant.GAUSSIAN0 else int(v.value[-1])
             ex, _, _, heffs = _expansion(spec, v, not_params, grid, 2)
             for order, heff in enumerate(heffs):
-                rows = _mismatch(ex.ds, heff, order == 0)
+                rows = _mismatch(ex, heff, order == 0)
                 for r in rows.values():
                     worst["coupling"] = max(worst["coupling"],
                                             float(np.max(np.abs(r[3:]))))
@@ -318,7 +318,7 @@ class TestMirrorParity:
         spec = request.getfixturevalue(topology)
         for v in DragVariant:
             ex, hs, frames, heffs = _expansion(spec, v, not_params, grid, 3)
-            h0 = ex.ds.h0
+            h0 = ex.h0
             for s in frames:
                 assert _parity_dev(s, odd_real=True) == 0.0
             transforms = [_transformed(n, frames[:n + 1], hs, h0)
@@ -385,7 +385,7 @@ class TestStarFinding:
         assert gap == pytest.approx(want, abs=1e-7)
         for v in [v for v in DragVariant if v is not DragVariant.GAUSSIAN0]:
             ex, _, _, heffs = _expansion(spec, v, not_params, grid, 1)
-            trace_z = {m: r[2] for m, r in _mismatch(ex.ds, heffs[1]).items()}
+            trace_z = {m: r[2] for m, r in _mismatch(ex, heffs[1]).items()}
             assert trace_z.pop((0, 0)) == pytest.approx(gap, abs=1e-14)
             assert max(map(abs, trace_z.values())) <= 1e-14
 
@@ -621,7 +621,7 @@ class TestReportsAgainstTwoProductRoute:
         spec = request.getfixturevalue(topology)
         ex, hs, frames, heffs = _expansion(spec, variant, not_params, grid,
                                            order)
-        h0 = ex.ds.h0
+        h0 = ex.h0
         assert len(heffs) == order + 1
         for n, heff in enumerate(heffs):
             m = _transformed(n, frames[:n], hs, h0)
@@ -657,15 +657,14 @@ class TestReportsAgainstTwoProductRoute:
         spec = request.getfixturevalue(topology)
         order = 3  # the highest order the residual reports implement
         ex, hs, frames, _ = _expansion(spec, variant, not_params, grid, order)
-        ds = ex.ds
-        m, s = _on_grid(ex, _transformed(order, frames[:order], hs, ds.h0),
+        m, s = _on_grid(ex, _transformed(order, frames[:order], hs, ex.h0),
                         frames[order])
-        heff = m + 1j * (s @ ds.h0 - ds.h0 @ s)
-        q0, q1 = ds.qubit_rows
+        heff = m + 1j * (s @ ex.h0 - ex.h0 @ s)
+        q0, q1 = ex.qubit_rows
         x = np.abs(2.0 * heff[:, q0, q1].real).max()
         y = np.abs(2.0 * heff[:, q0, q1].imag).max()
         z = np.abs((heff[:, q0, q0] - heff[:, q1, q1]).real).max()
-        c = heff[:, ds.q, ds.l]
+        c = heff[:, ex.q, ex.l]
         coupling = 2.0 * max(np.abs(c.real).max(), np.abs(c.imag).max())
         got = constraint_residuals(spec, variant, not_params, grid, order)
         assert got.qubit_mismatch == pytest.approx({"x": x, "y": y, "z": z},
@@ -775,10 +774,12 @@ class TestBlocks:
 
 def test_order_ranges_are_enforced(sno5, not_params, grid):
     # the three reports run the one loop and share one order range, which
-    # refuses a float order, whole or not, with the same message
+    # refuses a float order, whole or not, and a bool with the same message
     reports = (constraint_residuals, h_extra_report, series_vs_exact_deviation)
     for report in reports:
-        for n in (-1, 4, 1.5, 2.0):
+        for n in (-1, 4, 1.5, 2.0, True, False, np.float64(1.0)):
             with pytest.raises(ValueError, match="orders 0..3"):
                 report(sno5, DragVariant.DRAG2, not_params, grid, n)
     constraint_residuals(sno5, DragVariant.DRAG2, not_params, grid, 3)
+    constraint_residuals(sno5, DragVariant.DRAG2, not_params, grid,
+                         np.int64(1))

@@ -187,6 +187,18 @@ class TestExitCodes:
              "delta": {"-2": -3.0, "-1": True, "0": 0.0, "1": 0.0, "2": -1.0},
              "lambda": {"-2": 0.5, "-1": 0.8, "0": 1.0, "1": 1.2}}}},
          "system: delta[-1] must be a number, got True"),
+        # the builders leave these checks to SystemSpec
+        (["--config", "CFG"],
+         {"system": {"kind": "sno", "d": 5, "delta2": 0.0}},
+         "system: leakage level 2 has zero anharmonicity; it must be nonzero"),
+        (["--config", "CFG"],
+         {"system": {"kind": "sno", "d": 2, "delta2": -1.0}},
+         "system: a system requires d >= 3, two qubit levels and at least "
+         "one leakage level, got d=2"),
+        (["--config", "CFG"],
+         {"system": {"kind": "star", "delta": [], "lambda": []}},
+         "system: a system requires d >= 3, two qubit levels and at least "
+         "one leakage level, got d=2"),
     ], ids=["config-steps-3", "preset-steps-abc", "pop-traces-steps-3",
             "sigma-string", "area-string", "tg_factor-null",
             "variants-unknown",
@@ -202,7 +214,8 @@ class TestExitCodes:
             "name-nul", "name-too-long", "sno-delta2-string",
             "sno-delta2-bool",
             "intermediate-delta2-bool", "star-lambda-bool", "star-delta-bool",
-            "spec-lambda-bool", "spec-signed-delta-bool"])
+            "spec-lambda-bool", "spec-signed-delta-bool", "sno-delta2-zero",
+            "sno-d-2", "star-empty"])
     def test_bad_input_exits_2(self, tmp_path, capsys, args, changes, expect):
         path = tmp_path / "cfg.json"
         if changes is None:

@@ -81,3 +81,41 @@ def test_unused_import_check_sees_a_dangling_name():
                      "from .model import Topology, generators\n"
                      "__all__ = ['np']\ngenerators(os)\n")
     assert _unused_imports(tree) == ["Topology"]
+
+
+def _dead_private_names(trees) -> list[str]:
+    # module-level _names that no module reads: by name, as an attribute
+    # or through an import
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined |= {n.id for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names}
+    return sorted(n for n in defined - read
+                  if n.startswith("_") and not n.startswith("__"))
+
+
+def test_no_dead_private_names():
+    # a private helper is read by its own module or through another's
+    # import; one left behind by a fold fails here
+    assert _dead_private_names(ast.parse(p.read_text()) for p in SOURCES) == []
+
+
+def test_dead_private_name_check_sees_a_dangling_name():
+    trees = [ast.parse("_A = 1\n_B, _C = 2, 3\n__all__ = []\n"
+                       "def _f():\n    return _A\n"
+                       "class _Gone:\n    pass\n_f()\n"),
+             ast.parse("from .x import _B\nimport m\nm._C\n")]
+    assert _dead_private_names(trees) == ["_Gone"]

@@ -108,10 +108,16 @@ class TestLevelMap:
         ("inter5", -9, "(-2, -1, 0, 1, 2)"),
         ("inter5", 3, "(-2, -1, 0, 1, 2)"),
         ("star6", 6, "(0, 1, 2, 3, 4, 5)"),
-    ], ids=["sno5-7", "inter5-minus9", "inter5-3", "star6-6"])
+        ("sno5", True, "(0, 1, 2, 3, 4)"),
+        ("sno5", 2.0, "(0, 1, 2, 3, 4)"),
+        ("inter5", -1.0, "(-2, -1, 0, 1, 2)"),
+        ("star6", False, "(0, 1, 2, 3, 4, 5)"),
+    ], ids=["sno5-7", "inter5-minus9", "inter5-3", "star6-6", "sno5-true",
+            "sno5-float", "inter5-float", "star6-false"])
     def test_unknown_label_raises(self, request, name, label, levels):
         # an unchecked offset read inter5's -9 as row -7, which numpy
-        # counts from the end
+        # counts from the end; True and 2.0 compare equal to the labels 1
+        # and 2, so a bare index lookup would accept them
         spec = request.getfixturevalue(name)
         with pytest.raises(ValueError) as exc:
             spec.row(label)
@@ -122,6 +128,8 @@ class TestLevelMap:
     def test_every_label_maps_to_its_index(self, request, name):
         spec = request.getfixturevalue(name)
         assert [spec.row(j) for j in spec.levels] == list(range(spec.d))
+        assert [spec.row(np.int64(j)) for j in spec.levels] == list(
+            range(spec.d))
 
     @pytest.mark.parametrize("name", ["sno5", "inter5", "star6"])
     def test_generators_size_is_the_level_count(self, request, name):
@@ -219,6 +227,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="lam\\[0\\]"):
             SystemSpec(Topology.LADDER, 3, {0: 0.0, 1: 0.0, 2: 1.0},
                        {0: 2.0, 1: 1.0})
+
+    def test_rejects_non_integer_d(self):
+        # a float d raised a bare TypeError from range(d), and True passed
+        # for 1 until the d >= 3 check
+        delta, lam = {0: 0.0, 1: 0.0, 2: 1.0}, {0: 1.0, 1: 1.0}
+        for d in (3.0, True, "3"):
+            with pytest.raises(ValueError) as exc:
+                SystemSpec(Topology.LADDER, d, delta, lam)
+            assert str(exc.value) == f"d must be an integer, got {d!r}"
+        assert SystemSpec(Topology.LADDER, np.int64(3), delta, lam).d == 3
 
     def test_rejects_nonzero_qubit_delta(self):
         with pytest.raises(ValueError, match="delta\\[1\\]"):
