@@ -14,6 +14,7 @@ import argparse
 import copy
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -39,6 +40,8 @@ _MULTI_SET = ["gaussian0", "z_only1", "y_only1", "optimal1"]
 
 _SIGMA_GRID = [round(0.2 * k, 10) for k in range(2, 11)]  # 0.4 .. 2.0
 _SNO5 = {"kind": "sno", "d": 5, "delta2": _DELTA2}
+# what a sweep config leaves out; pop-traces takes the same step count
+_SWEEP_DEFAULTS = {"area": math.pi, "tg_factor": 4.0, "n_steps": 4096}
 
 # sweep presets: name -> (system, variants, sigma grid)
 _SWEEPS = {
@@ -64,8 +67,7 @@ def preset_config(name: str) -> dict:
                           f"{', '.join(_SWEEPS)}")
     system, variants, sigma = _SWEEPS[name]
     return copy.deepcopy({"name": name, "system": system, "variants": variants,
-                          "sigma": sigma, "area": math.pi, "tg_factor": 4.0,
-                          "n_steps": 4096})
+                          "sigma": sigma, **_SWEEP_DEFAULTS})
 
 
 def _build_system(doc: dict) -> SystemSpec:
@@ -90,12 +92,14 @@ def _is_number(x) -> bool:
             and math.isfinite(x))
 
 
-def _check_steps(n, auto: bool) -> None:
-    """An explicit step count is an integer from 16 to ``_STEP_CAP``."""
-    if not (isinstance(n, int) and 16 <= n <= _STEP_CAP):
+def _check_steps(n, auto: bool) -> int:
+    """An explicit step count, an integer from 16 to ``_STEP_CAP``, as an
+    int: json cannot write a numpy integer into the manifest."""
+    if not (_is_integer(n) and 16 <= n <= _STEP_CAP):
         also = ' or "auto"' if auto else ""
         raise ConfigError(f"n_steps: must be an integer from 16 to "
                           f"{_STEP_CAP}{also}, got {n!r}")
+    return operator.index(n)
 
 
 def _validate_config(cfg: dict, n_steps=None) -> tuple[dict, SystemSpec]:
@@ -145,14 +149,11 @@ def _validate_config(cfg: dict, n_steps=None) -> tuple[dict, SystemSpec]:
         fail("sigma", "must be strictly increasing")
     if any(s <= 0 for s in sig):
         fail("sigma", "values must be positive")
-    out = dict(cfg)
+    out = {**_SWEEP_DEFAULTS, **cfg}
     if n_steps is not None:
         out["n_steps"] = n_steps
-    out.setdefault("area", math.pi)
-    out.setdefault("tg_factor", 4.0)
-    out.setdefault("n_steps", 4096)
     if out["n_steps"] != "auto":
-        _check_steps(out["n_steps"], auto=True)
+        out["n_steps"] = _check_steps(out["n_steps"], auto=True)
     for key in ("area", "tg_factor"):
         if not _is_number(out[key]):
             fail(key, f"must be a finite number, got {out[key]!r}")
@@ -237,12 +238,12 @@ def _run_sweep(cfg: dict, spec: SystemSpec, out_dir: Path, jobs: int) -> Path:
 
 # -- non-sweep presets --------------------------------------------------------
 
-def _run_fig5(name: str, out_dir: Path, delta0_free: bool,
-              sigmas=(0.5, 0.75, 1.0, 1.5), max_evals: int = 250,
-              prop_tol: float = 1e-9, jobs: int = 1) -> Path:
+def _run_fig5(name: str, out_dir: Path, sigmas=(0.5, 0.75, 1.0, 1.5),
+              max_evals: int = 250, prop_tol: float = 1e-9,
+              jobs: int = 1) -> Path:
     spec = _build_system(_SNO5)
     free = ("alpha", "beta", "gamma", "delta0")  # in OptimizeTask.mask order
-    labels = [lbl + ("+delta0" if delta0_free else "") for lbl in
+    labels = [lbl + ("+delta0" if name == "fig5b" else "") for lbl in
               ("alpha", "alpha+gamma", "alpha+beta", "alpha+beta+gamma")]
     cases = [(s, lbl) for s in sigmas for lbl in labels]
     tasks = [OptimizeTask(spec, GaussianParams.for_not(s),
@@ -291,16 +292,17 @@ def _run_pop_traces(out_dir: Path, n_steps) -> Path:
 # presets that are not sweeps: name -> runner(out_dir, n_steps, jobs); a
 # pop-traces trace is too short to pay back a worker, so only fig5 forks
 _RUNNERS = {
-    "fig5a": lambda out, _, jobs: _run_fig5("fig5a", out, False, jobs=jobs),
-    "fig5b": lambda out, _, jobs: _run_fig5("fig5b", out, True, jobs=jobs),
+    "fig5a": lambda out, _, jobs: _run_fig5("fig5a", out, jobs=jobs),
+    "fig5b": lambda out, _, jobs: _run_fig5("fig5b", out, jobs=jobs),
     "fig9": lambda out, _, jobs: _run_fig9(out),
-    "pop-traces": lambda out, n, jobs: _run_pop_traces(out, n or 4096),
+    "pop-traces": lambda out, n, jobs: _run_pop_traces(
+        out, n or _SWEEP_DEFAULTS["n_steps"]),
 }
 PRESETS = (*_SWEEPS, *_RUNNERS)
 
 
 def _check_jobs(jobs) -> None:
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+    if not (_is_integer(jobs) and jobs >= 1):
         raise ConfigError(f"--jobs: must be an integer >= 1, got {jobs!r}")
 
 
@@ -333,7 +335,7 @@ def run_preset(name: str, out_dir, jobs: int = 1, n_steps=None) -> Path:
         raise ConfigError(f"--steps: {name} does not take {n_steps!r} (sweep "
                           "presets take it, pop-traces as an integer)")
     if n_steps is not None:
-        _check_steps(n_steps, auto=False)
+        n_steps = _check_steps(n_steps, auto=False)
     return run(_out_dir(out_dir), n_steps, jobs)
 
 
@@ -381,6 +383,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.preset and args.config:  # one would be silently dropped
+            raise ConfigError(f"give a preset or --config, not both: got "
+                              f"{args.preset!r} and --config {args.config!r}")
         if args.config:
             out = run_config(args.config, args.out, args.jobs, args.steps)
         elif args.preset:

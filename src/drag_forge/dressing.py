@@ -57,11 +57,7 @@ class CavitySpec:
 
 def chi(cavity: CavitySpec, j: int) -> float:
     """Lamb shift of the (j-1) -> j transition, g^2/(omega' - omega_r)."""
-    det = cavity.omega_prime(j) - cavity.omega_r
-    if det == 0.0:
-        raise ZeroDivisionError(
-            f"transition {j - 1}->{j} is resonant with the cavity")
-    return cavity.g[j] ** 2 / det
+    return cavity.g[j] ** 2 / (cavity.omega_prime(j) - cavity.omega_r)
 
 
 def dressed_params(cavity: CavitySpec) -> tuple[float, dict[int, float]]:
@@ -90,8 +86,6 @@ def lambda_dressed(cavity: CavitySpec, j: int) -> tuple[float, float]:
     """
     det1 = cavity.omega_prime(1) - cavity.omega_r
     detj = cavity.omega_prime(j) - cavity.omega_r
-    if det1 == 0.0 or detj == 0.0:
-        raise ZeroDivisionError("resonant transition")
     scale = cavity.g[1] / det1
     lam = cavity.g[j] * det1 / (cavity.g[1] * detj)
     return lam, scale

@@ -290,6 +290,10 @@ def spec_from_json(text: str) -> SystemSpec:
     def indexed(key):  # a map of labels, or a list from label 0 unless signed
         raw = doc[key]
         if isinstance(raw, dict):
+            for k in raw:  # int() alone also reads " 2", "+2" and "0_2" as 2
+                if str(int(k)) != k:
+                    raise ValueError(f"{key} key {k!r} is not a level label "
+                                     "as spec_to_json writes it")
             return {int(k): _real(v, f"{key}[{k}]") for k, v in raw.items()}
         if isinstance(raw, list) and topology is not Topology.INTERMEDIATE:
             return {k: _real(v, f"{key}[{k}]") for k, v in enumerate(raw)}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fidelity import gate_error, ideal_not
-from .model import HamiltonianGenerators, SystemSpec
+from .model import HamiltonianGenerators, SystemSpec, _is_integer
 from .propagator import TimeGrid, _as_generators, converge, propagate
 from .pulses import Ansatz, GaussianParams, build_controls
 
@@ -51,8 +51,9 @@ class OptimizeTask:
             raise ValueError("at least one parameter must be free")
         if not self.prop_tol > 0:  # step doubling would run to its cap
             raise ValueError("prop_tol must be positive")
-        if self.max_evals < 1:  # the result must come from an evaluation
-            raise ValueError("max_evals must be >= 1")
+        if not (_is_integer(self.max_evals) and self.max_evals >= 1):
+            raise ValueError(  # the result must come from an evaluation
+                f"max_evals must be an integer >= 1, got {self.max_evals!r}")
 
 
 @dataclass(frozen=True)

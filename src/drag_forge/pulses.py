@@ -145,16 +145,12 @@ class Ansatz:
             if not math.isfinite(v):
                 raise ValueError("ansatz parameters must be finite")
 
-    @property
-    def label(self) -> str:
-        return (f"ansatz({self.alpha!r},{self.beta!r},"
-                f"{self.gamma!r},{self.delta0!r})")
-
 
 @dataclass(frozen=True)
 class ControlSet:
     """One pulse of the family above as plain data, which pickles and
-    compares by value: its envelope, delta2, a1, a3, b1, c2, c0 and label.
+    compares by value: its envelope, delta2, a1, a3, b1, c2, c0 and ramp
+    flag, so two sets are equal exactly when they are the same pulse.
 
     :meth:`channels` gives the three waveforms on [0, t_g] from one envelope
     evaluation.  A set with ``ramp`` (see :func:`phase_ramp`) has delta = 0
@@ -171,7 +167,6 @@ class ControlSet:
     b1: float
     c2: float
     c0: float
-    variant: str
     ramp: bool = False
 
     @property
@@ -265,11 +260,9 @@ def controls_for(spec: SystemSpec, variant, params: GaussianParams) -> ControlSe
     if isinstance(variant, Ansatz):
         return ControlSet(params, spec.delta2, a1=variant.alpha, a3=0.0,
                           b1=-variant.beta, c2=variant.gamma,
-                          c0=variant.delta0, variant=variant.label)
-    variant = DragVariant(variant)
-    b1, c2, a3 = _table_row(spec, variant)
-    return ControlSet(params, spec.delta2, a1=1.0, a3=a3, b1=b1, c2=c2,
-                      c0=0.0, variant=variant.value)
+                          c0=variant.delta0)
+    b1, c2, a3 = _table_row(spec, DragVariant(variant))
+    return ControlSet(params, spec.delta2, a1=1.0, a3=a3, b1=b1, c2=c2, c0=0.0)
 
 
 build_controls = controls_for
@@ -303,4 +296,4 @@ def phase_ramp(cs: ControlSet) -> ControlSet:
 
         exp(-i Phi(t_g) h_z) U_ramped = U_detuned.
     """
-    return replace(cs, ramp=True, variant=cs.variant + "+ramp")
+    return replace(cs, ramp=True)

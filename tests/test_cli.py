@@ -199,6 +199,16 @@ class TestExitCodes:
          {"system": {"kind": "star", "delta": [], "lambda": []}},
          "system: a system requires d >= 3, two qubit levels and at least "
          "one leakage level, got d=2"),
+        # int() alone reads each key as label 2; " 2" would overwrite "2"
+        *[(["--config", "CFG"],
+           {"system": {"kind": "spec", "spec": {
+               "topology": "ladder", "d": 3, "lambda": [1.0, 1.4],
+               "delta": {"0": 0.0, "1": 0.0, "2": -1.0, key: -5.0}}}},
+           f"system: delta key {key!r} is not a level label")
+          for key in (" 2", "0_2", "+2")],
+        # the config would run and the preset be ignored
+        (["fig3", "--config", "CFG"], {},
+         "give a preset or --config, not both: got 'fig3' and --config"),
     ], ids=["config-steps-3", "preset-steps-abc", "pop-traces-steps-3",
             "sigma-string", "area-string", "tg_factor-null",
             "variants-unknown",
@@ -215,7 +225,8 @@ class TestExitCodes:
             "sno-delta2-bool",
             "intermediate-delta2-bool", "star-lambda-bool", "star-delta-bool",
             "spec-lambda-bool", "spec-signed-delta-bool", "sno-delta2-zero",
-            "sno-d-2", "star-empty"])
+            "sno-d-2", "star-empty", "spec-key-space", "spec-key-underscore",
+            "spec-key-plus", "preset-and-config"])
     def test_bad_input_exits_2(self, tmp_path, capsys, args, changes, expect):
         path = tmp_path / "cfg.json"
         if changes is None:
@@ -483,8 +494,8 @@ class TestPopTraces:
 class TestFig5Preset:
     def test_small_budget_smoke(self, tmp_path):
         from drag_forge.cli import _run_fig5
-        csv = _run_fig5("fig5a", tmp_path, delta0_free=False, sigmas=(0.6,),
-                        max_evals=12, prop_tol=1e-6)
+        csv = _run_fig5("fig5a", tmp_path, sigmas=(0.6,), max_evals=12,
+                        prop_tol=1e-6)
         lines = csv.read_text().splitlines()
         assert lines[1] == "sigma,mask,alpha,beta,gamma,delta0,gate_error,n_evals"
         rows = [line.split(",") for line in lines[2:]]
@@ -500,8 +511,8 @@ class TestFig5Preset:
 
     def test_delta0_column_active_in_fig5b(self, tmp_path):
         from drag_forge.cli import _run_fig5
-        csv = _run_fig5("fig5b", tmp_path, delta0_free=True, sigmas=(0.6,),
-                        max_evals=12, prop_tol=1e-6)
+        csv = _run_fig5("fig5b", tmp_path, sigmas=(0.6,), max_evals=12,
+                        prop_tol=1e-6)
         rows = [line.split(",") for line in csv.read_text().splitlines()[2:]]
         assert all(r[1].endswith("+delta0") for r in rows)
 
@@ -542,11 +553,29 @@ def test_parallel_fig5_matches_serial(tmp_path):
     from drag_forge.cli import _run_fig5
     for jobs in (1, 2):
         (tmp_path / str(jobs)).mkdir()
-        _run_fig5("fig5a", tmp_path / str(jobs), delta0_free=False,
-                  sigmas=(0.6,), max_evals=20, jobs=jobs)
+        _run_fig5("fig5a", tmp_path / str(jobs), sigmas=(0.6,),
+                  max_evals=20, jobs=jobs)
     serial = _outputs(tmp_path / "1")
     assert sorted(serial) == ["fig5a.csv", "fig5a.manifest.json"]
     assert _outputs(tmp_path / "2") == serial
+
+
+def test_numpy_counts_run_like_ints(tmp_path):
+    # a count is what operator.index takes, so numpy integers run and are
+    # written to the manifest as plain ints
+    import numpy as np
+    run_preset("pop-traces", tmp_path / "int", n_steps=32)
+    run_preset("pop-traces", tmp_path / "np", jobs=np.int64(1),
+               n_steps=np.int64(32))
+    assert _outputs(tmp_path / "np") == _outputs(tmp_path / "int")
+    cfg = preset_config("gaussian-benchmark")
+    cfg["sigma"] = [0.4, 0.8]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    run_config(path, tmp_path / "cfg-int", jobs=2, n_steps=64)
+    run_config(path, tmp_path / "cfg-np", jobs=np.int64(2),
+               n_steps=np.int32(64))
+    assert _outputs(tmp_path / "cfg-np") == _outputs(tmp_path / "cfg-int")
 
 
 class _RecordingPool:
@@ -591,8 +620,8 @@ class TestJobs:
 
     def test_pool_never_exceeds_fig5_tasks(self, tmp_path, pools):
         from drag_forge.cli import _run_fig5
-        _run_fig5("fig5a", tmp_path, delta0_free=False, sigmas=(0.6,),
-                  max_evals=12, prop_tol=1e-6, jobs=64)
+        _run_fig5("fig5a", tmp_path, sigmas=(0.6,), max_evals=12,
+                  prop_tol=1e-6, jobs=64)
         assert pools == [4]  # one sigma, four masks
 
     @pytest.mark.parametrize("name,n_steps", [("fig9", None),

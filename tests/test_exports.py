@@ -1,9 +1,11 @@
 """Every exported name resolves, so a removal that leaves a stale export
 fails here rather than in a user's ``import *``; so does every name the
-benchmark's tracer wraps."""
+benchmark's tracer wraps, imports or reads."""
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -43,6 +45,51 @@ def test_benchmark_trace_hooks_resolve():
     missing = [f"{mod}.{attr}" for mod, attr, *_ in tracing.HOOKS if not
                hasattr(importlib.import_module(f"drag_forge.{mod}"), attr)]
     assert missing == []
+
+
+def _benchmark_imports() -> list[tuple[str, str]]:
+    # (module, name) of every `from drag_forge... import name` in perfbench
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.partition(".")[0] == "drag_forge"):
+                found += [(node.module, a.name) for a in node.names]
+    return found
+
+
+def _resolves(module: str, name: str) -> bool:
+    # an attribute of the module, or a submodule of the package
+    mod = importlib.import_module(module)
+    return hasattr(mod, name) or (
+        hasattr(mod, "__path__")
+        and importlib.util.find_spec(f"{module}.{name}") is not None)
+
+
+def test_benchmark_imports_and_pins_resolve():
+    # the benchmark imports these names and reads these attributes and
+    # keywords; a removal that breaks one would crash a benchmark run
+    from drag_forge.optimizer import OptimizeResult, OptimizeTask
+    from drag_forge.propagator import converge
+    from drag_forge.pulses import ControlSet
+    imports = _benchmark_imports()
+    assert ("drag_forge.optimizer", "OptimizeTask") in imports
+    assert [f"{m}.{n}" for m, n in imports if not _resolves(m, n)] == []
+    for attr in ("omega_x", "omega_y", "delta"):
+        assert callable(getattr(ControlSet, attr, None)), attr
+    fields = {cls: {f.name for f in dataclasses.fields(cls)}
+              for cls in (OptimizeTask, OptimizeResult)}
+    assert {"x0", "max_evals", "prop_tol", "seed"} <= fields[OptimizeTask]
+    assert {"x", "gate_error", "n_evals", "converged"} <= fields[OptimizeResult]
+    assert list(inspect.signature(converge).parameters) == [
+        "system", "controls", "t_g", "tol"]
+
+
+def test_pin_resolution_check_refuses_missing_names():
+    assert _resolves("drag_forge", "cli") and _resolves("drag_forge", "Ansatz")
+    assert not _resolves("drag_forge", "no_such_name")
+    assert not _resolves("drag_forge.model", "no_such_name")
 
 
 SOURCES = sorted(Path(drag_forge.__file__).parent.glob("*.py"))

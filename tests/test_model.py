@@ -278,6 +278,18 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=match):
             spec_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", [" 2", "0_2", "+2", "02", "-0", "2.0",
+                                     "x"])
+    def test_refuses_label_keys_not_written_as_labels(self, key):
+        # int() alone reads " 2", "0_2", "+2" and "02" as label 2, so " 2"
+        # would overwrite the "2" entry
+        import json
+        import re
+        doc = {"topology": "ladder", "d": 3, "lambda": [1.0, 1.4],
+               "delta": {"0": 0.0, "1": 0.0, "2": -1.0, key: -5.0}}
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            spec_from_json(json.dumps(doc))
+
     def test_intermediate_uses_signed_map(self, inter5):
         import json
         doc = json.loads(spec_to_json(inter5))

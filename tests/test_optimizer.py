@@ -36,9 +36,11 @@ class TestValidation:
                          prop_tol=prop_tol)
 
     @pytest.mark.parametrize("field,value", [
-        ("max_evals", 0), ("max_evals", -3)])
+        ("max_evals", 0), ("max_evals", -3), ("max_evals", 2.5),
+        ("max_evals", True)])
     def test_bad_budget_rejected(self, sno5, fast_params, field, value):
-        # max_evals = 0 would return inf at x0, above the objective there
+        # max_evals = 0 would return inf at x0, above the objective there;
+        # a budget is an integer by model._is_integer, which refuses a bool
         with pytest.raises(ValueError, match=field):
             OptimizeTask(sno5, fast_params, (True, False, False, False),
                          **{field: value})

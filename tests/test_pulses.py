@@ -360,6 +360,10 @@ class TestPhaseRamp:
         np.testing.assert_allclose(rcs.omega_y(ts), ox * np.sin(c * ts),
                                    atol=1e-12)
 
+    def test_ramp_is_another_pulse(self, sno5, not_params):
+        cs = build_controls(sno5, DragVariant.DRAG1, not_params)
+        assert phase_ramp(cs) != cs
+
 
 def test_control_set_is_a_record(sno5, not_params):
     # plain data: a set pickles to an equal set, its one channel method is
@@ -381,11 +385,26 @@ def test_control_set_is_a_record(sno5, not_params):
 
 
 def test_controls_for_dispatch(sno5, inter5, star6, not_params):
-    assert controls_for(sno5, DragVariant.DRAG2, not_params).variant == "drag2"
-    assert controls_for(inter5, DragVariant.OPTIMAL1, not_params).variant == "optimal1"
-    assert controls_for(star6, DragVariant.Z_ONLY1, not_params).variant == "z_only1"
-    assert "ansatz" in controls_for(star6, Ansatz(1, 0, 0, 0), not_params).variant
+    # the ansatz maps alpha -> a1, beta -> -b1, gamma -> c2, delta0 -> c0
+    # with a3 = 0; a named variant is a1 = 1, c0 = 0 and its table row
+    cs = controls_for(star6, Ansatz(1.02, 0.4, -0.3, 0.25), not_params)
+    assert (cs.a1, cs.b1, cs.c2, cs.c0, cs.a3) == (1.02, -0.4, -0.3, 0.25, 0.0)
+    for spec, v in ((sno5, DragVariant.DRAG2), (inter5, DragVariant.OPTIMAL1),
+                    (star6, DragVariant.Z_ONLY1)):
+        cs = controls_for(spec, v, not_params)
+        assert (cs.pulse, cs.delta2, cs.a1, cs.c0) == (
+            not_params, spec.delta2, 1.0, 0.0)
+        assert (cs.b1, cs.c2, cs.a3) == _table_row(spec, v)
     assert build_controls is controls_for
+
+
+def test_sets_compare_by_pulse(sno5, not_params):
+    # a set is its coefficients: the named optimal1 and the ansatz with its
+    # coefficients are one pulse, so they are equal and hash alike
+    b1, c2 = first_order_coefficients(sno5, DragVariant.OPTIMAL1)
+    named = controls_for(sno5, "optimal1", not_params)
+    free = controls_for(sno5, Ansatz(1.0, -b1, c2, 0.0), not_params)
+    assert named == free and hash(named) == hash(free)
 
 
 def test_every_variant_is_one_table_row_on_every_topology(
@@ -403,7 +422,6 @@ def test_every_variant_is_one_table_row_on_every_topology(
     for spec in (sno5, inter5, star6):
         for v in DragVariant:
             cs = controls_for(spec, v, not_params)
-            assert cs.variant == v.value
             assert (cs.b1, cs.c2, cs.a3) == _table_row(spec, v)
 
 
