@@ -282,7 +282,10 @@ def _run_pop_traces(out_dir: Path, n_steps) -> Path:
         times, probs = populations(spec, cs, TimeGrid(params.t_g, n_steps), 0)
         path = _write_csv(out_dir / f"pop-traces-{i}.csv", "pop-traces", header,
                           np.column_stack([times, probs]).tolist())
-        files.append({"sigma": sigma, "csv": path.name, "n_steps": n_steps})
+        files.append({
+            "sigma": sigma, "csv": path.name, "n_steps": n_steps,
+            "conservation_defect": float(np.max(np.abs(probs.sum(axis=1) - 1.0))),
+            "final_leakage": float(np.delete(probs[-1], spec.qubit_rows).sum())})
     return _write_manifest(
         out_dir, "pop-traces",
         config={"system": _SNO5, "variant": "gaussian0", "initial_level": 0},

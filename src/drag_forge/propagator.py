@@ -30,9 +30,14 @@ carries an odd last factor up; with a power-of-two block, the tree of each
 aligned block is the subtree over its steps, and the tail block's tree is
 the tail's subtree.  The shift, the scaling and the shift's factors of the
 exponential are taken from the whole stack for the same reason.
+
+``populations`` takes the same steps, written back over the exponents they
+came from, and moves the state through them one at a time:
+psi_{k+1} = psi_k + B_k psi_k keeps one vector per node and no product.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -277,21 +282,6 @@ def _block_product(blocks, m: int) -> tuple[np.ndarray, np.ndarray]:
     return _ordered_product(parts, np.empty_like(parts)), rest
 
 
-def _prefix_products(mats: np.ndarray) -> np.ndarray:
-    """out[k] = mats[k] @ ... @ mats[0], one batched level per halving:
-    the prefixes at odd k are those of the pair products, the even ones
-    take one more factor."""
-    n = mats.shape[0]
-    if n == 1:
-        return mats
-    odd = _prefix_products(mats[1::2] @ mats[:n - 1:2])
-    out = np.empty_like(mats)
-    out[0] = mats[0]
-    out[1::2] = odd
-    np.matmul(mats[2::2], odd[:(n - 1) // 2], out=out[2::2])
-    return out
-
-
 def propagate(system, controls: ControlSet, grid: TimeGrid) -> np.ndarray:
     """Time-ordered evolution operator over [0, t_g].
 
@@ -314,29 +304,21 @@ def populations(spec: SystemSpec, controls: ControlSet, grid: TimeGrid,
 
     Returns (times, probs) with probs[k, j] = |<row j|psi(t_k)>|^2 at every
     grid node, starting from the level label ``initial`` of ``spec`` (signed
-    for intermediate systems).
+    for intermediate systems).  The state takes one step at a time,
+    psi_{k+1} = psi_k + B_k psi_k, with the U - I steps B_k of ``propagate``;
+    a mirror set's last N//2 steps are its first ones transposed.
     """
     row = spec.row(initial)  # a bad label fails before the evolution
-    prefix = _prefix_products(_factors(generators(spec), controls, grid))
-    return grid.nodes(), np.abs(prefix[:, :, row]) ** 2
-
-
-def _factors(gen: HamiltonianGenerators, controls: ControlSet,
-             grid: TimeGrid) -> np.ndarray:
-    """The (N + 1, d, d) stack I, U_0, ..., U_{N-1}: the identity in front
-    makes prefix k the evolution up to node k.  The exponents and the
-    block workspace are gone once it returns."""
-    eye = np.eye(gen.d)
-    n = grid.n_steps
-    factors = np.empty((n + 1, gen.d, gen.d), dtype=complex)
-    factors[0] = eye
-    a = _step_exponents(gen, controls, grid)
-    for lo, b, _ in _expm1_blocks(a):
-        np.add(b, eye, out=factors[1 + lo:1 + lo + len(b)])
-    if controls.mirror:
-        half = n // 2
-        factors[1 + len(a):] = factors[half:0:-1].swapaxes(-1, -2)
-    return factors
+    a = _step_exponents(generators(spec), controls, grid)
+    for _, b, spare in _expm1_blocks(a):
+        spare[...] = b  # a now holds the steps as U - I
+    mirrored = a[grid.n_steps // 2 - 1::-1] if controls.mirror else a[:0]
+    psi = np.zeros((grid.n_steps + 1, spec.d), dtype=complex)
+    psi[0, row] = 1.0
+    steps = itertools.chain(a, mirrored.swapaxes(-1, -2))
+    for b, before, after in zip(steps, psi, psi[1:]):
+        after[...] = before + b.dot(before)
+    return grid.nodes(), np.abs(psi) ** 2
 
 
 _STEP_CAP = 1 << 20  # the most steps step doubling tries

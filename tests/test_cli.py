@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import drag_forge
@@ -480,6 +481,18 @@ class TestPopTraces:
         leak_long = sum(float(v) for v in long.split(",")[3:])
         assert leak_short > 0.05 > leak_long
 
+    def test_manifest_records_conservation_and_leakage(self, tmp_path):
+        # both figures recomputed from the CSV the manifest names
+        run_preset("pop-traces", tmp_path, n_steps=512)
+        manifest = json.loads((tmp_path / "pop-traces.manifest.json").read_text())
+        for entry in manifest["files"]:
+            lines = (tmp_path / entry["csv"]).read_text().splitlines()
+            probs = np.array([[float(v) for v in line.split(",")[1:]]
+                              for line in lines[2:]])
+            defect = np.max(np.abs(probs.sum(axis=1) - 1.0))
+            assert entry["conservation_defect"] == defect
+            assert entry["final_leakage"] == probs[-1, 2:].sum()  # sno5 rows 2-4
+
 
     def test_csv_export(self, tmp_path):
         run_preset("pop-traces", tmp_path, n_steps=32)
@@ -563,7 +576,6 @@ def test_parallel_fig5_matches_serial(tmp_path):
 def test_numpy_counts_run_like_ints(tmp_path):
     # a count is what operator.index takes, so numpy integers run and are
     # written to the manifest as plain ints
-    import numpy as np
     run_preset("pop-traces", tmp_path / "int", n_steps=32)
     run_preset("pop-traces", tmp_path / "np", jobs=np.int64(1),
                n_steps=np.int64(32))

@@ -159,7 +159,8 @@ class TestPopulations:
     @pytest.mark.parametrize("n_steps", [4096, 4097])
     @pytest.mark.parametrize("mirror", [True, False])
     def test_matches_step_by_step(self, sno5, not_params, n_steps, mirror):
-        # the prefix-product trace against one matrix-vector step at a time
+        # the trace against one matrix-vector step at a time over every
+        # step built; a mirror set builds half of them and transposes
         cs = controls_for(sno5, DragVariant.DRAG2, not_params)
         hand = HandControls.of(cs)  # every step built
         grid = TimeGrid(not_params.t_g, n_steps)
@@ -169,7 +170,38 @@ class TestPopulations:
             psi = psi + step @ psi  # steps are kept as U - I
             ref.append(np.abs(psi) ** 2)
         _, probs = populations(sno5, cs if mirror else hand, grid, 1)
-        assert np.max(np.abs(probs - np.array(ref))) < 1e-13
+        if mirror:
+            assert np.max(np.abs(probs - np.array(ref))) <= 1e-15
+        else:
+            np.testing.assert_array_equal(probs, np.array(ref))
+
+    @pytest.mark.parametrize("sigma", [1.0 / 3.0, 2.0 / 3.0, 1.5])
+    def test_pop_traces_conserve_probability(self, sno5, sigma):
+        # the pop-traces preset's three traces at its 4096 steps
+        p = GaussianParams.for_not(sigma)
+        cs = controls_for(sno5, DragVariant.GAUSSIAN0, p)
+        _, probs = populations(sno5, cs, TimeGrid(p.t_g, 4096), 0)
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("system,label,n_steps,ramped", [
+        ("sno5", 0, 4096, False), ("sno5", 1, 4097, False),
+        ("sno5", 0, 4096, True), ("inter5", -1, 4096, False)])
+    def test_last_node_is_the_propagator_column(self, request, system, label,
+                                                n_steps, ramped):
+        # the two routes through the same steps: the state's end against
+        # the column of U that starts from the same level
+        spec = request.getfixturevalue(system)
+        p = GaussianParams.for_not(0.5)
+        cs = controls_for(spec, DragVariant.DRAG2 if system == "sno5"
+                          else DragVariant.OPTIMAL1, p)
+        if ramped:
+            cs = phase_ramp(cs)
+        assert cs.mirror != ramped
+        grid = TimeGrid(p.t_g, n_steps)
+        _, probs = populations(spec, cs, grid, label)
+        u = propagate(spec, cs, grid)
+        want = np.abs(u[:, spec.row(label)]) ** 2
+        assert np.max(np.abs(probs[-1] - want)) <= 1e-13
 
     def test_signed_initial_level(self, inter5, not_params):
         cs = controls_for(inter5, DragVariant.OPTIMAL1, not_params)
