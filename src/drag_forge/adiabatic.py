@@ -27,11 +27,13 @@ series at t_g - t are the conjugates of their values at t, and the reports
 read only the nodes 0 .. N//2: the residual reports sample the qubit-block
 and qubit/leak entries there at once; the series samples S, dS/dt and the
 series over blocks of ``_BLOCK`` nodes (the propagator's block), and takes
-dA/dt from the Daleckii-Krein formula, so every value is pointwise in the
-node.
+dA/dt from the Daleckii-Krein formula.  Every value, each polynomial's
+samples included (summed term by term), is pointwise in the node, so the
+block size moves no bit by construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,12 +96,10 @@ class _Poly(dict):
 
 def _sample(terms, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out + sum of monomial(t) * coefficient over (monomial, coefficient)
-    terms, on the nodes of g, the (k, node) samples of gbar^(k): one real
-    product of the (node, monomial) samples with the stacked coefficients."""
-    if terms := list(terms):
-        x = np.stack([np.prod(g[list(m)], axis=0) for m, _ in terms], axis=1)
-        c = np.array([c for _, c in terms], out.dtype).reshape(len(terms), -1)
-        out += (x @ c.view(float)).view(out.dtype).reshape(out.shape)
+    terms, on the nodes of g, the (k, node) samples of gbar^(k): added term
+    by term and element-wise, so a node's value depends on that node alone."""
+    for m, c in terms:
+        out += np.multiply.outer(math.prod(g[k] for k in m), c)
     return out
 
 
@@ -143,7 +143,7 @@ class _Expansion:
                  for q in spec.qubit_rows for j in spec.leakage_levels]
         self.q, self.l, self.dbar = (np.array(c) for c in zip(*pairs))
         self.cs = controls_for(spec, variant, params)
-        self.ts = np.linspace(0.0, self.cs.t_g, grid.n_steps + 1)
+        self.ts = grid.nodes()
         self.half = self.ts[:grid.n_steps // 2 + 1]
 
     def at(self, p: _Poly, g: np.ndarray) -> np.ndarray:

@@ -355,17 +355,9 @@ def run_config(path, out_dir, jobs: int = 1, n_steps=None) -> Path:
 
 
 def _steps_arg(text: str):
-    """argparse type of --steps: an integer >= 16 or 'auto'."""
-    if text == "auto":
-        return text
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 16:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer >= 16 or 'auto'")
-    return n
+    """argparse type of --steps: 'auto' or an integer, whose range the run
+    checks with ``_check_steps`` like a config's ``n_steps``."""
+    return text if text == "auto" else int(text)
 
 
 def main(argv=None) -> int:

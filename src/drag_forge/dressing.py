@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import _ReadOnly
+
 __all__ = ["CavitySpec", "chi", "dressed_params", "lambda_dressed",
            "lambda_sno", "dispersive_ratio", "DISPERSIVE_LIMIT"]
 
@@ -45,6 +47,8 @@ class CavitySpec:
             if self.omega_prime(j) == self.omega_r:
                 raise ValueError(
                     f"transition {j - 1}->{j} is resonant with the cavity")
+        object.__setattr__(self, "delta_bare", _ReadOnly(self.delta_bare))
+        object.__setattr__(self, "g", _ReadOnly(self.g))
 
     @property
     def d(self) -> int:

@@ -50,6 +50,23 @@ def _is_integer(x) -> bool:
     return not isinstance(x, bool)
 
 
+class _ReadOnly(dict):
+    """A spec record's map: it hashes by value and refuses every change, so
+    none can undo the record's checks."""
+
+    def _refuse(self, *args):
+        raise TypeError("a spec record's maps are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = _refuse
+    setdefault = update = _refuse
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):  # pickle would fill a dict through __setitem__
+        return type(self), (dict(self),)
+
+
 class Topology(str, Enum):
     LADDER = "ladder"
     INTERMEDIATE = "intermediate"
@@ -112,6 +129,8 @@ class SystemSpec:
         for v in list(self.delta.values()) + list(self.lam.values()):
             if not math.isfinite(v):
                 raise ValueError("non-finite spec parameter")
+        object.__setattr__(self, "delta", _ReadOnly(self.delta))
+        object.__setattr__(self, "lam", _ReadOnly(self.lam))
 
     # -- level bookkeeping -------------------------------------------------
 
@@ -230,13 +249,13 @@ def build_star(delta_leak, lam_leak) -> SystemSpec:
 
 def generators(spec: SystemSpec) -> HamiltonianGenerators:
     """Assemble the four generator matrices for a system spec."""
-    row = {j: r for r, j in enumerate(spec.levels)}
     star = spec.topology is Topology.STAR
-    h_drift = np.diag([complex(spec.delta[j]) for j in row])
-    h_z = np.diag([complex(min(j, 2) if star else j) for j in row])
+    h_drift = np.diag([complex(spec.delta[j]) for j in spec.levels])
+    h_z = np.diag([complex(min(j, 2) if star else j) for j in spec.levels])
     h_x = np.zeros_like(h_drift)
     for key, lo, hi in spec.transitions:
-        h_x[row[lo], row[hi]] = h_x[row[hi], row[lo]] = spec.lam[key]
+        r, s = spec.row(lo), spec.row(hi)
+        h_x[r, s] = h_x[s, r] = spec.lam[key]
     lower = np.tril(h_x, -1)
     h_y = 1j * (lower - lower.conj().T)
     return HamiltonianGenerators(h_drift, h_z, h_x, h_y)

@@ -563,7 +563,7 @@ class TestCommutatorForms:
 
 
 class TestSampleProduct:
-    # _sample's one real product against a per-term sum
+    # _sample against a per-term sum in the same order, bit for bit
     @staticmethod
     def _per_term(terms, g, out):
         for m, c in terms:
@@ -578,7 +578,7 @@ class TestSampleProduct:
         g = rng.normal(size=(3, 301))
         out = rng.normal(size=(301, 5, 5)) + 1j * rng.normal(size=(301, 5, 5))
         want = self._per_term(p.items(), g, out)
-        assert _max_rel(_sample(p.items(), g, out.copy()), want) <= 1e-15
+        np.testing.assert_array_equal(_sample(p.items(), g, out.copy()), want)
 
     def test_real_traces(self, rng):
         terms = [(m, rng.normal(size=7)) for m in ((0,), (1, 1), (0, 0, 2))]
@@ -587,7 +587,19 @@ class TestSampleProduct:
         want = self._per_term(terms, g, out)
         got = _sample(terms, g, out)
         assert got.dtype == np.float64
-        assert _max_rel(got, want) <= 1e-15
+        np.testing.assert_array_equal(got, want)
+
+    def test_each_node_depends_on_that_node_alone(self, rng):
+        # a subset of the nodes samples to the same bits as the whole grid,
+        # which is what lets the series run over blocks of any size
+        p = _hermitian_poly(rng, 5, ((), (0,), (0, 1), (2,), (0, 0, 1),
+                                     (1, 1, 2), (0, 1, 2, 2)))
+        g = rng.normal(size=(3, 301))
+        whole = _dense(p, g)
+        for nodes in (slice(0, 1), slice(5, 70), slice(3, None, 7),
+                      slice(300, None)):
+            np.testing.assert_array_equal(_dense(p, g[:, nodes]),
+                                          whole[nodes])
 
     def test_empty_polynomial_leaves_out(self, rng):
         out = rng.normal(size=(65, 3, 3)) + 0j
@@ -717,7 +729,8 @@ class TestWorkPerReport:
 
 class TestBlocks:
     """The series samples S, dS/dt and the series over blocks of _BLOCK
-    nodes with no halo; the block size must not move a bit of any report.
+    nodes with no halo; the block size must not move a bit of any report,
+    which holds by construction when every sample is pointwise in the node.
     Blocks of 5 and 7 nodes put a block edge within a few nodes of every
     node; the residual reports sample nodes 0 .. N//2 at once."""
 
@@ -751,6 +764,24 @@ class TestBlocks:
         for block in blocks:
             monkeypatch.setattr(adiabatic, "_BLOCK", block)
             assert run() == want
+
+    # every variant on each topology: a sample whose bits depend on how
+    # many nodes share its block moves only a few variants' series, at
+    # order 2 (sno5 y_only2, inter5 z_only1, star6 drag1, up to 6.3e-15)
+    @pytest.mark.parametrize("variant", list(DragVariant))
+    @pytest.mark.parametrize("topology", ["sno5", "inter5", "star6"])
+    def test_series_of_every_variant_is_blockwise_exact(
+            self, request, monkeypatch, not_params, topology, variant):
+        spec = request.getfixturevalue(topology)
+        for n_steps in (2048, 4096):
+            grid = TimeGrid(not_params.t_g, n_steps)
+            runs = []
+            for block in (n_steps + 2, 64, 256):
+                monkeypatch.setattr(adiabatic, "_BLOCK", block)
+                runs.append([series_vs_exact_deviation(spec, variant,
+                                                       not_params, grid, n)
+                             for n in range(3)])
+            assert runs[1] == runs[0] and runs[2] == runs[0]
 
     @pytest.mark.parametrize("report,order", [
         (constraint_residuals, 2), (h_extra_report, 3),

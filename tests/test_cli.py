@@ -95,9 +95,12 @@ class TestExitCodes:
         assert "variants" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args,changes,expect", [
-        (["--config", "CFG", "--steps", "3"], {}, "--steps"),
+        # --steps only converts; _check_steps is the one range rule
+        (["--config", "CFG", "--steps", "3"], {},
+         "n_steps: must be an integer from 16 to 1048576"),
         (["fig3", "--steps", "abc"], {}, "--steps"),
-        (["pop-traces", "--steps", "3"], {}, "--steps"),
+        (["pop-traces", "--steps", "3"], {},
+         "n_steps: must be an integer from 16 to 1048576"),
         (["--config", "CFG"], {"sigma": [0.5, "x"]}, "sigma[1]"),
         (["--config", "CFG"], {"area": "pi"}, "area"),
         (["--config", "CFG"], {"tg_factor": None}, "tg_factor"),

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -35,6 +36,38 @@ class TestChi:
     def test_resonance_rejected_at_construction(self):
         with pytest.raises(ValueError, match="resonant"):
             CavitySpec(2.0, 2.0, {0: 0.0, 1: 0.0}, {1: 0.1})
+
+
+class TestCavityRecord:
+    @pytest.mark.parametrize("delta_bare,g,match", [
+        ({0: 0.0, 1: 0.0, 3: -0.5}, {1: 0.1, 2: 0.1},
+         "delta_bare must cover levels 0..d-1"),
+        ({0: 0.0, 1: 0.2, 2: -0.5}, {1: 0.1, 2: 0.1},
+         "delta_bare\\[0\\] and delta_bare\\[1\\] must be 0"),
+        ({0: 0.0, 1: 0.0, 2: -0.5}, {1: 0.1},
+         "g must cover transitions 1..d-1"),
+    ], ids=["levels-gap", "qubit-delta", "g-short"])
+    def test_refuses_maps_off_the_levels(self, delta_bare, g, match):
+        with pytest.raises(ValueError, match=match):
+            CavitySpec(1.0, 2.0, delta_bare, g)
+
+    def test_maps_are_read_only(self):
+        # delta_bare[2] = -1 would make 1->2 resonant after the check, and
+        # chi divide by zero
+        cav = CavitySpec(1.0, 2.0, {0: 0.0, 1: 0.0, 2: -0.5}, {1: 0.1, 2: 0.14})
+        for m, key in ((cav.delta_bare, 2), (cav.g, 1)):
+            with pytest.raises(TypeError, match="read-only"):
+                m[key] = -1.0
+            with pytest.raises(TypeError, match="read-only"):
+                m.update({key: -1.0})
+        assert chi(cav, 2) == 0.14 ** 2 / 0.5
+
+    def test_hashes_and_pickles_by_value(self):
+        a, b = _sno_cavity(), _sno_cavity()
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and hash(back) == hash(a)
+        assert dressed_params(back) == dressed_params(a)
 
 
 class TestDressedParams:
@@ -135,6 +168,11 @@ class TestLambdaSno:
     def test_pole_raises(self):
         with pytest.raises(ZeroDivisionError, match="pole"):
             lambda_sno(2, -1.0)
+
+    def test_rejects_transition_below_one(self):
+        for j in (0, -1):
+            with pytest.raises(ValueError, match="j must be >= 1"):
+                lambda_sno(j, 0.1)
 
     def test_first_transition_always_unity(self):
         for ratio in (-2.0, -0.3, 0.0, 1.5):

@@ -78,6 +78,11 @@ class TestIdealNot:
         u = ideal_not(4)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-15)
 
+    def test_rejects_fewer_than_two_levels(self):
+        for d in (1, 0):
+            with pytest.raises(ValueError, match="d must be >= 2"):
+                ideal_not(d)
+
 
 class TestAverageGateFidelity:
     def test_perfect_gate(self):

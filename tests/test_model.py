@@ -1,4 +1,7 @@
+import json
 import math
+import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -242,6 +245,84 @@ class TestValidation:
         with pytest.raises(ValueError, match="delta\\[1\\]"):
             SystemSpec(Topology.LADDER, 3, {0: 0.0, 1: 0.5, 2: 1.0},
                        {0: 1.0, 1: 1.0})
+
+    @pytest.mark.parametrize("delta,lam,match", [
+        ({0: 0.0, 1: 0.0}, {0: 1.0, 1: 1.0}, "delta keys must match"),
+        ({0: 0.0, 1: 0.0, 2: 1.0, 3: 2.0}, {0: 1.0, 1: 1.0},
+         "delta keys must match"),
+        ({0: 0.0, 1: 0.0, 2: 1.0}, {0: 1.0}, "lambda keys must match"),
+        ({0: 0.0, 1: 0.0, 2: 1.0}, {0: 1.0, 1: 1.0, 2: 1.0},
+         "lambda keys must match"),
+        ({0: 0.0, 1: 0.0, 2: math.inf}, {0: 1.0, 1: 1.0}, "non-finite"),
+        ({0: 0.0, 1: 0.0, 2: math.nan}, {0: 1.0, 1: 1.0}, "non-finite"),
+        ({0: 0.0, 1: 0.0, 2: 1.0}, {0: 1.0, 1: math.nan}, "non-finite"),
+    ], ids=["delta-missing", "delta-extra", "lambda-missing",
+            "lambda-extra", "delta-inf", "delta-nan", "lambda-nan"])
+    def test_rejects_mismatched_keys_and_non_finite_values(self, delta, lam,
+                                                          match):
+        with pytest.raises(ValueError, match=match):
+            SystemSpec(Topology.LADDER, 3, delta, lam)
+
+    def test_star_refuses_unequal_lengths(self):
+        with pytest.raises(ValueError, match="must have equal length"):
+            build_star([-TWO_PI, -2 * TWO_PI], [1.0])
+
+
+# every change a dict takes in place
+_CHANGES = {
+    "setitem": lambda m: m.__setitem__(2, 0.0),
+    "delitem": lambda m: m.__delitem__(2),
+    "clear": lambda m: m.clear(),
+    "pop": lambda m: m.pop(2),
+    "popitem": lambda m: m.popitem(),
+    "setdefault": lambda m: m.setdefault(9, 0.0),
+    "update": lambda m: m.update({2: 0.0}),
+    "ior": lambda m: operator.ior(m, {2: 0.0}),
+}
+_BUILDERS = [lambda: build_sno(5, -TWO_PI),
+             lambda: build_intermediate_sno(5, -TWO_PI),
+             lambda: build_star([-TWO_PI, -2 * TWO_PI], [1.0, 0.6])]
+
+
+class TestReadOnlyRecord:
+    @pytest.mark.parametrize("change", list(_CHANGES))
+    def test_maps_refuse_every_change(self, change):
+        spec = build_sno(5, -TWO_PI)
+        for m in (spec.delta, spec.lam):
+            with pytest.raises(TypeError, match="read-only"):
+                _CHANGES[change](m)
+        assert spec == build_sno(5, -TWO_PI)
+
+    def test_checks_cannot_be_undone(self):
+        # delta[2] = 0 would undo the nonzero-anharmonicity check
+        spec = build_sno(5, -TWO_PI)
+        with pytest.raises(TypeError):
+            spec.delta[2] = 0.0
+        assert spec.delta[2] == -TWO_PI
+
+    def test_caller_dicts_are_not_shared(self):
+        delta, lam = {0: 0.0, 1: 0.0, 2: -1.0}, {0: 1.0, 1: 1.4}
+        spec = SystemSpec(Topology.LADDER, 3, delta, lam)
+        delta[2], lam[1] = 0.0, 9.0
+        assert spec.delta[2] == -1.0 and spec.lam[1] == 1.4
+
+    @pytest.mark.parametrize("make", _BUILDERS,
+                             ids=["sno5", "inter5", "star4"])
+    def test_hashes_pickles_and_writes_by_value(self, make):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != build_sno(5, -1.0)
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and hash(back) == hash(a)
+        assert spec_to_json(back) == spec_to_json(a)
+        with pytest.raises(TypeError, match="read-only"):
+            back.lam[0] = 2.0
+
+    def test_json_bytes_are_the_plain_maps_bytes(self):
+        assert spec_to_json(build_sno(3, -TWO_PI)) == json.dumps(
+            {"d": 3, "delta": [0.0, -0.0, -TWO_PI],
+             "lambda": [1.0, math.sqrt(2.0)], "topology": "ladder"},
+            indent=2, sort_keys=True)
 
 
 class TestJsonRoundTrip:

@@ -5,6 +5,7 @@ import pytest
 
 from drag_forge import (Ansatz, DragVariant, GaussianParams, TimeGrid,
                         build_controls, gate_error, ideal_not, propagate)
+from drag_forge import optimizer
 from drag_forge.optimizer import OptimizeTask, OptimizeResult, optimize
 from drag_forge.pulses import first_order_coefficients
 
@@ -23,6 +24,14 @@ def _fixed_grid_error(spec, x, params, n_steps):
 
 
 class TestValidation:
+    @pytest.mark.parametrize("mask,x0", [
+        ((True, False, False), (1.0, 0.0, 0.0, 0.0)),
+        ((True, False, False, False, False), (1.0, 0.0, 0.0, 0.0)),
+        ((True, False, False, False), (1.0, 0.0, 0.0))])
+    def test_four_entries_required(self, sno5, fast_params, mask, x0):
+        with pytest.raises(ValueError, match="four entries"):
+            OptimizeTask(sno5, fast_params, mask, x0=x0)
+
     def test_all_frozen_rejected(self, sno5, fast_params):
         with pytest.raises(ValueError, match="at least one"):
             OptimizeTask(sno5, fast_params, (False, False, False, False))
@@ -119,6 +128,48 @@ class TestInvariants:
                             x0=x0, max_evals=30, prop_tol=1e-7)
         res = optimize(task)
         assert math.isfinite(res.gate_error)
+
+
+class TestFailedEvaluations:
+    # an evaluation that raises or gives a non-finite error scores inf
+    @staticmethod
+    def _no_pulse(gen, cs, grid):
+        raise ValueError("no pulse")
+
+    @staticmethod
+    def _first_score(task, monkeypatch):
+        seen = []
+        monkeypatch.setattr(optimizer, "_bfgs",
+                            lambda f, z: seen.append(f(z)))
+        optimize(task)
+        return seen
+
+    def test_raising_evaluation_scores_inf(self, sno5, fast_params,
+                                           monkeypatch):
+        monkeypatch.setattr(optimizer, "propagate", self._no_pulse)
+        task = OptimizeTask(sno5, fast_params, (True, False, False, False),
+                            prop_tol=1e-7)
+        assert self._first_score(task, monkeypatch) == [math.inf]
+
+    def test_non_finite_error_scores_inf(self, sno5, fast_params,
+                                         monkeypatch):
+        monkeypatch.setattr(optimizer, "gate_error", lambda *args: math.nan)
+        task = OptimizeTask(sno5, fast_params, (True, False, False, False),
+                            prop_tol=1e-7)
+        assert self._first_score(task, monkeypatch) == [math.inf]
+
+    def test_non_finite_decrease_ends_the_search(self, sno5, fast_params,
+                                                 monkeypatch):
+        # x0 and its central differences score inf, so the gradient and
+        # the predicted decrease are NaN: the search stops there unconverged
+        monkeypatch.setattr(optimizer, "propagate", self._no_pulse)
+        with np.errstate(invalid="ignore"):  # inf - inf in the differences
+            res = optimize(OptimizeTask(sno5, fast_params,
+                                        (True, False, True, False),
+                                        max_evals=50, prop_tol=1e-7))
+        assert res.n_evals == 1 + 2 * 2
+        assert res.gate_error == math.inf and not res.converged
+        assert res.x == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_result_reports_budget(sno5, fast_params):

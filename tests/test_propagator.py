@@ -55,6 +55,12 @@ class TestTimeGrid:
 
 
 class TestPropagate:
+    @pytest.mark.parametrize("system", ["sno5", None, np.eye(5)])
+    def test_rejects_other_systems(self, system):
+        with pytest.raises(TypeError, match="expected SystemSpec or "
+                                            "HamiltonianGenerators"):
+            propagate(system, HandControls.constant(1.0), TimeGrid(1.0, 64))
+
     def test_drift_only_full_period_is_identity(self, sno3):
         # after t_g = 1 the drift phase of level 2 is exactly 2*pi
         u = propagate(sno3, HandControls.constant(1.0), TimeGrid(1.0, 64))

@@ -129,6 +129,9 @@ class TestGaussianEnvelope:
             GaussianParams(math.pi, math.inf, 4.0)
         with pytest.raises(ValueError, match="sigma"):
             GaussianParams(math.pi, math.nan, 4.0)
+        for area in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="area must be finite"):
+                GaussianParams(area, 1.0, 4.0)
 
 
 class TestLadderVariants:
@@ -310,6 +313,11 @@ class TestStarVariants:
         oracle = math.sqrt(1 + 1 / 4 + 1 / 9 + 1 / 16)
         assert effective_lambda(star6) == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("system", ["sno5", "inter5"])
+    def test_effective_lambda_only_on_a_star(self, request, system):
+        with pytest.raises(ValueError, match="star systems"):
+            effective_lambda(request.getfixturevalue(system))
+
     def test_effective_lambda_scaling_invariance(self):
         a = build_star([-TWO_PI, -3 * TWO_PI], [0.8, 1.2])
         b = build_star([-3 * TWO_PI, -9 * TWO_PI], [0.8, 1.2])
@@ -359,6 +367,14 @@ class TestPhaseRamp:
                                    atol=1e-12)
         np.testing.assert_allclose(rcs.omega_y(ts), ox * np.sin(c * ts),
                                    atol=1e-12)
+
+    def test_ramped_set_accumulates_no_phase(self, sno5, not_params):
+        # its detuning is folded into the drive, so delta and phi are zero
+        rcs = phase_ramp(build_controls(sno5, Ansatz(1.0, 0.0, 0.2, 0.37),
+                                        not_params))
+        ts = np.linspace(0, not_params.t_g, 50)
+        np.testing.assert_array_equal(rcs.phi(ts), np.zeros(50))
+        assert rcs.phi(not_params.t_g) == 0.0
 
     def test_ramp_is_another_pulse(self, sno5, not_params):
         cs = build_controls(sno5, DragVariant.DRAG1, not_params)
