@@ -9,6 +9,6 @@ from .pulses import (GaussianParams, DragVariant, Ansatz,
 from .propagator import (TimeGrid, ConvergenceError, propagate, populations,
                          converge)
 from .fidelity import (ideal_not, average_gate_fidelity, gate_error,
-                       phase_optimized_gate_error)
+                       gate_error_vector, phase_optimized_gate_error)
 
 __version__ = "0.1.0"

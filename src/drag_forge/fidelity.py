@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["ideal_not", "average_gate_fidelity", "gate_error",
-           "phase_optimized_gate_error"]
+           "gate_error_vector", "phase_optimized_gate_error"]
 
 
 def ideal_not(d: int, qubit: tuple[int, int] = (0, 1)) -> np.ndarray:
@@ -34,26 +34,46 @@ def ideal_not(d: int, qubit: tuple[int, int] = (0, 1)) -> np.ndarray:
     return u
 
 
-def _qubit_block(u_actual, u_ideal, qubit) -> np.ndarray:
+def _qubit_columns(u_actual, u_ideal, qubit) -> np.ndarray:
+    """Columns ``qubit`` of U U_ideal^dag; M is their ``qubit`` rows."""
     u_actual = np.asarray(u_actual)
     u_ideal = np.asarray(u_ideal)
     if u_actual.shape != u_ideal.shape:
         raise ValueError(
             f"dimension mismatch: {u_actual.shape} vs {u_ideal.shape}")
-    rows = np.asarray(qubit)
-    return (u_actual @ u_ideal.conj().T)[np.ix_(rows, rows)]
+    return (u_actual @ u_ideal.conj().T)[:, list(qubit)]
 
 
 def average_gate_fidelity(u_actual: np.ndarray, u_ideal: np.ndarray,
                           qubit: tuple[int, int] = (0, 1)) -> float:
     """(1/6) sum_j Tr[U_ideal rho_j U_ideal^dag  U rho_j U^dag]."""
-    m = _qubit_block(u_actual, u_ideal, qubit)
+    m = _qubit_columns(u_actual, u_ideal, qubit)[list(qubit)]
     return float((np.vdot(m, m).real + abs(np.trace(m)) ** 2) / 6.0)
 
 
 def gate_error(u_actual: np.ndarray, u_ideal: np.ndarray,
                qubit: tuple[int, int] = (0, 1)) -> float:
     return 1.0 - average_gate_fidelity(u_actual, u_ideal, qubit)
+
+
+def gate_error_vector(u_actual: np.ndarray, u_ideal: np.ndarray,
+                      qubit: tuple[int, int] = (0, 1)) -> np.ndarray:
+    """Real vector e with e . e = ``gate_error`` for a unitary U, each entry
+    first order in U's deviation, so its differences do not cancel against 1.
+
+    W = U U_ideal^dag divided by the phase of Tr M (1 when Tr M = 0), and D
+    is W's qubit columns minus the identity's.  Unit columns give
+    1 - F = (2 |D_qq|^2 + 3 |D_lq|^2 - |Tr D_qq|^2) / 6 with Tr D_qq real,
+    a sum of the squares below.
+    """
+    w, q = _qubit_columns(u_actual, u_ideal, qubit), list(qubit)
+    tr = np.trace(w[q])
+    d = w / (tr / abs(tr) if tr else 1.0) - np.eye(len(w))[:, q]
+    qq, lq = d[q], np.delete(d, q, axis=0)
+    skew = qq - np.diag(qq.diagonal().real)  # Im D_00, Im D_11, D_01, D_10
+    return np.concatenate([[(qq[0, 0] - qq[1, 1]).real / np.sqrt(6.0)],
+                           np.r_[skew.real, skew.imag].ravel() / np.sqrt(3.0),
+                           np.r_[lq.real, lq.imag].ravel() / np.sqrt(2.0)])
 
 
 def phase_optimized_gate_error(u_actual: np.ndarray, u_ideal: np.ndarray,
@@ -65,6 +85,6 @@ def phase_optimized_gate_error(u_actual: np.ndarray, u_ideal: np.ndarray,
     exp(-i theta/2) M_00 + exp(i theta/2) M_11, whose modulus peaks at
     |M_00| + |M_11|; Tr M M^dag does not depend on theta.
     """
-    m = _qubit_block(u_actual, u_ideal, qubit)
+    m = _qubit_columns(u_actual, u_ideal, qubit)[list(qubit)]
     best = (abs(m[0, 0]) + abs(m[1, 1])) ** 2
     return float(1.0 - (np.vdot(m, m).real + best) / 6.0)

@@ -1,10 +1,11 @@
-"""Quasi-Newton tuning of the four-coefficient control ansatz.
+"""Gauss-Newton tuning of the four-coefficient control ansatz.
 
 The objective is the average gate error of a NOT built from
 Ansatz(alpha, beta, gamma, delta0) controls; any subset of the four
 coefficients can be frozen, mirroring the different correction families
-(in-phase only, detuning, quadrature, constant offset).  Gradients are
-central differences of that objective.
+(in-phase only, detuning, quadrature, constant offset).  The search models
+it as the squared norm of ``gate_error_vector``, whose Jacobian is a
+central difference on each free coefficient.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import gate_error, ideal_not
+from .fidelity import gate_error, gate_error_vector, ideal_not
 from .model import HamiltonianGenerators, SystemSpec, _is_integer
 from .propagator import TimeGrid, _as_generators, converge, propagate
 from .pulses import Ansatz, GaussianParams, build_controls
@@ -21,7 +22,7 @@ from .pulses import Ansatz, GaussianParams, build_controls
 __all__ = ["OptimizeTask", "OptimizeResult", "optimize"]
 
 _H = 1e-5  # central-difference step in each free coefficient
-_TOL = 1e-9  # stop once the predicted decrease g^T H g / 2 is below _TOL * f
+_TOL = 1e-9  # stop once the predicted decrease -g^T p / 2 is below _TOL * f
 _ARMIJO = 1e-4  # sufficient-decrease share of the predicted decrease
 _HALVINGS = 10  # backtracking steps before a line search gives up
 
@@ -65,11 +66,11 @@ class OptimizeResult:
     n_steps: int
 
 
-def _resolve_steps(task: OptimizeTask, gen: HamiltonianGenerators) -> int:
-    """Step count whose unitary at the initial point meets ``prop_tol``;
-    every evaluation of the search shares this grid."""
+def _resolve_steps(task: OptimizeTask, gen: HamiltonianGenerators) -> tuple:
+    """Unitary at the initial point and the step count at which it meets
+    ``prop_tol``; every evaluation of the search shares this grid."""
     cs = build_controls(task.spec, Ansatz(*task.x0), task.params)
-    return converge(gen, cs, task.params.t_g, task.prop_tol)[1]
+    return converge(gen, cs, task.params.t_g, task.prop_tol)
 
 
 class _BudgetSpent(Exception):
@@ -77,27 +78,29 @@ class _BudgetSpent(Exception):
 
 
 def optimize(task: OptimizeTask) -> OptimizeResult:
-    """BFGS descent over the free coefficients from ``x0``.
+    """Gauss-Newton descent over the free coefficients from ``x0``.
 
-    One evaluation is one ``propagate`` plus one ``gate_error``; a gradient
-    costs two per free coefficient, and its second differences give the
-    first inverse Hessian.  Never evaluates more than ``max_evals`` times
-    and returns the best point ever evaluated.  ``converged`` means that
-    the stop test held there: a predicted decrease g^T H g / 2 of at most
-    1e-9 of the gate error, after one model update per free coefficient.
-    The search draws no random numbers.
+    One evaluation is one ``propagate``, scored by ``gate_error`` and
+    ``gate_error_vector``; the first scores the unitary that fixed the grid
+    instead.  A Jacobian costs two evaluations per free coefficient.  Never
+    evaluates more than ``max_evals`` times and returns the best point ever
+    evaluated.  ``converged`` means that the stop test held there: a
+    predicted decrease g^T H^-1 g / 2 of at most 1e-9 of the gate error,
+    with g = 2 J^T e and H = 2 J^T J.  The search draws no random numbers.
     """
     spec, params = task.spec, task.params
     uid = ideal_not(spec.d, spec.qubit_rows)
     gen = _as_generators(spec)
-    n_steps = _resolve_steps(task, gen)
+    u0, n_steps = _resolve_steps(task, gen)
     grid = TimeGrid(params.t_g, n_steps)
     free = [i for i in range(4) if task.mask[i]]
     x_fixed = np.asarray(task.x0, dtype=float)
     evals = 0
-    best_x, best_f = x_fixed[free].copy(), math.inf
+    z0 = best_x = x_fixed[free]
+    best_f = math.inf
 
-    def objective(z: np.ndarray) -> float:
+    def evaluate(z: np.ndarray, u=None):
+        """(gate error, error vector) at ``z``, or (inf, None) on failure."""
         nonlocal evals, best_x, best_f
         if evals >= task.max_evals:
             raise _BudgetSpent
@@ -105,19 +108,21 @@ def optimize(task: OptimizeTask) -> OptimizeResult:
         x = x_fixed.copy()
         x[free] = z
         try:
-            cs = build_controls(spec, Ansatz(*x), params)
-            u = propagate(gen, cs, grid)
-            e = gate_error(u, uid, spec.qubit_rows)
+            if u is None:
+                u = propagate(gen, build_controls(spec, Ansatz(*x), params),
+                              grid)
+            f = gate_error(u, uid, spec.qubit_rows)
+            e = gate_error_vector(u, uid, spec.qubit_rows)
         except (ValueError, FloatingPointError):
-            e = math.inf
-        if not math.isfinite(e):
-            e = math.inf
-        if e < best_f:
-            best_x, best_f = np.array(z, dtype=float), e
-        return e
+            return math.inf, None
+        if not (math.isfinite(f) and np.isfinite(e).all()):
+            return math.inf, None
+        if f < best_f:
+            best_x, best_f = np.array(z, dtype=float), f
+        return f, e
 
     try:
-        z_stop = _bfgs(objective, best_x)
+        z_stop = _gauss_newton(evaluate, z0, evaluate(z0, u0))
     except _BudgetSpent:
         z_stop = None
     converged = z_stop is not None and np.array_equal(z_stop, best_x)
@@ -127,48 +132,28 @@ def optimize(task: OptimizeTask) -> OptimizeResult:
                           evals, converged, n_steps)
 
 
-def _bfgs(f, z: np.ndarray):
-    """Descent from ``z``; returns where the stop test held, or None when a
-    line search fails.  ``f`` may raise to end it, and tracks the best point."""
-    fz = f(z)
-    g, d = _differences(f, z, fz)
-    h_inv = np.diag(1.0 / np.abs(d))
-    updates = 0
+def _gauss_newton(f, z: np.ndarray, first):
+    """Descent from ``z``, where ``f`` gave ``first`` = (value, error vector);
+    returns where the stop test held, or None when an evaluation or a line
+    search fails.  ``f`` may raise to end it, and tracks the best point."""
+    fz, e = first
+    steps = _H * np.eye(len(z))
     while True:
-        p = -h_inv @ g
-        dec = -(g @ p)
-        if not math.isfinite(dec):
-            return None
-        if updates >= len(z) and dec <= 2.0 * _TOL * fz:
+        up = [f(z + s)[1] for s in steps]
+        down = [f(z - s)[1] for s in steps]
+        if e is None or any(v is None for v in up + down):
+            return None  # a failed evaluation has no error vector
+        jac = (np.array(up) - np.array(down)).T / (2.0 * _H)
+        p = np.linalg.lstsq(jac, -e, rcond=None)[0]
+        dec = -2.0 * (e @ jac) @ p  # -g^T p, with g = 2 J^T e
+        if dec <= 2.0 * _TOL * fz:
             return z
         t = 1.0
         for _ in range(_HALVINGS):
-            zt = z + t * p
-            ft = f(zt)
+            ft, et = f(z + t * p)
             if ft < fz - _ARMIJO * t * dec:
                 break
             t *= 0.5
         else:
             return None
-        c = 2.0 * (ft - fz + dec) / dec  # curvature along p over the model's
-        if t == 1.0 and c < 0.5:  # so a longer step is predicted to do better
-            z2 = z + p / max(c, 0.125)
-            if (f2 := f(z2)) < ft:
-                zt, ft = z2, f2
-        gt, _ = _differences(f, zt, ft)
-        s, y = zt - z, gt - g
-        sy = s @ y
-        if sy > 0:  # the curvature condition keeps h_inv positive definite
-            hy = h_inv @ y
-            h_inv += ((sy + y @ hy) / sy * np.outer(s, s)
-                      - np.outer(hy, s) - np.outer(s, hy)) / sy
-            updates += 1
-        z, fz, g = zt, ft, gt
-
-
-def _differences(f, z: np.ndarray, fz: float):
-    """Central first and second differences of ``f`` at ``z`` on each axis."""
-    steps = _H * np.eye(len(z))
-    up = np.array([f(z + e) for e in steps])
-    down = np.array([f(z - e) for e in steps])
-    return (up - down) / (2.0 * _H), (up - 2.0 * fz + down) / _H ** 2
+        z, fz, e = z + t * p, ft, et

@@ -6,7 +6,8 @@ from conftest import proj, sigma_x, sigma_y
 
 from drag_forge import (DragVariant, GaussianParams, TimeGrid,
                         average_gate_fidelity, build_controls, gate_error,
-                        ideal_not, phase_optimized_gate_error, propagate)
+                        gate_error_vector, ideal_not,
+                        phase_optimized_gate_error, propagate)
 
 
 def axial_states(d: int, qubit: tuple[int, int] = (0, 1)) -> list[np.ndarray]:
@@ -191,3 +192,40 @@ class TestPhaseOptimizedClosedForm:
                 exact = phase_optimized_gate_error(u, target, qubit)
                 assert exact <= scan + 1e-15
                 assert scan - exact < 1e-5
+
+
+class TestGateErrorVector:
+    CASES = [(3, (0, 1)), (3, (1, 2)), (5, (0, 1)), (5, (2, 3))]
+
+    @pytest.mark.parametrize("d,qubit", CASES)
+    def test_squared_norm_is_the_gate_error(self, rng, d, qubit):
+        target = ideal_not(d, qubit)
+        for _ in range(150):
+            u = _random_unitary(rng, d)
+            e = gate_error_vector(u, target, qubit)
+            assert e.dtype == float
+            assert abs(e @ e - gate_error(u, target, qubit)) <= 4e-15
+
+    def test_traceless_block_keeps_phase_one(self):
+        # the identity against a NOT: Tr M = 0 and 1 - F = 2/3
+        e = gate_error_vector(np.eye(5), ideal_not(5))
+        assert e @ e == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+    @pytest.mark.parametrize("d,qubit", CASES)
+    def test_zero_at_the_target_up_to_phase(self, rng, d, qubit):
+        target = ideal_not(d, qubit)
+        for phi in rng.uniform(0.0, 2.0 * math.pi, 8):
+            e = gate_error_vector(np.exp(1j * phi) * target, target, qubit)
+            assert np.max(np.abs(e)) <= 1e-15
+
+    @pytest.mark.parametrize("d,qubit", CASES)
+    def test_norm_is_first_order_in_the_deviation(self, rng, d, qubit):
+        # U = exp(i eps K) U_ideal: |e| / eps tends to a constant, down to
+        # eps = 1e-8, where 1 - F itself is below one rounding unit of 1
+        target = ideal_not(d, qubit)
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        w, v = np.linalg.eigh(z + z.conj().T)
+        slopes = [np.linalg.norm(gate_error_vector(
+            (v * np.exp(1j * eps * w)) @ v.conj().T @ target, target, qubit))
+            / eps for eps in (1e-4, 1e-6, 1e-8)]
+        assert slopes == pytest.approx([slopes[-1]] * 3, rel=1e-3)

@@ -138,9 +138,11 @@ class TestFailedEvaluations:
 
     @staticmethod
     def _first_score(task, monkeypatch):
+        # x0 is scored on converge's unitary, so the first propagated point
+        # is the search's first call: here, x0 propagated once more
         seen = []
-        monkeypatch.setattr(optimizer, "_bfgs",
-                            lambda f, z: seen.append(f(z)))
+        monkeypatch.setattr(optimizer, "_gauss_newton",
+                            lambda f, z, first: seen.append(f(z)[0]))
         optimize(task)
         return seen
 
@@ -158,18 +160,20 @@ class TestFailedEvaluations:
                             prop_tol=1e-7)
         assert self._first_score(task, monkeypatch) == [math.inf]
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_decrease_ends_the_search(self, sno5, fast_params,
                                                  monkeypatch):
-        # x0 and its central differences score inf, so the gradient and
-        # the predicted decrease are NaN: the search stops there unconverged
+        # every propagated point fails, so x0's central differences have no
+        # error vector: the search stops there unconverged, before it forms
+        # a difference, and x0's own score is the one that counts
         monkeypatch.setattr(optimizer, "propagate", self._no_pulse)
-        with np.errstate(invalid="ignore"):  # inf - inf in the differences
-            res = optimize(OptimizeTask(sno5, fast_params,
-                                        (True, False, True, False),
-                                        max_evals=50, prop_tol=1e-7))
+        res = optimize(OptimizeTask(sno5, fast_params,
+                                    (True, False, True, False),
+                                    max_evals=50, prop_tol=1e-7))
         assert res.n_evals == 1 + 2 * 2
-        assert res.gate_error == math.inf and not res.converged
-        assert res.x == (1.0, 0.0, 0.0, 0.0)
+        assert res.x == (1.0, 0.0, 0.0, 0.0) and not res.converged
+        assert res.gate_error == _fixed_grid_error(sno5, res.x, fast_params,
+                                                   res.n_steps)
 
 
 def test_result_reports_budget(sno5, fast_params):
@@ -182,25 +186,27 @@ def test_result_reports_budget(sno5, fast_params):
 
 
 def test_initial_point_evaluated_once(sno5, fast_params, monkeypatch):
-    # the search starts from x0 itself; evaluating it beforehand as well
-    # would spend a second evaluation of the budget on it
-    import drag_forge.optimizer as optimizer
-
-    seen = []
-    real = optimizer.propagate
+    # x0 is scored once, on the unitary that converge left on the chosen
+    # grid, and the search never propagates it again; that evaluation
+    # counts in n_evals like every other
+    seen, scored = [], []
+    real_propagate, real_error = optimizer.propagate, optimizer.gate_error
     monkeypatch.setattr(optimizer, "propagate", lambda gen, cs, grid:
-                        seen.append(cs) or real(gen, cs, grid))
+                        seen.append(cs) or real_propagate(gen, cs, grid))
+    monkeypatch.setattr(optimizer, "gate_error", lambda u, *args:
+                        scored.append(u) or real_error(u, *args))
     res = optimize(OptimizeTask(sno5, fast_params, (True, False, False, False),
                                 max_evals=10, prop_tol=1e-7))
 
     def coefficients(cs):
         return cs.a1, cs.a3, cs.b1, cs.c2, cs.c0
 
+    x0 = build_controls(sno5, Ansatz(1.0, 0.0, 0.0, 0.0), fast_params)
     points = [coefficients(cs) for cs in seen]
-    assert len(points) == res.n_evals
-    assert points[0] == coefficients(build_controls(
-        sno5, Ansatz(1.0, 0.0, 0.0, 0.0), fast_params))
-    assert points.count(points[0]) == 1
+    assert len(scored) == res.n_evals == len(points) + 1
+    assert coefficients(x0) not in points
+    np.testing.assert_array_equal(
+        scored[0], propagate(sno5, x0, TimeGrid(fast_params.t_g, res.n_steps)))
 
 
 class TestSearch:
@@ -240,6 +246,15 @@ class TestSearch:
         assert res.n_evals == len(values) == 7
         assert res.gate_error == min(values)
         assert not res.converged
+
+    def test_free_task_converges_within_budget(self, sno5):
+        # the benchmark's free (alpha, beta, gamma) task at sigma = 1, where
+        # a quasi-Newton search on 1 - F needed 104 evaluations
+        res = optimize(OptimizeTask(sno5, GaussianParams.for_not(1.0),
+                                    (True, True, True, False), max_evals=60,
+                                    prop_tol=1e-9))
+        assert res.converged and res.n_evals <= 60
+        assert res.gate_error <= 2.325702e-7 * (1 + 1e-9)
 
     @pytest.mark.parametrize("mask,x0", [
         ((True, False, True, False), (1.0, 0.0, 0.0, 0.0)),
